@@ -9,7 +9,8 @@
 #                             localhost-TCP workers), serve smoke (real server
 #                             + driver + SIGTERM drain), replay smoke (offline
 #                             panel over the serve log + logging-identity pin
-#                             + sharded 2-worker panel), metrics identity
+#                             + sharded 2-worker panel, with and without a
+#                             SIGKILLed worker), metrics identity
 #                             (event logs and decision dumps byte-identical
 #                             with metrics enabled, polled, and compiled out).
 #        ./ci.sh asan       — ASan/UBSan build + test suite only. The release
@@ -66,9 +67,10 @@ smoke() {
 # --max-jobs / --resume path to the exact bytes of an uninterrupted run,
 # and (c) produce those same bytes from the distributed dispatch layer —
 # with 2 worker processes, and again while one worker is SIGKILLed mid-run
-# (the NCB_DIST_KILL_KEY crash injection; see src/dist/worker.hpp) so the
-# requeue path is exercised on every CI run. The fig3 paper grid then
-# repeats the 4-worker + kill comparison at full size.
+# (the NCB_DIST_KILL_KEY crash injection of the shared worker loop; see
+# src/dist/worker.hpp) so the requeue path is exercised on every CI run.
+# The fig3 paper grid then repeats the 4-worker + kill comparison at full
+# size.
 sweep_smoke() {
   local spec=build/sweep_smoke.spec
   cat > "$spec" <<'EOF'
@@ -264,7 +266,19 @@ replay_smoke() {
       | tee build/replay_smoke_dist.out
   grep -q 'logging identity OK' build/replay_smoke_dist.out
   cmp build/replay_smoke.json build/replay_smoke_dist.json
-  echo "replay smoke: sharded panel (2 workers) byte-identical to single-process"
+  # Requeue path: the worker first assigned the dfl-sso candidate SIGKILLs
+  # itself (the NCB_DIST_KILL_KEY injection of the shared worker loop,
+  # matched against the candidate spec); the retry must land on the same
+  # bytes.
+  NCB_DIST_KILL_KEY='dfl-sso' ./build/examples/ncb_replay --log "$log" \
+      --logging-policy 'eps-greedy:eps=0' --policies 'ucb1;dfl-sso' \
+      --arms 200 --graph er --edge-prob 0.1 --seed 7 --epsilon 0.1 \
+      --workers 2 --out build/replay_smoke_kill.json \
+      | tee build/replay_smoke_kill.out
+  # The injection must actually have fired (guards against spec drift).
+  grep -q 'requeued 1 candidates' build/replay_smoke_kill.out
+  cmp build/replay_smoke.json build/replay_smoke_kill.json
+  echo "replay smoke: sharded panel (2 workers, incl. SIGKILLed worker) byte-identical to single-process"
   # Chop the tail mid-record: inspect must refuse to call the log intact.
   local size
   size=$(stat -c %s "$log")

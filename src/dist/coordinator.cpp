@@ -1,248 +1,16 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "dist/protocol.hpp"
 #include "exp/emitters.hpp"
 #include "net/transport.hpp"
-#include "net/worker_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace ncb::dist {
-
-namespace {
-
-class Coordinator {
- public:
-  Coordinator(const std::vector<exp::SweepJob>& jobs,
-              const CoordinatorOptions& options,
-              const std::set<std::string>& skip_keys,
-              net::StreamTransport& transport)
-      : jobs_(jobs), options_(options), attempts_(jobs.size(), 0),
-        m_jobs_queued_(
-            obs::MetricsRegistry::global().gauge("dist.jobs.queued")),
-        m_jobs_completed_(
-            obs::MetricsRegistry::global().counter("dist.jobs.completed")),
-        m_jobs_requeued_(
-            obs::MetricsRegistry::global().counter("dist.jobs.requeued")),
-        pool_(pool_options(transport), pool_hooks()) {
-    // The skip/max_jobs cut happens in expansion order FIRST — which jobs
-    // run must not depend on the scheduling heuristic below, or --max-jobs
-    // resume chains would compute different subsets per transport.
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      if (skip_keys.count(jobs_[i].key)) {
-        ++summary_.skipped;
-      } else if (options_.max_jobs != 0 && queued_ >= options_.max_jobs) {
-        ++summary_.pending;
-      } else {
-        queue_.push_back(i);
-        ++queued_;
-      }
-    }
-    // Largest-first by the --dry-run slot estimate (replications ×
-    // horizon). Stable, so equal-cost jobs keep expansion order. Merge is
-    // in canonical expansion order regardless, so this affects makespan
-    // only, never bytes.
-    std::stable_sort(queue_.begin(), queue_.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return job_slots(a) > job_slots(b);
-                     });
-    m_jobs_queued_.set(static_cast<std::int64_t>(queue_.size()));
-  }
-
-  DistSweepSummary run() {
-    if (queue_.empty()) {
-      summary_.workers = pool_.summaries();
-      return std::move(summary_);
-    }
-    if (pool_.can_spawn()) {
-      const std::size_t fleet =
-          std::max<std::size_t>(1, std::min(options_.workers, queue_.size()));
-      pool_.spawn(fleet);
-    }
-
-    // Run until the fleet drains: on a spawning transport workers exist
-    // from the start; on an accept transport the queue holds the loop open
-    // while the first worker is still dialing in.
-    while (pool_.live() > 0 ||
-           (!stopping_ && (!queue_.empty() || in_flight() > 0))) {
-      if (!stopping_ && options_.should_stop && options_.should_stop()) {
-        stopping_ = true;
-        // Idle workers have nothing to drain — release them now.
-        for (net::PoolWorker& worker : pool_.workers()) {
-          if (worker.peer.fd >= 0 && worker.admitted && worker.user_tag < 0) {
-            pool_.send_shutdown(worker);
-          }
-        }
-      }
-      pool_.poll_once(200);
-      maintain_fleet();
-      // A requeue (worker lost) or a late admission may leave queued work
-      // next to idle workers — hand it out every turn, and drain the fleet
-      // once nothing is queued or in flight.
-      for (net::PoolWorker& worker : pool_.workers()) dispatch(worker);
-    }
-
-    summary_.pending += queue_.size();
-    summary_.interrupted = stopping_;
-    summary_.workers = pool_.summaries();
-    return std::move(summary_);
-  }
-
- private:
-  [[nodiscard]] net::WorkerPool::Options pool_options(
-      net::StreamTransport& transport) const {
-    net::WorkerPool::Options opts;
-    opts.transport = &transport;
-    opts.expected_schema =
-        static_cast<std::uint32_t>(exp::kSweepSchemaVersion);
-    // Spawned workers that cannot start is a broken binary — give up
-    // after a respawn round. Accepted peers are out of our control, so a
-    // noisy network gets a wider (but still bounded) budget.
-    opts.admission_budget = transport.can_spawn() ? options_.workers + 2 : 32;
-    return opts;
-  }
-
-  [[nodiscard]] net::WorkerPool::Hooks pool_hooks() {
-    net::WorkerPool::Hooks hooks;
-    hooks.on_admitted = [this](net::PoolWorker& worker) { dispatch(worker); };
-    hooks.on_frame = [this](net::PoolWorker& worker, const Frame& frame) {
-      handle_frame(worker, frame);
-    };
-    hooks.on_lost = [this](net::PoolWorker& worker) { worker_lost(worker); };
-    return hooks;
-  }
-
-  [[nodiscard]] std::uint64_t job_slots(std::size_t index) const {
-    return static_cast<std::uint64_t>(jobs_[index].config.replications) *
-           static_cast<std::uint64_t>(jobs_[index].config.horizon);
-  }
-
-  [[nodiscard]] std::size_t in_flight() const {
-    std::size_t n = 0;
-    for (const net::PoolWorker& worker : pool_.workers()) {
-      if (worker.peer.fd >= 0 && worker.user_tag >= 0) ++n;
-    }
-    return n;
-  }
-
-  /// Hands the next queued job to an idle, admitted worker — or a
-  /// Shutdown when there is nothing left for it to do.
-  void dispatch(net::PoolWorker& worker) {
-    if (worker.peer.fd < 0 || !worker.admitted || worker.user_tag >= 0 ||
-        worker.shutdown_sent) {
-      return;
-    }
-    if (stopping_ || (queue_.empty() && in_flight() == 0)) {
-      pool_.send_shutdown(worker);
-      return;
-    }
-    // Queue momentarily empty but jobs are in flight: stay idle — a crash
-    // could requeue one of them, and this worker is where it would land.
-    if (queue_.empty()) return;
-    const std::size_t index = queue_.front();
-    queue_.pop_front();
-    m_jobs_queued_.set(static_cast<std::int64_t>(queue_.size()));
-    worker.user_tag = static_cast<std::ptrdiff_t>(index);
-    JobAssignMsg assign;
-    assign.attempt = static_cast<std::uint32_t>(attempts_[index] + 1);
-    assign.checkpoints = options_.checkpoints;
-    assign.shard_size = options_.shard_size;
-    assign.job = jobs_[index];
-    // A failed send releases the worker, which requeues via on_lost.
-    pool_.send(worker, MsgType::kJobAssign, encode_job_assign(assign));
-  }
-
-  void worker_lost(net::PoolWorker& worker) {
-    if (worker.user_tag < 0) return;
-    const std::size_t index = static_cast<std::size_t>(worker.user_tag);
-    ++attempts_[index];
-    if (!stopping_ && attempts_[index] >= options_.max_attempts) {
-      throw std::runtime_error(
-          "job '" + jobs_[index].key + "' crashed its worker " +
-          std::to_string(attempts_[index]) +
-          " times — aborting (results so far are resumable)");
-    }
-    // Requeue at the front with the job's original seed counter: the
-    // retry recomputes bit-identical records, so the merged output does
-    // not depend on the crash at all.
-    queue_.push_front(index);
-    m_jobs_queued_.set(static_cast<std::int64_t>(queue_.size()));
-    if (!stopping_) {
-      ++summary_.requeues;
-      m_jobs_requeued_.inc();
-    }
-  }
-
-  void maintain_fleet() {
-    if (stopping_ || !pool_.can_spawn()) return;
-    const std::size_t wanted =
-        std::min(options_.workers, queue_.size() + in_flight());
-    while (pool_.live() < wanted) pool_.spawn(1);
-  }
-
-  void handle_frame(net::PoolWorker& worker, const Frame& frame) {
-    switch (frame.type) {
-      case MsgType::kJobResult: {
-        const JobResultMsg result = decode_job_result(frame.payload);
-        if (worker.user_tag < 0 ||
-            jobs_[static_cast<std::size_t>(worker.user_tag)].key !=
-                result.key) {
-          throw std::runtime_error("protocol violation: result for '" +
-                                   result.key +
-                                   "' does not match the worker's assignment");
-        }
-        const std::size_t index = static_cast<std::size_t>(worker.user_tag);
-        worker.user_tag = -1;
-        ++worker.jobs_done;
-        m_jobs_completed_.inc();
-        DistJobResult done;
-        done.job = &jobs_[index];
-        done.record_line = result.record_line;
-        done.seconds = result.seconds;
-        done.shards = static_cast<std::size_t>(result.shards);
-        done.shard_size = static_cast<std::size_t>(result.shard_size);
-        done.worker = worker.id;
-        done.attempts = attempts_[index] + 1;
-        summary_.policy_seconds[jobs_[index].policy].add(result.seconds);
-        if (options_.on_result) options_.on_result(done);
-        summary_.results.emplace(jobs_[index].key, std::move(done));
-        dispatch(worker);
-        return;
-      }
-      case MsgType::kWorkerError: {
-        const WorkerErrorMsg error = decode_worker_error(frame.payload);
-        throw std::runtime_error("worker failed on job '" + error.key +
-                                 "': " + error.message);
-      }
-      default:
-        throw std::runtime_error("protocol violation: unexpected frame type " +
-                                 frame_type_label(static_cast<std::uint8_t>(
-                                     frame.type)) +
-                                 " from a worker");
-    }
-  }
-
-  const std::vector<exp::SweepJob>& jobs_;
-  const CoordinatorOptions& options_;
-  std::vector<std::size_t> attempts_;
-  std::deque<std::size_t> queue_;
-  DistSweepSummary summary_;
-  std::size_t queued_ = 0;
-  bool stopping_ = false;
-  // Registry mirrors (global registry: the sweep CLI snapshots it).
-  obs::Gauge& m_jobs_queued_;
-  obs::Counter& m_jobs_completed_;
-  obs::Counter& m_jobs_requeued_;
-  // Last member: its destructor (which releases every peer) runs first on
-  // any exit path, including the throws above.
-  net::WorkerPool pool_;
-};
-
-}  // namespace
 
 DistSweepSummary run_distributed_sweep(const std::vector<exp::SweepJob>& jobs,
                                        const CoordinatorOptions& options,
@@ -256,8 +24,82 @@ DistSweepSummary run_distributed_sweep(const std::vector<exp::SweepJob>& jobs,
     owned = std::make_unique<net::ProcessTransport>(options.worker_command);
     transport = owned.get();
   }
-  Coordinator coordinator(jobs, options, skip_keys, *transport);
-  return coordinator.run();
+
+  DistSweepSummary summary;
+  net::WorkerPool::Farm farm;
+  std::unordered_map<std::string, std::size_t> index_of;
+  // The skip/max_jobs cut happens in expansion order FIRST — which jobs run
+  // must not depend on the scheduling heuristic below, or --max-jobs resume
+  // chains would compute different subsets per transport.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    farm.labels.push_back(jobs[i].key);
+    index_of.emplace(jobs[i].key, i);
+    if (skip_keys.count(jobs[i].key)) {
+      ++summary.skipped;
+    } else if (options.max_jobs != 0 && farm.queue.size() >= options.max_jobs) {
+      ++summary.pending;
+    } else {
+      farm.queue.push_back(i);
+    }
+  }
+  // Largest-first by the --dry-run slot estimate (replications × horizon).
+  // Stable, so equal-cost jobs keep expansion order. Merge is in canonical
+  // expansion order regardless, so this affects makespan only, never bytes.
+  const auto job_slots = [&](std::size_t index) {
+    return static_cast<std::uint64_t>(jobs[index].config.replications) *
+           static_cast<std::uint64_t>(jobs[index].config.horizon);
+  };
+  std::stable_sort(farm.queue.begin(), farm.queue.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return job_slots(a) > job_slots(b);
+                   });
+
+  obs::Counter& m_jobs_completed =
+      obs::MetricsRegistry::global().counter("dist.jobs.completed");
+  farm.metric_stem = "dist.jobs";
+  farm.result_type = MsgType::kJobResult;
+  farm.encode = [&](std::size_t index, std::uint32_t attempt) {
+    JobAssignMsg assign;
+    assign.attempt = attempt;
+    assign.checkpoints = options.checkpoints;
+    assign.shard_size = options.shard_size;
+    assign.job = jobs[index];
+    return Frame{MsgType::kJobAssign, encode_job_assign(assign)};
+  };
+  farm.accept = [&](const Frame& frame, std::size_t worker,
+                    std::uint32_t attempt) -> std::size_t {
+    const JobResultMsg result = decode_job_result(frame.payload);
+    const auto found = index_of.find(result.key);
+    if (found == index_of.end()) return jobs.size();  // matches no task
+    const std::size_t index = found->second;
+    m_jobs_completed.inc();
+    DistJobResult done;
+    done.job = &jobs[index];
+    done.record_line = result.record_line;
+    done.seconds = result.seconds;
+    done.shards = static_cast<std::size_t>(result.shards);
+    done.shard_size = static_cast<std::size_t>(result.shard_size);
+    done.worker = worker;
+    done.attempts = attempt;
+    summary.policy_seconds[jobs[index].policy].add(result.seconds);
+    if (options.on_result) options.on_result(done);
+    summary.results.emplace(jobs[index].key, std::move(done));
+    return index;
+  };
+  farm.should_stop = options.should_stop;
+
+  net::WorkerPool::Options pool_options;
+  pool_options.transport = transport;
+  pool_options.expected_schema =
+      static_cast<std::uint32_t>(exp::kSweepSchemaVersion);
+  pool_options.workers = options.workers;
+  net::WorkerPool pool(pool_options);
+  net::WorkerPool::Outcome outcome = pool.run(std::move(farm));
+  summary.pending += outcome.pending;
+  summary.requeues = outcome.requeues;
+  summary.interrupted = outcome.interrupted;
+  summary.workers = std::move(outcome.workers);
+  return summary;
 }
 
 }  // namespace ncb::dist

@@ -1,8 +1,8 @@
-// The coordinator end of the dispatch protocol: expand-once, pull-based
-// job dispatch over a fleet of workers, with crash requeue. Workers arrive
-// through a net::StreamTransport — forked local processes or TCP peers
-// dialing in from other machines — and the coordinator treats both
-// identically once admitted (see net/worker_pool.hpp).
+// The sweep end of the task farm: cut the job list (skip keys, --max-jobs),
+// order it largest-first, and hand it to net::WorkerPool (see
+// net/worker_pool.hpp), which owns dispatch, crash requeue and the fleet. Workers arrive through a
+// net::StreamTransport — forked local processes or TCP peers dialing in from
+// other machines — and are treated identically once admitted.
 //
 // Dispatch is demand-driven (the idle worker gets the next job), so fast
 // workers naturally take more of the grid — work stealing without a shared
@@ -63,9 +63,6 @@ struct CoordinatorOptions {
   std::size_t shard_size = 0;
   /// Dispatch at most this many jobs (0 = all); the rest report pending.
   std::size_t max_jobs = 0;
-  /// A job that crashes its worker this many times aborts the sweep —
-  /// the crash is then the job's fault, not a lost worker's.
-  std::size_t max_attempts = 3;
   /// Streaming callback in completion order (NOT expansion order — merge
   /// deterministically from `results` afterwards).
   std::function<void(const DistJobResult&)> on_result;
@@ -88,8 +85,9 @@ struct DistSweepSummary {
 
 /// Runs `jobs` minus `skip_keys` across worker processes and collects one
 /// record line per job. Throws std::runtime_error when a worker reports a
-/// job error, a job exhausts max_attempts, or the fleet dies during
-/// handshake; workers are killed and reaped before the throw.
+/// job error, a job crashes net::WorkerPool::kMaxAttempts workers, or the
+/// fleet dies during handshake; workers are killed and reaped before the
+/// throw.
 [[nodiscard]] DistSweepSummary run_distributed_sweep(
     const std::vector<exp::SweepJob>& jobs, const CoordinatorOptions& options,
     const std::set<std::string>& skip_keys = {});

@@ -97,6 +97,16 @@ std::string WireReader::get_string() {
   return out;
 }
 
+std::size_t WireReader::checked_count(std::uint64_t count,
+                                      std::size_t min_element_bytes) const {
+  if (count > (payload_.size() - at_) / min_element_bytes) {
+    throw std::invalid_argument(
+        "wire: count " + std::to_string(count) + " exceeds the " +
+        std::to_string(payload_.size() - at_) + " payload bytes left");
+  }
+  return static_cast<std::size_t>(count);
+}
+
 void WireReader::finish() const {
   if (at_ != payload_.size()) {
     throw std::invalid_argument("wire: trailing bytes after message");
@@ -374,9 +384,10 @@ std::string encode_stats_reply(const StatsReplyMsg& msg) {
 StatsReplyMsg decode_stats_reply(const std::string& payload) {
   WireReader in(payload);
   StatsReplyMsg msg;
-  const std::uint32_t count = in.get_u32();
+  // Smallest entry: u8 kind + empty u32-prefixed name + u64 value.
+  const std::size_t count = in.get_count<std::uint32_t>(1 + 4 + 8);
   msg.entries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     StatsEntry entry;
     entry.kind = in.get_u8();
     entry.name = in.get_string();

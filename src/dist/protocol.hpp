@@ -115,10 +115,22 @@ class WireReader {
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] double get_double();
   [[nodiscard]] std::string get_string();
+  /// Reads a `Count`-wide (u32 or u64) element count and throws when that
+  /// many elements of at least `min_element_bytes` each cannot fit in the
+  /// unread payload — a count off the wire never sizes an allocation
+  /// unchecked.
+  template <typename Count>
+  [[nodiscard]] std::size_t get_count(std::size_t min_element_bytes) {
+    return checked_count(sizeof(Count) == 8 ? get_u64() : get_u32(),
+                         min_element_bytes);
+  }
   /// Throws when decoded messages leave unread payload behind.
   void finish() const;
 
  private:
+  [[nodiscard]] std::size_t checked_count(std::uint64_t count,
+                                          std::size_t min_element_bytes) const;
+
   const std::string& payload_;
   std::size_t at_ = 0;
 };

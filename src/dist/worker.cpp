@@ -10,7 +10,6 @@
 #include <optional>
 #include <thread>
 
-#include "dist/protocol.hpp"
 #include "exp/emitters.hpp"
 #include "exp/sweep_runner.hpp"
 #include "sim/thread_pool.hpp"
@@ -19,121 +18,137 @@ namespace ncb::dist {
 
 namespace {
 
-/// See the crash-injection note in worker.hpp.
-void maybe_inject_crash(const JobAssignMsg& msg) {
-  const char* kill_key = std::getenv("NCB_DIST_KILL_KEY");
-  if (kill_key != nullptr && msg.attempt == 1 && msg.job.key == kill_key) {
-    ::raise(SIGKILL);
-  }
-}
-
-}  // namespace
-
-int worker_handshake(int fd, std::uint32_t schema, std::size_t threads,
-                     const std::string& who) {
+/// Hello → WorkerInfo → await HelloAck. Returns -1 when admitted, else the
+/// exit code: 0 when the coordinator vanished first (a clean no-work exit),
+/// 2 on a version or protocol mismatch.
+int worker_handshake(const WorkerLoop& loop) {
   HelloMsg hello;
-  hello.schema = schema;
+  hello.schema = loop.schema;
   WorkerInfoMsg info;
   char hostname[256] = {0};
   if (::gethostname(hostname, sizeof hostname - 1) == 0) info.host = hostname;
   info.pid = static_cast<std::uint64_t>(::getpid());
-  info.threads = threads != 0
-                     ? threads
+  info.threads = loop.threads != 0
+                     ? loop.threads
                      : std::max(1u, std::thread::hardware_concurrency());
   try {
-    write_frame(fd, MsgType::kHello, encode_hello(hello));
-    write_frame(fd, MsgType::kWorkerInfo, encode_worker_info(info));
-    const std::optional<Frame> ack = read_frame(fd);
-    if (!ack) return 1;  // coordinator vanished before the handshake
+    write_frame(loop.fd, MsgType::kHello, encode_hello(hello));
+    write_frame(loop.fd, MsgType::kWorkerInfo, encode_worker_info(info));
+    const std::optional<Frame> ack = read_frame(loop.fd);
+    if (!ack) return 0;  // coordinator vanished before the handshake
     if (ack->type != MsgType::kHelloAck) {
-      std::cerr << who << ": expected HelloAck, got type "
-                << static_cast<int>(ack->type) << '\n';
+      std::cerr << loop.who << ": expected HelloAck, got "
+                << frame_type_name(ack->type) << '\n';
       return 2;
     }
     decode_hello_ack(ack->payload);
   } catch (const PeerClosedError&) {
-    return 1;  // coordinator vanished mid-handshake — nothing was lost
+    return 0;  // coordinator vanished mid-handshake — nothing was lost
   } catch (const std::exception& e) {
-    std::cerr << who << ": handshake failed: " << e.what() << '\n';
+    std::cerr << loop.who << ": handshake failed: " << e.what() << '\n';
     return 2;
   }
-  return 0;
+  return -1;
 }
 
-int run_worker(const WorkerOptions& options) {
+}  // namespace
+
+void Assignment::begin(std::string task_label, std::uint32_t attempt) {
+  label = std::move(task_label);
+  const char* kill_key = std::getenv("NCB_DIST_KILL_KEY");
+  if (kill_key != nullptr && attempt == 1 && label == kill_key) {
+    ::raise(SIGKILL);
+  }
+}
+
+int run_worker_loop(const WorkerLoop& loop) {
   ::signal(SIGINT, SIG_IGN);  // the coordinator owns interrupt handling
 
-  switch (worker_handshake(options.fd,
-                           static_cast<std::uint32_t>(exp::kSweepSchemaVersion),
-                           options.threads, "ncb_sweep worker")) {
-    case 0:
-      break;
-    case 1:
+  if (const int code = worker_handshake(loop); code >= 0) return code;
+  if (loop.preamble) {
+    try {
+      if (!loop.preamble()) return 0;
+    } catch (const PeerClosedError&) {
       return 0;
-    default:
+    } catch (const std::exception& e) {
+      std::cerr << loop.who << ": setup failed: " << e.what() << '\n';
       return 2;
+    }
   }
 
-  ThreadPool pool(options.threads);
-  exp::InstanceCache cache;  // reused across this worker's assignments
   while (true) {
     std::optional<Frame> frame;
     try {
-      frame = read_frame(options.fd);
+      frame = read_frame(loop.fd);
     } catch (const std::exception& e) {
-      std::cerr << "ncb_sweep worker: read failed: " << e.what() << '\n';
+      std::cerr << loop.who << ": read failed: " << e.what() << '\n';
       return 2;
     }
     if (!frame || frame->type == MsgType::kShutdown) return 0;
-    if (frame->type != MsgType::kJobAssign) {
-      std::cerr << "ncb_sweep worker: unexpected frame type "
-                << static_cast<int>(frame->type) << '\n';
+    if (frame->type != loop.assign_type) {
+      std::cerr << loop.who << ": unexpected frame type "
+                << frame_type_name(frame->type) << '\n';
       return 2;
     }
 
-    JobAssignMsg assign;
+    Assignment assignment;
     std::string error;
     try {
-      assign = decode_job_assign(frame->payload);
-      maybe_inject_crash(assign);
-
-      exp::SweepRunOptions run_options;
-      run_options.pool = &pool;
-      run_options.shard_size = static_cast<std::size_t>(assign.shard_size);
-      run_options.instance_cache = &cache;
-      const exp::JobOutcome outcome = exp::run_sweep_job(
-          assign.job, static_cast<std::size_t>(assign.checkpoints),
-          run_options);
-
-      JobResultMsg result;
-      result.key = assign.job.key;
-      result.record_line = exp::render_job_json(
-          exp::JobRecord::from(outcome.job, outcome.aggregate));
-      result.seconds = outcome.seconds;
-      result.shards = outcome.shards;
-      result.shard_size = outcome.shard_size;
-      write_frame(options.fd, MsgType::kJobResult, encode_job_result(result));
+      const Frame result = loop.run_one(frame->payload, assignment);
+      write_frame(loop.fd, result.type, result.payload);
       continue;
     } catch (const PeerClosedError&) {
-      return 0;  // coordinator gone; it will requeue the job elsewhere
+      return 0;  // coordinator gone; it will requeue the task elsewhere
     } catch (const std::exception& e) {
       error = e.what();
     }
 
-    // A failed job (unknown policy, bad config, ...) is fatal for the whole
-    // sweep — report it so the coordinator aborts with the real message
-    // instead of requeueing a job that can never succeed.
+    // A failed task (unknown policy, bad config, ...) is fatal for the
+    // whole run — report it so the coordinator aborts with the real message
+    // instead of requeueing a task that can never succeed.
     try {
       WorkerErrorMsg report;
-      report.key = assign.job.key;
+      report.key = assignment.label;
       report.message = error;
-      write_frame(options.fd, MsgType::kWorkerError,
-                  encode_worker_error(report));
+      write_frame(loop.fd, MsgType::kWorkerError, encode_worker_error(report));
     } catch (const std::exception&) {
       // Coordinator already gone; the exit code still says "error".
     }
     return 1;
   }
+}
+
+int run_worker(const WorkerOptions& options) {
+  ThreadPool pool(options.threads);
+  exp::InstanceCache cache;  // reused across this worker's assignments
+
+  WorkerLoop loop;
+  loop.fd = options.fd;
+  loop.threads = options.threads;
+  loop.schema = static_cast<std::uint32_t>(exp::kSweepSchemaVersion);
+  loop.who = "ncb_sweep worker";
+  loop.assign_type = MsgType::kJobAssign;
+  loop.run_one = [&](const std::string& payload, Assignment& assignment) {
+    const JobAssignMsg assign = decode_job_assign(payload);
+    assignment.begin(assign.job.key, assign.attempt);
+
+    exp::SweepRunOptions run_options;
+    run_options.pool = &pool;
+    run_options.shard_size = static_cast<std::size_t>(assign.shard_size);
+    run_options.instance_cache = &cache;
+    const exp::JobOutcome outcome = exp::run_sweep_job(
+        assign.job, static_cast<std::size_t>(assign.checkpoints), run_options);
+
+    JobResultMsg result;
+    result.key = assign.job.key;
+    result.record_line = exp::render_job_json(
+        exp::JobRecord::from(outcome.job, outcome.aggregate));
+    result.seconds = outcome.seconds;
+    result.shards = outcome.shards;
+    result.shard_size = outcome.shard_size;
+    return Frame{MsgType::kJobResult, encode_job_result(result)};
+  };
+  return run_worker_loop(loop);
 }
 
 }  // namespace ncb::dist

@@ -1,44 +1,64 @@
-// The worker end of the dispatch protocol: handshake, then a job loop that
-// runs each assigned SweepJob through the in-process sweep engine and ships
-// the rendered record back. The loop is transport-agnostic — it only ever
-// sees a connected stream fd — so the same worker serves a future remote
-// transport unchanged.
+// The worker end of the task farm (net/worker_pool.hpp): one loop shared by
+// sweep workers (run_worker) and replay workers (replay::run_replay_worker).
+// It handshakes, lets the app read any per-worker setup frames, then runs
+// assignments until Shutdown or coordinator EOF. The loop only ever sees a
+// connected stream fd, so it serves the socketpair and TCP transports alike.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+
+#include "dist/protocol.hpp"
 
 namespace ncb::dist {
 
-/// Worker side of the admission handshake shared by every worker kind
-/// (sweep jobs, replay candidates): sends Hello carrying `schema`, then a
-/// WorkerInfo identity frame (hostname, pid, resolved thread count), then
-/// waits for HelloAck. Returns 0 when admitted, 1 when the coordinator
-/// vanished before admission (a clean no-work exit), 2 on a version or
-/// protocol mismatch (diagnostics go to stderr prefixed with `who`).
-[[nodiscard]] int worker_handshake(int fd, std::uint32_t schema,
-                                   std::size_t threads,
-                                   const std::string& who);
+/// The task a worker is running, as the loop sees it. An app's run-one
+/// callback calls begin() as soon as it has decoded the assignment.
+struct Assignment {
+  std::string label;  ///< Job key / candidate spec; names a WorkerError.
+
+  /// Records the task label and applies the crash injection: when the
+  /// environment variable NCB_DIST_KILL_KEY equals `task_label` on attempt
+  /// 1, the worker raises SIGKILL instead of running the task — a
+  /// deterministic stand-in for a worker lost mid-task that exercises the
+  /// coordinator's requeue path (tests/CI only).
+  void begin(std::string task_label, std::uint32_t attempt);
+};
+
+struct WorkerLoop {
+  int fd = -1;                  ///< Connected stream to the coordinator.
+  std::size_t threads = 0;      ///< Reported in WorkerInfo (0 = hardware).
+  std::uint32_t schema = 0;     ///< Hello schema word of this worker kind.
+  const char* who = "worker";   ///< Diagnostics prefix on stderr.
+  MsgType assign_type = MsgType::kJobAssign;
+  /// Optional: reads the coordinator's setup frames after the handshake.
+  /// Returns false when the coordinator went away first (a clean exit);
+  /// throws on a protocol error.
+  std::function<bool()> preamble;
+  /// Runs one assignment payload and returns the result frame to send.
+  std::function<Frame(const std::string& payload, Assignment& assignment)>
+      run_one;
+};
+
+/// Runs the worker loop and returns a process exit code: 0 on a clean drain
+/// (Shutdown, EOF, or the coordinator vanishing at any point), 1 after
+/// reporting a task error as WorkerError, 2 on a handshake or protocol
+/// error (diagnostics go to stderr prefixed with `who`).
+///
+/// Signals: SIGINT is ignored — a ^C lands on the whole foreground process
+/// group, and the coordinator (which did not ignore it) drives the graceful
+/// stop: workers finish their in-flight task, deliver it, and get a Shutdown.
+[[nodiscard]] int run_worker_loop(const WorkerLoop& loop);
 
 struct WorkerOptions {
   int fd = -1;            ///< Connected stream to the coordinator.
   std::size_t threads = 0;  ///< Shard pool size (0 = hardware concurrency).
 };
 
-/// Runs the worker loop until Shutdown or coordinator EOF. Returns a process
-/// exit code: 0 on a clean drain, 2 on handshake/protocol failure, 1 after
-/// reporting a job error.
-///
-/// Signals: SIGINT is ignored — a ^C lands on the whole foreground process
-/// group, and the coordinator (which did not ignore it) drives the graceful
-/// stop: workers finish their in-flight job, deliver it, and get a Shutdown.
-///
-/// Crash injection (tests/CI only): when the environment variable
-/// NCB_DIST_KILL_KEY equals the assigned job's key and the assignment is the
-/// job's first attempt, the worker raises SIGKILL instead of running it —
-/// a deterministic stand-in for a worker lost mid-job, exercising the
-/// coordinator's requeue path.
+/// The sweep worker: runs each assigned SweepJob through the in-process
+/// sweep engine and ships the rendered record back (run_worker_loop codes).
 [[nodiscard]] int run_worker(const WorkerOptions& options);
 
 }  // namespace ncb::dist

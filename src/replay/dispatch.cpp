@@ -1,11 +1,5 @@
 #include "replay/dispatch.hpp"
 
-#include <signal.h>
-
-#include <algorithm>
-#include <cstdlib>
-#include <deque>
-#include <iostream>
 #include <optional>
 #include <stdexcept>
 
@@ -13,7 +7,6 @@
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "exp/sweep_spec.hpp"
-#include "obs/metrics.hpp"
 
 namespace ncb::replay {
 
@@ -79,9 +72,9 @@ ReplayInitMsg decode_replay_init(const std::string& payload) {
   msg.family_param = in.get_u64();
   msg.graph_seed = in.get_u64();
   msg.model_arm_average = in.get_double();
-  const std::uint64_t arms = in.get_u64();
+  const std::size_t arms = in.get_count<std::uint64_t>(8);
   msg.arm_model.reserve(arms);
-  for (std::uint64_t i = 0; i < arms; ++i) {
+  for (std::size_t i = 0; i < arms; ++i) {
     msg.arm_model.push_back(in.get_double());
   }
   msg.chunks = in.get_u32();
@@ -160,10 +153,11 @@ std::vector<serve::EventRecord> decode_event_chunk(
         "replay events: chunk " + std::to_string(index) + " arrived where " +
         std::to_string(expected_index) + " was expected");
   }
-  const std::uint32_t count = in.get_u32();
+  // Smallest record: a feedback (u8 type + u64 id + double reward).
+  const std::size_t count = in.get_count<std::uint32_t>(1 + 8 + 8);
   std::vector<serve::EventRecord> records;
   records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     records.push_back(decode_event_record(in));
   }
   in.finish();
@@ -251,51 +245,37 @@ ReplayResultMsg decode_replay_result(const std::string& payload) {
   return msg;
 }
 
-/// See the crash-injection note in dispatch.hpp.
-void maybe_inject_crash(const ReplayAssignMsg& msg) {
-  const char* kill_spec = std::getenv("NCB_REPLAY_KILL_SPEC");
-  if (kill_spec != nullptr && msg.attempt == 1 && msg.spec == kill_spec) {
-    ::raise(SIGKILL);
-  }
-}
-
 }  // namespace
 
 int run_replay_worker(const ReplayWorkerOptions& options) {
-  ::signal(SIGINT, SIG_IGN);  // the coordinator owns interrupt handling
-
-  switch (dist::worker_handshake(options.fd, kReplayWireSchema,
-                                 options.threads, "ncb_replay worker")) {
-    case 0:
-      break;
-    case 1:
-      return 0;
-    default:
-      return 2;
-  }
-
-  // Phase 1: panel context, then the record stream, chunk by chunk in
-  // order. Everything score_candidate reads comes from these frames.
   ReplayInitMsg init;
   std::vector<serve::EventRecord> records;
-  try {
+  std::optional<Graph> graph;
+  ReplayOptions replay_options;
+
+  dist::WorkerLoop loop;
+  loop.fd = options.fd;
+  loop.threads = options.threads;
+  loop.schema = kReplayWireSchema;
+  loop.who = "ncb_replay worker";
+  loop.assign_type = MsgType::kReplayAssign;
+  // The panel context, then the record stream, chunk by chunk in order.
+  // Everything score_candidate reads comes from these frames.
+  loop.preamble = [&] {
     std::optional<Frame> frame = dist::read_frame(options.fd);
-    if (!frame || frame->type == MsgType::kShutdown) return 0;
+    if (!frame || frame->type == MsgType::kShutdown) return false;
     if (frame->type != MsgType::kReplayInit) {
-      std::cerr << "ncb_replay worker: expected ReplayInit, got "
-                << dist::frame_type_name(frame->type) << '\n';
-      return 2;
+      throw std::invalid_argument(std::string("expected ReplayInit, got ") +
+                                  dist::frame_type_name(frame->type));
     }
     init = decode_replay_init(frame->payload);
-    records.reserve(static_cast<std::size_t>(init.total_records));
     for (std::uint32_t chunk = 0; chunk < init.chunks; ++chunk) {
       frame = dist::read_frame(options.fd);
-      if (!frame) return 0;  // coordinator vanished — nothing was lost
+      if (!frame) return false;  // coordinator vanished — nothing was lost
       if (frame->type != MsgType::kReplayEvents) {
-        std::cerr << "ncb_replay worker: expected ReplayEvents chunk "
-                  << chunk << ", got " << dist::frame_type_name(frame->type)
-                  << '\n';
-        return 2;
+        throw std::invalid_argument(
+            "expected ReplayEvents chunk " + std::to_string(chunk) +
+            ", got " + dist::frame_type_name(frame->type));
       }
       for (serve::EventRecord& record :
            decode_event_chunk(frame->payload, chunk)) {
@@ -303,82 +283,35 @@ int run_replay_worker(const ReplayWorkerOptions& options) {
       }
     }
     if (records.size() != init.total_records) {
-      std::cerr << "ncb_replay worker: received " << records.size()
-                << " records, coordinator announced " << init.total_records
-                << '\n';
-      return 2;
+      throw std::invalid_argument(
+          "received " + std::to_string(records.size()) +
+          " records, coordinator announced " +
+          std::to_string(init.total_records));
     }
-  } catch (const dist::PeerClosedError&) {
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "ncb_replay worker: stream setup failed: " << e.what()
-              << '\n';
-    return 2;
-  }
-
-  ExperimentConfig config;
-  config.graph_family = exp::parse_family(init.family);
-  config.num_arms = static_cast<std::size_t>(init.num_arms);
-  config.edge_probability = init.edge_probability;
-  config.family_param = static_cast<std::size_t>(init.family_param);
-  config.seed = init.graph_seed;
-  const Graph graph = build_graph(config);
-
-  ReplayOptions replay_options;
-  replay_options.epsilon = init.epsilon;
-  replay_options.seed = init.seed;
-  replay_options.horizon = static_cast<TimeSlot>(init.horizon);
-
-  // Phase 2: candidate loop.
-  while (true) {
-    std::optional<Frame> frame;
-    try {
-      frame = dist::read_frame(options.fd);
-    } catch (const std::exception& e) {
-      std::cerr << "ncb_replay worker: read failed: " << e.what() << '\n';
-      return 2;
-    }
-    if (!frame || frame->type == MsgType::kShutdown) return 0;
-    if (frame->type != MsgType::kReplayAssign) {
-      std::cerr << "ncb_replay worker: unexpected frame type "
-                << dist::frame_type_name(frame->type) << '\n';
-      return 2;
-    }
-
-    ReplayAssignMsg assign;
-    std::string error;
-    try {
-      assign = decode_replay_assign(frame->payload);
-      maybe_inject_crash(assign);
-
-      ReplayResultMsg result;
-      result.index = assign.index;
-      result.summary = score_candidate(graph, records, assign.spec,
-                                       replay_options, init.arm_model,
-                                       init.model_arm_average);
-      dist::write_frame(options.fd, MsgType::kReplayResult,
-                        encode_replay_result(result));
-      continue;
-    } catch (const dist::PeerClosedError&) {
-      return 0;  // coordinator gone; it will requeue the candidate
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-
-    // A candidate that cannot be scored (bad spec reaching this far, a
-    // policy that throws) is fatal for the whole panel — report it so the
-    // coordinator aborts with the real message.
-    try {
-      dist::WorkerErrorMsg report;
-      report.key = assign.spec;
-      report.message = error;
-      dist::write_frame(options.fd, MsgType::kWorkerError,
-                        dist::encode_worker_error(report));
-    } catch (const std::exception&) {
-      // Coordinator already gone; the exit code still says "error".
-    }
-    return 1;
-  }
+    ExperimentConfig config;
+    config.graph_family = exp::parse_family(init.family);
+    config.num_arms = static_cast<std::size_t>(init.num_arms);
+    config.edge_probability = init.edge_probability;
+    config.family_param = static_cast<std::size_t>(init.family_param);
+    config.seed = init.graph_seed;
+    graph.emplace(build_graph(config));
+    replay_options.epsilon = init.epsilon;
+    replay_options.seed = init.seed;
+    replay_options.horizon = static_cast<TimeSlot>(init.horizon);
+    return true;
+  };
+  loop.run_one = [&](const std::string& payload,
+                     dist::Assignment& assignment) {
+    const ReplayAssignMsg assign = decode_replay_assign(payload);
+    assignment.begin(assign.spec, assign.attempt);
+    ReplayResultMsg result;
+    result.index = assign.index;
+    result.summary = score_candidate(*graph, records, assign.spec,
+                                     replay_options, init.arm_model,
+                                     init.model_arm_average);
+    return Frame{MsgType::kReplayResult, encode_replay_result(result)};
+  };
+  return dist::run_worker_loop(loop);
 }
 
 DistPanelSummary run_distributed_panel(const Graph& graph,
@@ -404,8 +337,8 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
   summary.panel = panel_base(graph, scan);
   if (specs.empty()) return summary;
 
-  // Pre-encode the per-worker setup once; every admitted (and readmitted)
-  // worker gets the same bytes.
+  // The per-worker setup, encoded once: every admitted (and readmitted)
+  // worker gets the same bytes before its first candidate.
   ReplayInitMsg init;
   init.epsilon = options.epsilon;
   init.seed = options.seed;
@@ -417,152 +350,48 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
   init.graph_seed = dispatch.graph_config->seed;
   init.model_arm_average = summary.panel.model_arm_average;
   init.arm_model = summary.panel.arm_model;
-  const std::vector<std::string> chunks = encode_event_chunks(scan.records);
+  std::vector<std::string> chunks = encode_event_chunks(scan.records);
   init.chunks = static_cast<std::uint32_t>(chunks.size());
   init.total_records = scan.records.size();
-  const std::string init_payload = encode_replay_init(init);
 
-  std::deque<std::size_t> queue;
-  for (std::size_t i = 0; i < specs.size(); ++i) queue.push_back(i);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs::Gauge& m_queued = registry.gauge("replay.candidates.queued");
-  obs::Counter& m_requeued = registry.counter("replay.candidates.requeued");
-  m_queued.set(static_cast<std::int64_t>(queue.size()));
-  std::vector<std::size_t> attempts(specs.size(), 0);
+  net::WorkerPool::Farm farm;
+  farm.labels = specs;
+  for (std::size_t i = 0; i < specs.size(); ++i) farm.queue.push_back(i);
+  farm.metric_stem = "replay.candidates";
+  farm.result_type = MsgType::kReplayResult;
+  farm.preamble.push_back(
+      Frame{MsgType::kReplayInit, encode_replay_init(init)});
+  for (std::string& chunk : chunks) {
+    farm.preamble.push_back(Frame{MsgType::kReplayEvents, std::move(chunk)});
+  }
+  farm.encode = [&](std::size_t index, std::uint32_t attempt) {
+    ReplayAssignMsg assign;
+    assign.index = static_cast<std::uint32_t>(index);
+    assign.attempt = attempt;
+    assign.spec = specs[index];
+    return Frame{MsgType::kReplayAssign, encode_replay_assign(assign)};
+  };
   std::vector<CandidateSummary> done(specs.size());
-  std::size_t completed = 0;
+  farm.accept = [&](const Frame& frame, std::size_t,
+                    std::uint32_t) -> std::size_t {
+    ReplayResultMsg result = decode_replay_result(frame.payload);
+    if (result.index >= specs.size() ||
+        result.summary.spec != specs[result.index]) {
+      return specs.size();  // matches no candidate
+    }
+    done[result.index] = std::move(result.summary);
+    return result.index;
+  };
 
   net::WorkerPool::Options pool_options;
   pool_options.transport = dispatch.transport;
   pool_options.expected_schema = kReplayWireSchema;
-  pool_options.admission_budget =
-      dispatch.transport->can_spawn() ? dispatch.workers + 2 : 32;
-
-  net::WorkerPool::Hooks hooks;
-  // Declared before the pool so the lambdas outlive it on every path.
-  auto assign_next = [&](net::WorkerPool& pool, net::PoolWorker& worker) {
-    if (worker.peer.fd < 0 || !worker.admitted || worker.user_tag >= 0 ||
-        worker.shutdown_sent) {
-      return;
-    }
-    if (queue.empty()) {
-      // Keep the worker idle while other candidates are in flight: a crash
-      // would requeue one, and this worker is where it would land. Only a
-      // fully drained run (nothing queued, nothing assigned) shuts it down.
-      bool anything_assigned = false;
-      for (const net::PoolWorker& other : pool.workers()) {
-        if (other.peer.fd >= 0 && other.user_tag >= 0) {
-          anything_assigned = true;
-          break;
-        }
-      }
-      if (!anything_assigned) pool.send_shutdown(worker);
-      return;
-    }
-    const std::size_t index = queue.front();
-    queue.pop_front();
-    m_queued.set(static_cast<std::int64_t>(queue.size()));
-    worker.user_tag = static_cast<std::ptrdiff_t>(index);
-    ReplayAssignMsg assign;
-    assign.index = static_cast<std::uint32_t>(index);
-    assign.attempt = static_cast<std::uint32_t>(attempts[index] + 1);
-    assign.spec = specs[index];
-    pool.send(worker, MsgType::kReplayAssign, encode_replay_assign(assign));
-  };
-
-  net::WorkerPool pool(pool_options, net::WorkerPool::Hooks{});
-  // Hooks reference the pool, so they are installed after construction via
-  // the captured reference above; WorkerPool stores them by value.
-  hooks.on_admitted = [&](net::PoolWorker& worker) {
-    pool.send(worker, MsgType::kReplayInit, init_payload);
-    for (const std::string& chunk : chunks) {
-      if (worker.peer.fd < 0) return;
-      pool.send(worker, MsgType::kReplayEvents, chunk);
-    }
-    assign_next(pool, worker);
-  };
-  hooks.on_frame = [&](net::PoolWorker& worker, const Frame& frame) {
-    switch (frame.type) {
-      case MsgType::kReplayResult: {
-        ReplayResultMsg result = decode_replay_result(frame.payload);
-        if (result.index >= specs.size() || worker.user_tag < 0 ||
-            static_cast<std::uint32_t>(worker.user_tag) != result.index ||
-            result.summary.spec != specs[result.index]) {
-          throw std::runtime_error(
-              "protocol violation: replay result for candidate " +
-              std::to_string(result.index) +
-              " does not match the worker's assignment");
-        }
-        worker.user_tag = -1;
-        ++worker.jobs_done;
-        done[result.index] = std::move(result.summary);
-        ++completed;
-        assign_next(pool, worker);
-        return;
-      }
-      case MsgType::kWorkerError: {
-        const dist::WorkerErrorMsg error =
-            dist::decode_worker_error(frame.payload);
-        throw std::runtime_error("replay worker failed on candidate '" +
-                                 error.key + "': " + error.message);
-      }
-      default:
-        throw std::runtime_error(
-            "protocol violation: unexpected frame type " +
-            dist::frame_type_label(static_cast<std::uint8_t>(frame.type)) +
-            " from a replay worker");
-    }
-  };
-  hooks.on_lost = [&](net::PoolWorker& worker) {
-    if (worker.user_tag < 0) return;
-    const std::size_t index = static_cast<std::size_t>(worker.user_tag);
-    ++attempts[index];
-    if (attempts[index] >= dispatch.max_attempts) {
-      throw std::runtime_error("candidate '" + specs[index] +
-                               "' crashed its worker " +
-                               std::to_string(attempts[index]) +
-                               " times — aborting");
-    }
-    // Requeue at the front: the retry recomputes the candidate from the
-    // same shipped stream, so the assembled panel does not depend on the
-    // crash at all.
-    queue.push_front(index);
-    m_queued.set(static_cast<std::int64_t>(queue.size()));
-    ++summary.requeues;
-    m_requeued.inc();
-  };
-  pool.set_hooks(std::move(hooks));
-
-  if (pool.can_spawn()) {
-    pool.spawn(std::max<std::size_t>(
-        1, std::min(dispatch.workers, specs.size())));
-  }
-
-  auto in_flight = [&] {
-    std::size_t n = 0;
-    for (const net::PoolWorker& worker : pool.workers()) {
-      if (worker.peer.fd >= 0 && worker.user_tag >= 0) ++n;
-    }
-    return n;
-  };
-
-  while (pool.live() > 0 || !queue.empty() || in_flight() > 0) {
-    pool.poll_once(200);
-    if (pool.can_spawn()) {
-      const std::size_t wanted =
-          std::min(dispatch.workers, queue.size() + in_flight());
-      while (pool.live() < wanted) pool.spawn(1);
-    }
-    // A requeue or a late admission may leave queued candidates next to
-    // idle workers — hand them out every turn, and drain the fleet once
-    // nothing is queued or in flight.
-    for (net::PoolWorker& worker : pool.workers()) assign_next(pool, worker);
-  }
-  if (completed != specs.size()) {
-    throw std::runtime_error("distributed replay drained with " +
-                             std::to_string(specs.size() - completed) +
-                             " candidates unscored");
-  }
+  pool_options.workers = dispatch.workers;
+  net::WorkerPool pool(pool_options);
+  // No stop predicate: the run returns only once every candidate is scored.
+  net::WorkerPool::Outcome outcome = pool.run(std::move(farm));
+  summary.requeues = outcome.requeues;
+  summary.workers = std::move(outcome.workers);
 
   // Exact reduction: merge each worker's raw Welford state into an empty
   // accumulator (a bitwise copy — candidates arrive whole, so the merge's
@@ -580,7 +409,6 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
     finalize_candidate(candidate);
     summary.panel.candidates.push_back(std::move(candidate));
   }
-  summary.workers = pool.summaries();
   return summary;
 }
 

@@ -10,8 +10,10 @@
 // coordinator runs pass 1 (join + DR baseline + empirical stats) locally
 // once, ships the record stream to every worker in decision-ordered
 // chunks (bounded well under the frame cap), and assigns one candidate
-// per idle worker. Workers run the exact score_candidate code path the
-// local panel uses and ship back raw accumulator state — Welford
+// per idle worker through net::WorkerPool, the same crash-requeue farm the
+// sweep uses: the ReplayInit frame and the event chunks are its per-worker
+// preamble. Workers run the exact score_candidate code path the local
+// panel uses and ship back raw accumulator state — Welford
 // (count, mean, m2, min, max) tuples and the weight sums, never derived
 // figures — which the coordinator merges into empty accumulators (a
 // bitwise copy, see RunningStat::merge) and finalizes through the same
@@ -44,16 +46,10 @@ struct ReplayWorkerOptions {
   std::size_t threads = 0;  ///< Reported in WorkerInfo (display only).
 };
 
-/// Runs the replay worker loop: handshake, receive the panel context
-/// (ReplayInit) and the event stream (ReplayEvents chunks), then score
-/// assigned candidates until Shutdown or coordinator EOF. Returns a
-/// process exit code: 0 on a clean drain, 2 on handshake/protocol
-/// failure, 1 after reporting a candidate error.
-///
-/// Crash injection (tests/CI only): when the environment variable
-/// NCB_REPLAY_KILL_SPEC equals the assigned candidate spec and the
-/// assignment is its first attempt, the worker raises SIGKILL — the
-/// deterministic stand-in for a worker lost mid-candidate.
+/// The replay worker: reads the panel context (ReplayInit) and the event
+/// stream (ReplayEvents chunks), then scores assigned candidates in the
+/// shared dist::run_worker_loop (its exit codes and its NCB_DIST_KILL_KEY
+/// crash injection, matched against the candidate spec).
 [[nodiscard]] int run_replay_worker(const ReplayWorkerOptions& options);
 
 struct ReplayDispatchOptions {
@@ -62,8 +58,6 @@ struct ReplayDispatchOptions {
   /// Fleet size on a spawning transport (capped at the candidate count);
   /// ignored on an accept transport.
   std::size_t workers = 2;
-  /// A candidate that crashes its worker this many times aborts the run.
-  std::size_t max_attempts = 3;
   /// Graph construction parameters to ship (family/arms/edge-prob/
   /// family-param/seed are read; required).
   const ExperimentConfig* graph_config = nullptr;
@@ -79,7 +73,7 @@ struct DistPanelSummary {
 /// Distributed replay_panel: identical validation, pass 1 local, one
 /// candidate per worker assignment, byte-identical assembled panel.
 /// Throws std::runtime_error when a worker reports a candidate error or a
-/// candidate exhausts max_attempts.
+/// candidate crashes net::WorkerPool::kMaxAttempts workers.
 [[nodiscard]] DistPanelSummary run_distributed_panel(
     const Graph& graph, const serve::EventLogScan& scan,
     const std::vector<std::string>& specs, const ReplayOptions& options,

@@ -2,7 +2,8 @@
 // against truncated/oversized/garbage input, versioned-handshake rejection,
 // and the worker loop driven in-process over a socketpair — including the
 // determinism contract that a job's record line is byte-identical whether
-// rendered by a worker or by the in-process engine, on any attempt.
+// rendered by a worker or by the in-process engine, on any attempt — and
+// inflated wire counts rejected before they size an allocation.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,6 +17,7 @@
 #include "dist/worker.hpp"
 #include "exp/emitters.hpp"
 #include "exp/sweep_runner.hpp"
+#include "replay/dispatch.hpp"
 
 namespace ncb::dist {
 namespace {
@@ -98,6 +100,30 @@ TEST(Wire, TrailingBytesRejectedByFinish) {
   WireReader in(payload);
   EXPECT_EQ(in.get_u32(), 7u);
   EXPECT_THROW(in.finish(), std::invalid_argument);
+}
+
+TEST(Wire, InflatedCountsThrowInsteadOfAllocating) {
+  // Four bytes claiming 2^32 - 1 stats entries: rejected up front, not a
+  // multi-hundred-GB reserve.
+  EXPECT_THROW((void)decode_stats_reply(std::string(4, '\xff')),
+               std::invalid_argument);
+
+  WireWriter out;
+  out.put_u64(3);  // three 8-byte elements claimed ...
+  out.put_u64(1);
+  out.put_u64(2);  // ... two present
+  const std::string short_payload = out.take();
+  WireReader short_reader(short_payload);
+  EXPECT_THROW((void)short_reader.get_count<std::uint64_t>(8),
+               std::invalid_argument);
+
+  WireWriter exact;
+  exact.put_u32(2);
+  exact.put_u64(1);
+  exact.put_u64(2);
+  const std::string exact_payload = exact.take();
+  WireReader exact_reader(exact_payload);
+  EXPECT_EQ(exact_reader.get_count<std::uint32_t>(8), 2u);
 }
 
 // ------------------------------------------------------------ messages ---
@@ -429,6 +455,71 @@ TEST(WorkerLoop, ExitsCleanlyWhenCoordinatorVanishesBeforeHandshake) {
   harness.coordinator_fd = -1;
   harness.thread.join();
   EXPECT_EQ(harness.exit_code, 0);
+}
+
+// ------------------------------------- replay worker vs inflated counts ---
+
+/// Runs the replay worker in a thread over a socketpair, admits it, sends
+/// `frames` as its setup stream, and returns its exit code.
+int replay_worker_exit_code(const std::vector<Frame>& frames) {
+  int sv[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  int exit_code = -1;
+  std::thread worker([&] {
+    replay::ReplayWorkerOptions options;
+    options.fd = sv[1];
+    options.threads = 1;
+    exit_code = replay::run_replay_worker(options);
+    ::close(sv[1]);
+  });
+  EXPECT_TRUE(read_frame(sv[0]).has_value());  // Hello
+  EXPECT_TRUE(read_frame(sv[0]).has_value());  // WorkerInfo
+  try {
+    write_frame(sv[0], MsgType::kHelloAck, encode_hello_ack());
+    for (const Frame& frame : frames) {
+      write_frame(sv[0], frame.type, frame.payload);
+    }
+  } catch (const std::exception&) {
+    // The worker may refuse (and hang up) before the last frame.
+  }
+  worker.join();
+  ::close(sv[0]);
+  return exit_code;
+}
+
+/// A ReplayInit payload (the layout of replay/dispatch.cpp) whose arm-model
+/// count, chunk count and record total are given verbatim.
+Frame replay_init(std::uint64_t arms, std::uint32_t chunks,
+                  std::uint64_t total_records) {
+  WireWriter out;
+  out.put_double(0.1);  // epsilon
+  out.put_u64(7);       // seed
+  out.put_u64(0);       // horizon
+  out.put_string("er");
+  out.put_u64(6);       // num_arms
+  out.put_double(0.3);  // edge probability
+  out.put_u64(4);       // family param
+  out.put_u64(7);       // graph seed
+  out.put_double(0.5);  // model arm average
+  out.put_u64(arms);    // arm-model count; no elements follow
+  out.put_u32(chunks);
+  out.put_u64(total_records);
+  return Frame{MsgType::kReplayInit, out.take()};
+}
+
+TEST(ReplayWorker, InflatedSetupCountsAreProtocolErrorsNotAllocations) {
+  // 2^40 arm-model doubles announced, none sent.
+  EXPECT_EQ(replay_worker_exit_code({replay_init(1ull << 40, 0, 0)}), 2);
+  // 2^40 records announced across zero chunks.
+  EXPECT_EQ(replay_worker_exit_code({replay_init(0, 0, 1ull << 40)}), 2);
+  // One chunk claiming 2^32 - 1 records in an 8-byte payload.
+  WireWriter chunk;
+  chunk.put_u32(0);           // chunk index
+  chunk.put_u32(0xffffffffu);  // record count
+  EXPECT_EQ(replay_worker_exit_code(
+                {replay_init(0, 1, 0),
+                 Frame{MsgType::kReplayEvents, chunk.take()}}),
+            2);
 }
 
 }  // namespace

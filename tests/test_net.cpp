@@ -3,14 +3,19 @@
 // sockets (frame round-trips, TCP_NODELAY, named EADDRINUSE / refused
 // errors), the frame decoder fed byte-at-a-time and in fuzzed partial
 // chunks through an actual TCP stream, the versioned worker handshake
-// rejected over TCP, and the WorkerPool admission / loss / budget state
-// machine driven through a TcpServerTransport.
+// rejected over TCP, and the WorkerPool task farm driven through a
+// TcpServerTransport: handshake-gated admission and its budget, front
+// requeue with the next attempt, the three-loss abort, stop-and-drain, and
+// idle workers kept alive while a task is in flight.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <functional>
+#include <future>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -23,6 +28,7 @@
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
 #include "net/worker_pool.hpp"
+#include "obs/metrics.hpp"
 
 namespace ncb::net {
 namespace {
@@ -279,7 +285,7 @@ TEST(Tcp, WorkerHandshakeVersionMismatchOverTcp) {
   EXPECT_EQ(exit_code, 2);
 }
 
-// --------------------------------------------------- WorkerPool over TCP ---
+// ------------------------------------------------- the task farm over TCP ---
 
 /// Runs the real sweep worker loop against a TCP endpoint in a thread.
 struct TcpWorkerThread {
@@ -301,111 +307,171 @@ struct TcpWorkerThread {
   }
 };
 
-TEST(WorkerPool, AdmitsTcpWorkerAfterFullHandshake) {
-  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+WorkerPool::Options tcp_pool_options(TcpServerTransport& transport,
+                                     obs::MetricsRegistry& registry,
+                                     std::uint32_t schema) {
   WorkerPool::Options options;
   options.transport = &transport;
-  options.expected_schema =
-      static_cast<std::uint32_t>(exp::kSweepSchemaVersion);
+  options.expected_schema = schema;
+  options.metrics = &registry;
+  return options;
+}
 
-  std::size_t admitted = 0;
-  WorkerPool pool(options, {});
-  WorkerPool::Hooks hooks;
-  hooks.on_admitted = [&](PoolWorker& worker) {
-    ++admitted;
-    EXPECT_FALSE(worker.host.empty());
-    EXPECT_GT(worker.remote_pid, 0u);
-    EXPECT_EQ(worker.remote_threads, 1u);
-    pool.send_shutdown(worker);
+/// One real (tiny) sweep job, assigned as JobAssign and accepted from the
+/// real worker's JobResult.
+WorkerPool::Farm one_sweep_job_farm(exp::SweepJob& job) {
+  job.key = "sso:ucb1@er,K=6,p=0.3,n=20";
+  job.policy = "ucb1";
+  job.scenario = Scenario::kSso;
+  job.config.name = job.key;
+  job.config.graph_family = GraphFamily::kErdosRenyi;
+  job.config.num_arms = 6;
+  job.config.edge_probability = 0.3;
+  job.config.horizon = 20;
+  job.config.replications = 1;
+  WorkerPool::Farm farm;
+  farm.labels = {job.key};
+  farm.queue = {0};
+  farm.metric_stem = "test.jobs";
+  farm.encode = [&job](std::size_t, std::uint32_t attempt) {
+    dist::JobAssignMsg assign;
+    assign.attempt = attempt;
+    assign.checkpoints = 4;
+    assign.job = job;
+    return dist::Frame{dist::MsgType::kJobAssign,
+                       dist::encode_job_assign(assign)};
   };
-  pool.set_hooks(std::move(hooks));
+  farm.accept = [&job](const dist::Frame& frame, std::size_t,
+                       std::uint32_t) -> std::size_t {
+    return dist::decode_job_result(frame.payload).key == job.key ? 0 : 1;
+  };
+  return farm;
+}
+
+TEST(WorkerPool, AdmitsTcpWorkerAfterFullHandshake) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  obs::MetricsRegistry registry;
+  WorkerPool pool(tcp_pool_options(
+      transport, registry,
+      static_cast<std::uint32_t>(exp::kSweepSchemaVersion)));
+  exp::SweepJob job;
+  WorkerPool::Farm farm = one_sweep_job_farm(job);
 
   TcpWorkerThread worker(transport.bound());
-  for (int i = 0; i < 500 && (admitted == 0 || pool.live() > 0); ++i) {
-    pool.poll_once(20);
-  }
-  EXPECT_EQ(admitted, 1u);
-  EXPECT_EQ(pool.live(), 0u);
+  const WorkerPool::Outcome outcome = pool.run(std::move(farm));
   worker.thread.join();
-  EXPECT_EQ(worker.exit_code, 0);
+  EXPECT_EQ(worker.exit_code, 0);  // drained by a Shutdown, not lost
+  EXPECT_FALSE(outcome.interrupted);
+  EXPECT_EQ(outcome.pending, 0u);
 
-  const std::vector<WorkerSummary> summaries = pool.summaries();
-  ASSERT_EQ(summaries.size(), 1u);
-  EXPECT_FALSE(summaries[0].lost);
-  EXPECT_GT(summaries[0].bytes_in, 0u);
-  EXPECT_GT(summaries[0].bytes_out, 0u);
+  ASSERT_EQ(outcome.workers.size(), 1u);
+  const WorkerSummary& summary = outcome.workers[0];
+  EXPECT_FALSE(summary.lost);
+  EXPECT_EQ(summary.jobs_done, 1u);
+  EXPECT_FALSE(summary.host.empty());
+  EXPECT_GT(summary.remote_pid, 0u);
+  EXPECT_GT(summary.bytes_in, 0u);
+  EXPECT_GT(summary.bytes_out, 0u);
 }
 
 TEST(WorkerPool, WrongSchemaPeerIsRejectedNotAdmitted) {
   TcpServerTransport transport(HostPort{"127.0.0.1", 0});
-  WorkerPool::Options options;
-  options.transport = &transport;
-  options.expected_schema = 12345;  // nothing legitimate presents this
-  options.admission_budget = 8;
-
-  std::size_t admitted = 0;
-  WorkerPool pool(options, {});
-  WorkerPool::Hooks hooks;
-  hooks.on_admitted = [&](PoolWorker&) { ++admitted; };
-  pool.set_hooks(std::move(hooks));
-
+  obs::MetricsRegistry registry;
+  // Nothing legitimate presents this schema.
+  WorkerPool pool(tcp_pool_options(transport, registry, 12345));
+  exp::SweepJob job;
+  WorkerPool::Farm farm = one_sweep_job_farm(job);
   // The real worker presents the sweep schema — a version-skewed build.
-  TcpWorkerThread worker(transport.bound());
-  for (int i = 0; i < 500 && pool.live() == 0; ++i) pool.poll_once(20);
-  for (int i = 0; i < 500 && pool.live() > 0; ++i) pool.poll_once(20);
-  EXPECT_EQ(admitted, 0u);
-  EXPECT_EQ(pool.live(), 0u);
-  worker.thread.join();
-  // The pool drops a rejected peer without a reply; the worker sees EOF
-  // while awaiting its ack and treats it as a vanished coordinator (0).
-  EXPECT_EQ(worker.exit_code, 0);
-  EXPECT_TRUE(pool.summaries().empty());
+  // The pool drops it without a reply; the worker sees EOF while awaiting
+  // its ack, treats it as a vanished coordinator (0), and the test stops
+  // the farm once it has.
+  std::atomic<bool> worker_done{false};
+  farm.should_stop = [&] { return worker_done.load(); };
+  int exit_code = -1;
+  std::thread worker([&] {
+    const int fd = tcp_connect_retry(transport.bound(), 2000, 5000);
+    dist::WorkerOptions options;
+    options.fd = fd;
+    options.threads = 1;
+    exit_code = dist::run_worker(options);
+    ::close(fd);
+    worker_done = true;
+  });
+
+  const WorkerPool::Outcome outcome = pool.run(std::move(farm));
+  worker.join();
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_TRUE(outcome.interrupted);
+  EXPECT_EQ(outcome.pending, 1u);
+  EXPECT_TRUE(outcome.workers.empty());
+  EXPECT_EQ(registry.counter("dist.workers.admitted").value(), 0u);
 }
 
 TEST(WorkerPool, JunkConnectionsExhaustAdmissionBudget) {
   TcpServerTransport transport(HostPort{"127.0.0.1", 0});
-  WorkerPool::Options options;
-  options.transport = &transport;
-  options.expected_schema =
-      static_cast<std::uint32_t>(exp::kSweepSchemaVersion);
-  options.admission_budget = 3;
-
-  WorkerPool pool(options, {});
+  obs::MetricsRegistry registry;
+  WorkerPool pool(tcp_pool_options(transport, registry, 77));
+  exp::SweepJob job;
 
   // Peers that connect and hang up before the handshake: each one charges
-  // the budget; the fourth pushes past it and poll_once throws.
-  bool threw = false;
-  for (int round = 0; round < 8 && !threw; ++round) {
-    const int fd = tcp_connect(transport.bound(), 2000);
-    ::close(fd);
-    try {
-      for (int i = 0; i < 200 && pool.live() == 0; ++i) pool.poll_once(10);
-      for (int i = 0; i < 200 && pool.live() > 0; ++i) pool.poll_once(10);
-    } catch (const std::runtime_error& e) {
-      threw = true;
-      EXPECT_NE(std::string(e.what()).find("admission"), std::string::npos)
-          << e.what();
+  // the accept transport's budget (32) until the run gives up.
+  std::atomic<bool> done{false};
+  std::thread junk([&] {
+    for (int i = 0; i < 200 && !done; ++i) {
+      try {
+        ::close(tcp_connect(transport.bound(), 2000));
+      } catch (const std::runtime_error&) {
+        break;  // listener backlog full after the pool gave up
+      }
+      ::usleep(1000);
     }
+  });
+  try {
+    (void)pool.run(one_sweep_job_farm(job));
+    ADD_FAILURE() << "the run outlived an exhausted admission budget";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("admission"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("budget 32"), std::string::npos)
+        << e.what();
   }
-  EXPECT_TRUE(threw);
+  done = true;
+  junk.join();
 }
 
-TEST(WorkerPool, LostWorkerFiresOnLostWithTagIntact) {
-  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
-  WorkerPool::Options options;
-  options.transport = &transport;
-  options.expected_schema = 77;
+// Hand-rolled peers for the requeue cases: each completes the handshake
+// (schema 77), then reads "<task> <attempt>" assignments and answers with
+// the task index — or vanishes mid-task, the in-process SIGKILL stand-in.
 
-  std::ptrdiff_t lost_tag = -100;
-  WorkerPool pool(options, {});
-  WorkerPool::Hooks hooks;
-  hooks.on_admitted = [&](PoolWorker& worker) { worker.user_tag = 42; };
-  hooks.on_lost = [&](PoolWorker& worker) { lost_tag = worker.user_tag; };
-  pool.set_hooks(std::move(hooks));
+/// `count` tasks labelled t0, t1, ...; accepted indices land in `accepted`.
+WorkerPool::Farm echo_farm(std::size_t count,
+                           std::vector<std::size_t>& accepted,
+                           std::function<void(std::size_t)> on_accept = {}) {
+  WorkerPool::Farm farm;
+  for (std::size_t i = 0; i < count; ++i) {
+    farm.labels.push_back("t" + std::to_string(i));
+    farm.queue.push_back(i);
+  }
+  farm.metric_stem = "test.tasks";
+  farm.encode = [](std::size_t task, std::uint32_t attempt) {
+    return dist::Frame{dist::MsgType::kJobAssign,
+                       std::to_string(task) + " " + std::to_string(attempt)};
+  };
+  farm.accept = [&accepted, on_accept](const dist::Frame& frame, std::size_t,
+                                       std::uint32_t) {
+    const std::size_t task = std::stoul(frame.payload);
+    accepted.push_back(task);
+    if (on_accept) on_accept(task);
+    return task;
+  };
+  return farm;
+}
 
-  // Hand-rolled peer: complete the handshake (schema 77), then vanish.
-  std::thread peer([&] {
-    const int fd = tcp_connect_retry(transport.bound(), 2000, 5000);
+struct EchoPeer {
+  int fd = -1;
+
+  explicit EchoPeer(const HostPort& address) {
+    fd = tcp_connect_retry(address, 2000, 5000);
     dist::HelloMsg hello;
     hello.schema = 77;
     dist::write_frame(fd, dist::MsgType::kHello, dist::encode_hello(hello));
@@ -416,20 +482,156 @@ TEST(WorkerPool, LostWorkerFiresOnLostWithTagIntact) {
     dist::write_frame(fd, dist::MsgType::kWorkerInfo,
                       dist::encode_worker_info(info));
     const auto ack = dist::read_frame(fd);
-    EXPECT_TRUE(ack.has_value());
-    ::close(fd);  // SIGKILL stand-in: gone with an assignment in flight
+    EXPECT_TRUE(ack.has_value() && ack->type == dist::MsgType::kHelloAck);
+  }
+  ~EchoPeer() { vanish(); }
+
+  /// The next assignment ("<task> <attempt>"), or "" on Shutdown/EOF.
+  std::string next() {
+    try {
+      const auto frame = dist::read_frame(fd);
+      if (frame && frame->type == dist::MsgType::kJobAssign) {
+        return frame->payload;
+      }
+    } catch (const std::exception&) {
+    }
+    return "";
+  }
+  void reply(const std::string& assignment) {
+    dist::write_frame(fd, dist::MsgType::kJobResult,
+                      assignment.substr(0, assignment.find(' ')));
+  }
+  void vanish() {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+};
+
+TEST(WorkerPool, LostWorkersTaskIsRequeuedAtFrontWithNextAttempt) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  obs::MetricsRegistry registry;
+  WorkerPool pool(tcp_pool_options(transport, registry, 77));
+  std::vector<std::size_t> accepted;
+
+  std::vector<std::string> seen;
+  std::thread peers([&] {
+    {
+      EchoPeer first(transport.bound());
+      EXPECT_EQ(first.next(), "0 1");
+    }  // gone with task 0 in flight
+    EchoPeer second(transport.bound());
+    for (std::string task = second.next(); !task.empty();
+         task = second.next()) {
+      seen.push_back(task);
+      second.reply(task);
+    }
+  });
+  const WorkerPool::Outcome outcome = pool.run(echo_farm(3, accepted));
+  peers.join();
+
+  // The lost task went back to the FRONT, one attempt later.
+  EXPECT_EQ(seen, (std::vector<std::string>{"0 2", "1 1", "2 1"}));
+  EXPECT_EQ(accepted, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(outcome.requeues, 1u);
+  ASSERT_EQ(outcome.workers.size(), 2u);
+  EXPECT_TRUE(outcome.workers[0].lost);
+  EXPECT_TRUE(outcome.workers[0].lost_in_flight);
+  EXPECT_EQ(outcome.workers[0].host, "testhost");
+  EXPECT_EQ(outcome.workers[0].remote_pid, 1234u);
+  EXPECT_FALSE(outcome.workers[1].lost);
+  EXPECT_EQ(outcome.workers[1].jobs_done, 3u);
+}
+
+TEST(WorkerPool, ThirdLossOfOneTaskAbortsNamingIt) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  obs::MetricsRegistry registry;
+  WorkerPool pool(tcp_pool_options(transport, registry, 77));
+  std::vector<std::size_t> accepted;
+
+  std::thread peers([&] {
+    for (int attempt = 1; attempt <= 3; ++attempt) {
+      EchoPeer peer(transport.bound());
+      EXPECT_EQ(peer.next(), "0 " + std::to_string(attempt));
+    }
+  });
+  try {
+    (void)pool.run(echo_farm(2, accepted));
+    ADD_FAILURE() << "a task that lost three workers did not abort the run";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'t0'"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 times"), std::string::npos) << what;
+  }
+  peers.join();
+  EXPECT_TRUE(accepted.empty());
+}
+
+TEST(WorkerPool, StopDrainsInFlightTaskAndReportsRestPending) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  obs::MetricsRegistry registry;
+  WorkerPool pool(tcp_pool_options(transport, registry, 77));
+  std::vector<std::size_t> accepted;
+  WorkerPool::Farm farm = echo_farm(3, accepted);
+  std::atomic<bool> stop{false};
+  farm.should_stop = [&] { return stop.load(); };
+
+  std::string after_stop = "unset";
+  std::thread peer_thread([&] {
+    EchoPeer peer(transport.bound());
+    const std::string task = peer.next();
+    EXPECT_EQ(task, "0 1");
+    stop = true;  // ^C while task 0 is in flight
+    peer.reply(task);
+    after_stop = peer.next();
+  });
+  const WorkerPool::Outcome outcome = pool.run(std::move(farm));
+  peer_thread.join();
+
+  EXPECT_EQ(after_stop, "");  // Shutdown, not another assignment
+  EXPECT_EQ(accepted, std::vector<std::size_t>{0});
+  EXPECT_TRUE(outcome.interrupted);
+  EXPECT_EQ(outcome.pending, 2u);
+  EXPECT_EQ(outcome.requeues, 0u);
+  ASSERT_EQ(outcome.workers.size(), 1u);
+  EXPECT_FALSE(outcome.workers[0].lost);
+}
+
+TEST(WorkerPool, IdleWorkerOutlivesTaskInFlightAndTakesItsRequeue) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  obs::MetricsRegistry registry;
+  WorkerPool pool(tcp_pool_options(transport, registry, 77));
+  std::vector<std::size_t> accepted;
+  std::promise<void> holder_assigned;
+  std::promise<void> task1_accepted;
+  // The pool accepts task 1 while task 0 is still in flight elsewhere: its
+  // worker is now idle with nothing queued, and must not be shut down.
+  WorkerPool::Farm farm = echo_farm(2, accepted, [&](std::size_t task) {
+    if (task == 1) task1_accepted.set_value();
   });
 
-  for (int i = 0; i < 500 && lost_tag == -100; ++i) pool.poll_once(20);
-  peer.join();
-  EXPECT_EQ(lost_tag, 42);
+  std::thread holder([&] {
+    EchoPeer peer(transport.bound());
+    EXPECT_EQ(peer.next(), "0 1");
+    holder_assigned.set_value();
+    task1_accepted.get_future().wait();
+  });  // then vanishes with task 0
+  std::vector<std::string> seen;
+  std::thread idler([&] {
+    holder_assigned.get_future().wait();
+    EchoPeer peer(transport.bound());
+    for (std::string task = peer.next(); !task.empty(); task = peer.next()) {
+      seen.push_back(task);
+      peer.reply(task);
+    }
+  });
+  const WorkerPool::Outcome outcome = pool.run(std::move(farm));
+  holder.join();
+  idler.join();
 
-  const std::vector<WorkerSummary> summaries = pool.summaries();
-  ASSERT_EQ(summaries.size(), 1u);
-  EXPECT_TRUE(summaries[0].lost);
-  EXPECT_TRUE(summaries[0].lost_in_flight);
-  EXPECT_EQ(summaries[0].host, "testhost");
-  EXPECT_EQ(summaries[0].remote_pid, 1234u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"1 1", "0 2"}));
+  EXPECT_EQ(accepted, (std::vector<std::size_t>{1, 0}));
+  EXPECT_EQ(outcome.requeues, 1u);
+  EXPECT_EQ(outcome.pending, 0u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //   - field-named validation of the distributed flags,
 //   - --workers {2,3} panel JSON is byte-identical to the single-process
 //     run, logging-identity line included,
-//   - a worker SIGKILLed mid-candidate (NCB_REPLAY_KILL_SPEC) is requeued
+//   - a worker SIGKILLed mid-candidate (NCB_DIST_KILL_KEY) is requeued
 //     and the bytes still match,
 //   - the same panel over real TCP workers (--listen / --worker-connect)
 //     is byte-identical too.
@@ -244,7 +244,7 @@ TEST(ReplayCli, KilledWorkerIsRequeuedWithIdenticalBytes) {
   const std::string reference = dir.file("ref.json");
   ASSERT_EQ(run_replay(panel_args(log, reference), {}), 0);
 
-  // Crash injection (see replay/dispatch.hpp): the worker first assigned
+  // Crash injection (see dist/worker.hpp): the worker first assigned
   // the dfl-sso candidate SIGKILLs itself; the requeued attempt must
   // reproduce the bytes.
   const std::string out = dir.file("killed.json");
@@ -253,11 +253,11 @@ TEST(ReplayCli, KilledWorkerIsRequeuedWithIdenticalBytes) {
   args.push_back("--workers");
   args.push_back("2");
   ASSERT_EQ(
-      run_replay(args, {{"NCB_REPLAY_KILL_SPEC", "dfl-sso"}}, log_out), 0);
+      run_replay(args, {{"NCB_DIST_KILL_KEY", "dfl-sso"}}, log_out), 0);
   // Guard against spec drift silently defusing the injection.
   EXPECT_NE(read_text(log_out).find("requeued 1 candidates"),
             std::string::npos)
-      << "crash injection never fired — NCB_REPLAY_KILL_SPEC no longer "
+      << "crash injection never fired — NCB_DIST_KILL_KEY no longer "
          "matches a panel candidate";
   EXPECT_EQ(read_text(out), read_text(reference));
 }
