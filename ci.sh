@@ -6,7 +6,8 @@
 #        ./ci.sh release    — -Werror Release build, full ctest, observe-path
 #                             smoke, sweep-engine smoke (resume round-trip,
 #                             thread determinism, distributed dispatch incl.
-#                             localhost-TCP workers), serve smoke (real server
+#                             localhost-TCP workers, a combinatorial CSO+CSR
+#                             grid md5-pinned), serve smoke (real server
 #                             + driver + SIGTERM drain), replay smoke (offline
 #                             panel over the serve log + logging-identity pin
 #                             + sharded 2-worker panel, with and without a
@@ -133,6 +134,8 @@ EOF
   cmp build/sweep_full.json build/sweep_tcp.json
   echo "sweep smoke: localhost TCP (2 workers, one SIGKILLed mid-run) byte-identical"
 
+  comb_smoke
+
   ./build/examples/ncb_sweep --spec specs/fig3.sweep \
       --out build/fig3_inproc.json
   NCB_DIST_KILL_KEY='sso:moss@er,K=100,p=0.3,n=10000' \
@@ -142,6 +145,55 @@ EOF
   grep -q 'requeued 1 assignments' build/fig3_dist.log
   cmp build/fig3_inproc.json build/fig3_dist.json
   echo "sweep smoke: fig3 across 4 workers (one SIGKILLed) byte-identical"
+}
+
+# Combinatorial leg of the sweep smoke: a tiny CSO + CSR grid over every
+# combinatorial policy (dfl-cso, dfl-cso-observable, dfl-csr,
+# dfl-csr-greedy, cucb), on ≤M and exact-M families, three graph shapes.
+# The 2-worker output must equal the in-process output, and both must match
+# the md5 pinned when DFL-CSO still kept its own per-replication strategy
+# graph and the exact oracles scanned every strategy: the strategy-graph
+# sharing and the prefix-sum oracle kernel must not move a byte.
+comb_smoke() {
+  local scenario exact policies name spec expected
+  for scenario in cso csr; do
+    for exact in false true; do
+      if [ "$scenario" = cso ]; then
+        policies='dfl-cso, dfl-cso-observable, cucb'
+      else
+        policies='dfl-csr, dfl-csr-greedy, cucb'
+      fi
+      name="$scenario-$exact"
+      spec="build/comb_$name.sweep"
+      cat > "$spec" <<EOF
+name = ci-$scenario-exact-$exact
+scenario = $scenario
+policies = $policies
+graphs = er, star, cliques
+arms = 12
+p = 0.3
+horizons = 300
+replications = 3
+checkpoints = 10
+strategy-size = 3
+exact-size = $exact
+seed = 11
+EOF
+      ./build/examples/ncb_sweep --spec "$spec" \
+          --out "build/comb_$name.json" > /dev/null
+      ./build/examples/ncb_sweep --spec "$spec" \
+          --out "build/comb_$name.w2.json" --workers 2 > /dev/null
+      cmp "build/comb_$name.json" "build/comb_$name.w2.json"
+      case "$name" in
+        cso-false) expected=6cbd982aabc33560164fe6da7c1d4e14 ;;
+        cso-true)  expected=ef7f6743c2e974880c6b21370a49a8ea ;;
+        csr-false) expected=1c35b50a8411aacd30e6f00f97b09aca ;;
+        csr-true)  expected=d080cd03604bb5e0ed021afab38884fa ;;
+      esac
+      echo "$expected  build/comb_$name.json" | md5sum -c --quiet -
+    done
+  done
+  echo "sweep smoke: combinatorial CSO+CSR grid byte-identical (2 workers) and md5-pinned"
 }
 
 # Serve smoke: a real ncb_serve process (engine + event log + reactor)

@@ -39,7 +39,7 @@ int main() {
     std::cout << family->strategy(best)[i];
   }
   std::cout << "} with sigma* = "
-            << instance.strategy_side_reward_mean(family->strategy(best))
+            << instance.strategy_mean(family->neighborhood(best))
             << " expected purchases/week\n\n";
 
   ReplicationOptions options;

@@ -12,6 +12,10 @@
 // policy's IPS estimate equals the log's empirical mean reward bitwise —
 // ncb_replay verifies that identity and fails loudly when it breaks.
 //
+// With --workers/--listen, SIGINT/SIGTERM stop the panel gracefully: no
+// candidate is assigned after the signal, in-flight ones drain, no partial
+// panel is written, and the exit code is 130.
+//
 // Usage:
 //   ncb_replay --log <file> --policies 'ucb1;eps-greedy:eps=0.1'
 //              [--logging-policy 'eps-greedy:eps=0'] [--epsilon 0.05]
@@ -19,8 +23,10 @@
 //              [--family-param 4] [--seed N] [--horizon N]
 //              [--workers N | --listen host:port [--port-file F]]
 //              [--out panel.json] [--bench-out bench.json]
+#include <signal.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -44,6 +50,21 @@
 namespace {
 
 using namespace ncb;
+
+// SIGINT/SIGTERM during a distributed panel: the pool stops assigning,
+// drains in-flight candidates, and the run exits 130 without a panel.
+volatile std::sig_atomic_t g_stop = 0;
+
+void handle_stop_signal(int) { g_stop = 1; }
+
+void install_stop_handlers() {
+  struct sigaction action {};
+  action.sa_handler = handle_stop_signal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // no SA_RESTART: poll/read see EINTR promptly
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+}
 
 int usage(const char* program) {
   std::cerr
@@ -183,6 +204,7 @@ int main(int argc, char** argv) {
     if (workers > 0 || !listen_text.empty()) {
       // Distributed path: one candidate per worker assignment; the merged
       // panel is byte-identical to the in-process one (replay/dispatch.hpp).
+      install_stop_handlers();
       std::unique_ptr<net::StreamTransport> transport;
       if (!listen_text.empty()) {
         auto tcp = std::make_unique<net::TcpServerTransport>(listen_address);
@@ -197,14 +219,20 @@ int main(int argc, char** argv) {
         transport = std::make_unique<net::ProcessTransport>(
             std::vector<std::string>{dist::self_exe_path(args.program())});
         std::cout << "ncb_replay: " << specs.size() << " candidates across "
-                  << workers << " workers\n";
+                  << workers << " workers" << std::endl;
       }
       replay::ReplayDispatchOptions dispatch;
       dispatch.transport = transport.get();
       dispatch.workers = static_cast<std::size_t>(workers);
       dispatch.graph_config = &config;
+      dispatch.should_stop = [] { return g_stop != 0; };
       const replay::DistPanelSummary summary =
           replay::run_distributed_panel(graph, scan, specs, options, dispatch);
+      if (summary.interrupted) {
+        std::cout << "interrupted: in-flight candidates drained, no panel "
+                     "written\n";
+        return 130;
+      }
       panel = summary.panel;
       if (summary.requeues > 0) {
         std::cout << "(requeued " << summary.requeues

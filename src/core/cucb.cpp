@@ -45,7 +45,7 @@ StrategyId Cucb::select(TimeSlot t) {
                      ? 1e6
                      : means[i] + std::sqrt(clt / static_cast<double>(counts[i]));
   }
-  return argmax_modular(*family_, scores_);
+  return argmax_modular(*family_, scores_, oracle_scratch_);
 }
 
 void Cucb::observe(StrategyId played, TimeSlot /*t*/,

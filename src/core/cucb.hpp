@@ -41,6 +41,7 @@ class Cucb final : public CombinatorialPolicy {
   CucbOptions options_;
   ArmStatsTable stats_;
   std::vector<double> scores_;
+  std::vector<double> oracle_scratch_;  // argmax_modular's node values
   Xoshiro256 rng_;
 };
 

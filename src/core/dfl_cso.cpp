@@ -1,73 +1,39 @@
 #include "core/dfl_cso.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "core/policy_registry.hpp"
-#include "strategy/strategy_graph.hpp"
-#include "util/argmax.hpp"
-#include "util/math.hpp"
 
 namespace ncb {
 
 DflCso::DflCso(std::shared_ptr<const FeasibleSet> family, DflCsoOptions options)
-    : family_(std::move(family)), options_(options), rng_(options.seed) {
+    : family_(std::move(family)),
+      scope_(options.scope),
+      sso_(DflSsoOptions{.neighbor_greedy = false,
+                         .exploration_scale = 1.0,
+                         .seed = options.seed}) {
   if (!family_) throw std::invalid_argument("DflCso: null family");
-  const auto count = static_cast<StrategyId>(family_->size());
-  update_lists_.resize(family_->size());
-  if (options_.scope == CsoUpdateScope::kStrategyGraph) {
-    const Graph sg = build_strategy_graph(*family_);
-    for (StrategyId x = 0; x < count; ++x) {
-      const ArmSpan closed = sg.closed_neighborhood(x);
-      update_lists_[static_cast<std::size_t>(x)] =
-          std::vector<StrategyId>(closed.begin(), closed.end());
-    }
-  } else {
-    for (StrategyId x = 0; x < count; ++x) {
-      update_lists_[static_cast<std::size_t>(x)] =
-          observable_strategies(*family_, x);
-    }
-  }
   reset();
 }
 
 void DflCso::reset() {
-  stats_.reset(family_->size());
-  scores_.assign(family_->size(), 0.0);
-  scratch_rewards_.assign(family_->graph().num_vertices(), 0.0);
-  scratch_stamp_.assign(family_->graph().num_vertices(), -1);
+  sso_.reset(family_->strategy_graph());
+  arm_values_.assign(family_->graph().num_vertices(), 0.0);
+  arm_stamp_.assign(family_->graph().num_vertices(), -1);
   epoch_ = 0;
-  rng_ = Xoshiro256(options_.seed);
+  rewards_.reserve(family_->size());
 }
 
-double DflCso::index(StrategyId x, TimeSlot t) const {
-  const std::int64_t count = stats_.count(x);
-  if (count == 0) return std::numeric_limits<double>::infinity();
-  const double ratio = static_cast<double>(t) /
-                       (static_cast<double>(family_->size()) *
-                        static_cast<double>(count));
-  return stats_.mean(x) + exploration_width(ratio, static_cast<double>(count));
-}
-
-StrategyId DflCso::select(TimeSlot t) {
-  const std::int64_t* counts = stats_.counts();
-  const double* means = stats_.means();
-  const double f_size = static_cast<double>(family_->size());
-  for (std::size_t x = 0; x < scores_.size(); ++x) {
-    if (counts[x] == 0) {
-      scores_[x] = std::numeric_limits<double>::infinity();
-      continue;
-    }
-    const double ratio =
-        static_cast<double>(t) / (f_size * static_cast<double>(counts[x]));
-    scores_[x] = means[x] + exploration_width(ratio, static_cast<double>(counts[x]));
+Span<StrategyId> DflCso::update_list(StrategyId x) const {
+  if (x < 0 || static_cast<std::size_t>(x) >= family_->size()) {
+    throw std::out_of_range("DflCso: strategy id out of range");
   }
-  // Same reservoir tie-break draw sequence as the historical inline loop.
-  return static_cast<StrategyId>(
-      reservoir_argmax(scores_.data(), scores_.size(), rng_));
+  return scope_ == CsoUpdateScope::kStrategyGraph
+             ? family_->strategy_graph().closed_neighborhood(x)
+             : family_->observable(x);
 }
 
-void DflCso::observe(StrategyId played, TimeSlot /*t*/,
+void DflCso::observe(StrategyId played, TimeSlot t,
                      ObservationSpan observations) {
   // Stage the arm values; observations normally cover Y_played, and every
   // com-arm in the update list has all component arms inside Y_played. When
@@ -76,25 +42,27 @@ void DflCso::observe(StrategyId played, TimeSlot /*t*/,
   // updated with stale values.
   ++epoch_;
   for (const Observation& obs : observations) {
-    scratch_rewards_.at(static_cast<std::size_t>(obs.arm)) = obs.value;
-    scratch_stamp_.at(static_cast<std::size_t>(obs.arm)) = epoch_;
+    arm_values_.at(static_cast<std::size_t>(obs.arm)) = obs.value;
+    arm_stamp_.at(static_cast<std::size_t>(obs.arm)) = epoch_;
   }
-  for (const StrategyId y : update_lists_.at(static_cast<std::size_t>(played))) {
+  rewards_.clear();
+  for (const StrategyId y : update_list(played)) {
     double reward = 0.0;
     bool complete = true;
     for (const ArmId i : family_->strategy(y)) {
-      if (scratch_stamp_[static_cast<std::size_t>(i)] != epoch_) {
+      if (arm_stamp_[static_cast<std::size_t>(i)] != epoch_) {
         complete = false;
         break;
       }
-      reward += scratch_rewards_[static_cast<std::size_t>(i)];
+      reward += arm_values_[static_cast<std::size_t>(i)];
     }
-    if (complete) stats_.add_unchecked(static_cast<std::size_t>(y), reward);
+    if (complete) rewards_.add(y, reward);
   }
+  sso_.observe(played, t, rewards_.span());
 }
 
 std::string DflCso::name() const {
-  return options_.scope == CsoUpdateScope::kStrategyGraph
+  return scope_ == CsoUpdateScope::kStrategyGraph
              ? "DFL-CSO"
              : "DFL-CSO(all-observable)";
 }

@@ -4,9 +4,14 @@
 // The CSO problem is converted to SSO over the strategy relation graph
 // SG(F, L) of §IV: each feasible strategy is a com-arm; playing x reveals
 // arm rewards over Y_x, which determines the full reward of every com-arm
-// whose component arms lie inside Y_x. The policy maintains per-com-arm
-// statistics (O_x, R̄_x) and selects by the MOSS-style index
-// R̄_x + sqrt(log⁺(t/(|F|·O_x))/O_x).
+// whose component arms lie inside Y_x. DFL-CSO is therefore DFL-SSO
+// (Algorithm 1) run on SG, whose K is |F|: its per-com-arm statistics
+// (O_x, R̄_x), its MOSS-style index R̄_x + sqrt(log⁺(t/(|F|·O_x))/O_x), its
+// plateau-cached select and its tie-break draws all come from the wrapped
+// DflSso. This class only turns each slot's arm values into com-arm
+// rewards and delivers them as one batched observation. SG is the family's
+// own (FeasibleSet::strategy_graph()), built once and shared by every
+// replication and thread.
 //
 // Update scope:
 //  * kStrategyGraph (faithful to Algorithm 2's "for y ∈ N_x over SG"):
@@ -21,10 +26,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/arm_stats.hpp"
+#include "core/dfl_sso.hpp"
 #include "core/policy.hpp"
 #include "strategy/feasible_set.hpp"
-#include "util/rng.hpp"
 
 namespace ncb {
 
@@ -40,39 +44,39 @@ struct DflCsoOptions {
 
 class DflCso final : public CombinatorialPolicy {
  public:
-  /// Precomputes SG and the per-com-arm update lists from `family`.
   explicit DflCso(std::shared_ptr<const FeasibleSet> family,
                   DflCsoOptions options = {});
 
   void reset() override;
-  [[nodiscard]] StrategyId select(TimeSlot t) override;
+  [[nodiscard]] StrategyId select(TimeSlot t) override {
+    return sso_.select(t);
+  }
   void observe(StrategyId played, TimeSlot t,
                ObservationSpan observations) override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const FeasibleSet& family() const noexcept { return *family_; }
   [[nodiscard]] std::int64_t observation_count(StrategyId x) const {
-    return stats_.count(x);
+    return sso_.observation_count(x);
   }
   [[nodiscard]] double empirical_mean(StrategyId x) const {
-    return stats_.mean(x);
+    return sso_.empirical_mean(x);
   }
-  [[nodiscard]] double index(StrategyId x, TimeSlot t) const;
-  /// Com-arms whose statistics get updated when `x` is played.
-  [[nodiscard]] const std::vector<StrategyId>& update_list(StrategyId x) const {
-    return update_lists_.at(static_cast<std::size_t>(x));
+  [[nodiscard]] double index(StrategyId x, TimeSlot t) const {
+    return sso_.index(x, t);
   }
+  /// Com-arms whose statistics get updated when `x` is played (a view into
+  /// the family's SG or observable lists).
+  [[nodiscard]] Span<StrategyId> update_list(StrategyId x) const;
 
  private:
   std::shared_ptr<const FeasibleSet> family_;
-  DflCsoOptions options_;
-  std::vector<std::vector<StrategyId>> update_lists_;
-  ArmStatsTable stats_;
-  std::vector<double> scores_;            // per-com-arm index scratch
-  std::vector<double> scratch_rewards_;   // per-arm value buffer
-  std::vector<std::int64_t> scratch_stamp_;  // which epoch staged the value
+  CsoUpdateScope scope_;
+  DflSso sso_;
+  std::vector<double> arm_values_;       // this slot's revealed arm values
+  std::vector<std::int64_t> arm_stamp_;  // which epoch staged the value
   std::int64_t epoch_ = 0;
-  Xoshiro256 rng_;
+  ObservationBatch rewards_;  // one observe()'s com-arm rewards
 };
 
 }  // namespace ncb

@@ -12,7 +12,9 @@ DflSso::DflSso(DflSsoOptions options)
     : ArmStatIndexPolicy(options.seed), options_(options) {}
 
 void DflSso::on_reset(const Graph& graph) {
-  graph_ = graph;
+  // Only the neighbor-greedy refinement reads the graph after reset; skip
+  // the copy otherwise (DFL-CSO's SG has |F| vertices and 10⁵+ edges).
+  if (options_.neighbor_greedy) graph_ = graph;
   ArmStatIndexPolicy::on_reset(graph);
 }
 

@@ -42,7 +42,9 @@ class DflSso final : public ArmStatIndexPolicy {
 
  private:
   DflSsoOptions options_;
-  Graph graph_{0};  // copied at reset(); no external lifetime requirement
+  // Copied at reset() for neighbor_greedy only; no external lifetime
+  // requirement.
+  Graph graph_{0};
 };
 
 }  // namespace ncb

@@ -20,9 +20,9 @@ const std::vector<double>& Environment::advance() {
   return rewards_;
 }
 
-double Environment::strategy_reward(const ArmSet& strategy) const {
+double Environment::strategy_reward(const ArmSet& arms) const {
   double total = 0.0;
-  for (const ArmId i : strategy) total += rewards_.at(static_cast<std::size_t>(i));
+  for (const ArmId i : arms) total += rewards_.at(static_cast<std::size_t>(i));
   return total;
 }
 
@@ -31,14 +31,6 @@ double Environment::side_reward(ArmId arm) const {
   for (const ArmId j : graph().closed_neighborhood(arm)) {
     total += rewards_[static_cast<std::size_t>(j)];
   }
-  return total;
-}
-
-double Environment::strategy_side_reward(const ArmSet& strategy) const {
-  double total = 0.0;
-  graph().strategy_neighborhood(strategy).for_each([&](ArmId j) {
-    total += rewards_[static_cast<std::size_t>(j)];
-  });
   return total;
 }
 

@@ -48,14 +48,13 @@ class Environment {
     return instance_->num_arms();
   }
 
-  /// Realized direct reward of a strategy at the current slot: Σ_{i∈s} X_i.
-  [[nodiscard]] double strategy_reward(const ArmSet& strategy) const;
+  /// Realized reward Σ_{i∈arms} X_i of a sorted arm set at the current
+  /// slot: a strategy's direct reward for `arms` = s_x, its combinatorial
+  /// side reward CB_x for `arms` = Y_x (FeasibleSet::neighborhood).
+  [[nodiscard]] double strategy_reward(const ArmSet& arms) const;
 
   /// Realized side reward of an arm: B_i = Σ_{j∈N_i} X_j.
   [[nodiscard]] double side_reward(ArmId arm) const;
-
-  /// Realized combinatorial side reward: CB_x = Σ_{j∈Y_x} X_j.
-  [[nodiscard]] double strategy_side_reward(const ArmSet& strategy) const;
 
  private:
   std::shared_ptr<const BanditInstance> instance_;

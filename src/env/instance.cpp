@@ -55,17 +55,9 @@ void BanditInstance::recompute() {
       side_means_.begin());
 }
 
-double BanditInstance::strategy_mean(const ArmSet& strategy) const {
+double BanditInstance::strategy_mean(const ArmSet& arms) const {
   double total = 0.0;
-  for (const ArmId i : strategy) total += means_.at(static_cast<std::size_t>(i));
-  return total;
-}
-
-double BanditInstance::strategy_side_reward_mean(const ArmSet& strategy) const {
-  double total = 0.0;
-  graph_.strategy_neighborhood(strategy).for_each([&](ArmId j) {
-    total += means_[static_cast<std::size_t>(j)];
-  });
+  for (const ArmId i : arms) total += means_.at(static_cast<std::size_t>(i));
   return total;
 }
 

@@ -59,11 +59,10 @@ class BanditInstance {
     return side_means_[static_cast<std::size_t>(best_side_arm_)];
   }
 
-  /// Direct mean of a strategy: λ_x = Σ_{i∈s_x} μ_i (CSO reward semantics).
-  [[nodiscard]] double strategy_mean(const ArmSet& strategy) const;
-
-  /// Side-reward mean of a strategy: σ_x = Σ_{i∈Y_x} μ_i (CSR semantics).
-  [[nodiscard]] double strategy_side_reward_mean(const ArmSet& strategy) const;
+  /// Mean Σ_{i∈arms} μ_i of a sorted arm set: a strategy's direct mean
+  /// λ_x for `arms` = s_x (CSO semantics), its side-reward mean σ_x for
+  /// `arms` = Y_x (CSR semantics; FeasibleSet::neighborhood).
+  [[nodiscard]] double strategy_mean(const ArmSet& arms) const;
 
   [[nodiscard]] std::string to_string() const;
 

@@ -383,15 +383,19 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
     return result.index;
   };
 
+  farm.should_stop = dispatch.should_stop;
+
   net::WorkerPool::Options pool_options;
   pool_options.transport = dispatch.transport;
   pool_options.expected_schema = kReplayWireSchema;
   pool_options.workers = dispatch.workers;
   net::WorkerPool pool(pool_options);
-  // No stop predicate: the run returns only once every candidate is scored.
   net::WorkerPool::Outcome outcome = pool.run(std::move(farm));
   summary.requeues = outcome.requeues;
   summary.workers = std::move(outcome.workers);
+  // A panel is all candidates or none: a stopped run reports no partial one.
+  summary.interrupted = outcome.interrupted;
+  if (summary.interrupted) return summary;
 
   // Exact reduction: merge each worker's raw Welford state into an empty
   // accumulator (a bitwise copy — candidates arrive whole, so the merge's

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,17 +62,23 @@ struct ReplayDispatchOptions {
   /// Graph construction parameters to ship (family/arms/edge-prob/
   /// family-param/seed are read; required).
   const ExperimentConfig* graph_config = nullptr;
+  /// Cooperative stop (e.g. a SIGINT flag); may be empty. Once it fires no
+  /// candidate is assigned, in-flight ones drain, and no panel is built.
+  std::function<bool()> should_stop;
 };
 
 struct DistPanelSummary {
   PanelResult panel;
   std::size_t requeues = 0;  ///< Crash-requeued candidate assignments.
+  /// should_stop fired: `panel` holds only the pass-1 base, no candidates.
+  bool interrupted = false;
   /// Per-worker accounting (candidates, bytes, wall time).
   std::vector<net::WorkerSummary> workers;
 };
 
 /// Distributed replay_panel: identical validation, pass 1 local, one
-/// candidate per worker assignment, byte-identical assembled panel.
+/// candidate per worker assignment, byte-identical assembled panel (or,
+/// when should_stop fires, an interrupted summary with no candidates).
 /// Throws std::runtime_error when a worker reports a candidate error or a
 /// candidate crashes net::WorkerPool::kMaxAttempts workers.
 [[nodiscard]] DistPanelSummary run_distributed_panel(

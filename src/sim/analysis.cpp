@@ -62,17 +62,14 @@ RegretDecomposition decompose_combinatorial(const RunResult& result,
   // i, normalized by strategy size. This mirrors the T̃ counters of the
   // Theorem 4 proof (each suboptimal play increments exactly one arm).
   const StrategyId best = optimal_strategy(instance, scenario, family);
-  const double opt = scenario == Scenario::kCso
-                         ? instance.strategy_mean(family.strategy(best))
-                         : instance.strategy_side_reward_mean(
-                               family.strategy(best));
+  const double opt =
+      instance.strategy_mean(payout_arms(family, scenario, best));
   std::vector<double> min_gap(instance.num_arms(),
                               std::numeric_limits<double>::infinity());
   for (StrategyId x = 0; x < static_cast<StrategyId>(family.size()); ++x) {
     const auto& arms = family.strategy(x);
-    const double value = scenario == Scenario::kCso
-                             ? instance.strategy_mean(arms)
-                             : instance.strategy_side_reward_mean(arms);
+    const double value =
+        instance.strategy_mean(payout_arms(family, scenario, x));
     const double gap = (opt - value) / static_cast<double>(arms.size());
     for (const ArmId i : arms) {
       min_gap[static_cast<std::size_t>(i)] =

@@ -46,15 +46,8 @@ double optimal_value(const BanditInstance& instance, Scenario scenario,
       if (!family) {
         throw std::invalid_argument("optimal_value: family required");
       }
-      double best = -std::numeric_limits<double>::infinity();
-      for (StrategyId x = 0; x < static_cast<StrategyId>(family->size()); ++x) {
-        const double v = scenario == Scenario::kCso
-                             ? instance.strategy_mean(family->strategy(x))
-                             : instance.strategy_side_reward_mean(
-                                   family->strategy(x));
-        if (v > best) best = v;
-      }
-      return best;
+      return instance.strategy_mean(payout_arms(
+          *family, scenario, optimal_strategy(instance, scenario, *family)));
     }
   }
   throw std::logic_error("optimal_value: bad scenario");
@@ -68,9 +61,7 @@ StrategyId optimal_strategy(const BanditInstance& instance, Scenario scenario,
   StrategyId best = 0;
   double best_value = -std::numeric_limits<double>::infinity();
   for (StrategyId x = 0; x < static_cast<StrategyId>(family.size()); ++x) {
-    const double v = scenario == Scenario::kCso
-                         ? instance.strategy_mean(family.strategy(x))
-                         : instance.strategy_side_reward_mean(family.strategy(x));
+    const double v = instance.strategy_mean(payout_arms(family, scenario, x));
     if (v > best_value) {
       best_value = v;
       best = x;
@@ -201,15 +192,9 @@ RunResult run_combinatorial(CombinatorialPolicy& policy,
       batch.add(j, rewards[static_cast<std::size_t>(j)]);
     }
 
-    double realized = 0.0;
-    double chosen_mean = 0.0;
-    if (scenario == Scenario::kCso) {
-      realized = env.strategy_reward(arms);
-      chosen_mean = instance.strategy_mean(arms);
-    } else {
-      realized = env.strategy_side_reward(arms);
-      chosen_mean = instance.strategy_side_reward_mean(arms);
-    }
+    const ArmSet& paid = payout_arms(family, scenario, played);
+    const double realized = env.strategy_reward(paid);
+    const double chosen_mean = instance.strategy_mean(paid);
 
     policy.observe(played, t, batch.span());
 

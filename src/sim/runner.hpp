@@ -80,6 +80,16 @@ void validate_runner_options(const RunnerOptions& options);
                                    Scenario scenario,
                                    const FeasibleSet* family = nullptr);
 
+/// The arms a combinatorial play of x pays out: s_x under CSO, Y_x under
+/// CSR. Its realized reward is env.strategy_reward(payout_arms(...)) and
+/// its expected reward instance.strategy_mean(payout_arms(...)).
+[[nodiscard]] inline const ArmSet& payout_arms(const FeasibleSet& family,
+                                               Scenario scenario,
+                                               StrategyId x) {
+  return scenario == Scenario::kCso ? family.strategy(x)
+                                    : family.neighborhood(x);
+}
+
 /// Id of the optimal strategy under CSO/CSR semantics.
 [[nodiscard]] StrategyId optimal_strategy(const BanditInstance& instance,
                                           Scenario scenario,

@@ -1,13 +1,23 @@
 #include "strategy/feasible_set.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "graph/independent_sets.hpp"
+#include "strategy/strategy_graph.hpp"
 
 namespace ncb {
+
+struct FeasibleSet::Derived {
+  std::once_flag graph_once;
+  std::optional<Graph> graph;
+  std::once_flag observable_once;
+  std::vector<std::size_t> observable_offsets;  // |F|+1 prefix sums
+  std::vector<StrategyId> observable_ids;
+};
 
 FeasibleSet::FeasibleSet(std::shared_ptr<const Graph> graph,
                          std::vector<ArmSet> strategies, FamilyKind kind)
@@ -42,6 +52,33 @@ FeasibleSet::FeasibleSet(std::shared_ptr<const Graph> graph,
     neighborhood_bits_.push_back(std::move(nb));
     max_strategy_ = std::max(max_strategy_, s.size());
   }
+  strategy_tree_ = PrefixSumTree(strategies_);
+  neighborhood_tree_ = PrefixSumTree(neighborhoods_);
+  derived_ = std::make_shared<Derived>();
+}
+
+const Graph& FeasibleSet::strategy_graph() const {
+  Derived& d = *derived_;
+  std::call_once(d.graph_once, [&] {
+    d.graph.emplace(build_strategy_graph(*this, GraphStorage::kCsrOnly));
+  });
+  return *d.graph;
+}
+
+Span<StrategyId> FeasibleSet::observable(StrategyId x) const {
+  Derived& d = *derived_;
+  std::call_once(d.observable_once, [&] {
+    d.observable_offsets.assign(1, 0);
+    for (StrategyId y = 0; y < static_cast<StrategyId>(size()); ++y) {
+      const std::vector<StrategyId> list = observable_strategies(*this, y);
+      d.observable_ids.insert(d.observable_ids.end(), list.begin(), list.end());
+      d.observable_offsets.push_back(d.observable_ids.size());
+    }
+  });
+  const auto u = static_cast<std::size_t>(x);
+  const std::size_t end = d.observable_offsets.at(u + 1);
+  return {d.observable_ids.data() + d.observable_offsets[u],
+          end - d.observable_offsets[u]};
 }
 
 std::optional<StrategyId> FeasibleSet::find(const ArmSet& strategy) const {

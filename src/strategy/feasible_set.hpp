@@ -4,6 +4,14 @@
 // fixed relation graph and precomputes each strategy's observed set
 // Y_x = ∪_{i∈s_x} N_i, which drives both reward semantics and the strategy
 // relation graph construction of §IV.
+//
+// What the combinatorial policies derive from the family is built here,
+// once, and shared by every replication and policy over it: the prefix-sum
+// trees of the exact oracles (in the constructor), and the strategy
+// relation graph SG plus the per-com-arm observable lists (on first use,
+// under std::call_once, so policies built concurrently in several threads
+// wait for one build). The lazy state sits behind a shared handle, so the
+// family stays movable and its copies share it.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +21,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "strategy/prefix_sum_tree.hpp"
 #include "util/bitset64.hpp"
 #include "util/types.hpp"
 
@@ -72,6 +81,24 @@ class FeasibleSet {
     return max_strategy_;
   }
 
+  /// Prefix-sum tree over the rows s_x (argmax_modular's kernel).
+  [[nodiscard]] const PrefixSumTree& strategy_tree() const noexcept {
+    return strategy_tree_;
+  }
+
+  /// Prefix-sum tree over the rows Y_x (ExactCoverageOracle's kernel).
+  [[nodiscard]] const PrefixSumTree& neighborhood_tree() const noexcept {
+    return neighborhood_tree_;
+  }
+
+  /// The strategy relation graph SG(F, L) of §IV, CSR only (see
+  /// build_strategy_graph): built on first use, at most once per family.
+  [[nodiscard]] const Graph& strategy_graph() const;
+
+  /// Com-arms observable when x is played — every y with s_y ⊆ Y_x,
+  /// ascending — built for the whole family on first use, at most once.
+  [[nodiscard]] Span<StrategyId> observable(StrategyId x) const;
+
   /// Looks up a strategy (must be sorted); nullopt if absent.
   [[nodiscard]] std::optional<StrategyId> find(const ArmSet& strategy) const;
 
@@ -86,6 +113,10 @@ class FeasibleSet {
   std::size_t max_neighborhood_ = 0;
   std::size_t max_strategy_ = 0;
   FamilyKind kind_;
+  PrefixSumTree strategy_tree_;
+  PrefixSumTree neighborhood_tree_;
+  struct Derived;  // SG and observable lists, built on first use
+  std::shared_ptr<Derived> derived_;
 };
 
 /// All non-empty subsets with |s| ≤ m (`exact` = false) or |s| = m (`exact`

@@ -1,7 +1,6 @@
 #include "strategy/oracle.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace ncb {
@@ -28,16 +27,8 @@ StrategyId ExactCoverageOracle::select(const FeasibleSet& family,
   if (scores.size() != family.graph().num_vertices()) {
     throw std::invalid_argument("ExactCoverageOracle: score size mismatch");
   }
-  StrategyId best = 0;
-  double best_value = -std::numeric_limits<double>::infinity();
-  for (StrategyId x = 0; x < static_cast<StrategyId>(family.size()); ++x) {
-    const double v = coverage_value(family, x, scores);
-    if (v > best_value) {
-      best_value = v;
-      best = x;
-    }
-  }
-  return best;
+  return static_cast<StrategyId>(
+      family.neighborhood_tree().argmax(scores.data(), scratch_));
 }
 
 StrategyId GreedyCoverageOracle::select(const FeasibleSet& family,
@@ -94,20 +85,19 @@ StrategyId GreedyCoverageOracle::select(const FeasibleSet& family,
 }
 
 StrategyId argmax_modular(const FeasibleSet& family,
-                          const std::vector<double>& scores) {
+                          const std::vector<double>& scores,
+                          std::vector<double>& scratch) {
   if (scores.size() != family.graph().num_vertices()) {
     throw std::invalid_argument("argmax_modular: score size mismatch");
   }
-  StrategyId best = 0;
-  double best_value = -std::numeric_limits<double>::infinity();
-  for (StrategyId x = 0; x < static_cast<StrategyId>(family.size()); ++x) {
-    const double v = modular_value(family, x, scores);
-    if (v > best_value) {
-      best_value = v;
-      best = x;
-    }
-  }
-  return best;
+  return static_cast<StrategyId>(
+      family.strategy_tree().argmax(scores.data(), scratch));
+}
+
+StrategyId argmax_modular(const FeasibleSet& family,
+                          const std::vector<double>& scores) {
+  std::vector<double> scratch;
+  return argmax_modular(family, scores, scratch);
 }
 
 }  // namespace ncb

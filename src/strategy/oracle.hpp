@@ -6,6 +6,11 @@
 // maximize the modular objective Σ_{i∈s_x} w_i. We provide exact
 // enumeration oracles over an explicit FeasibleSet and a lazy-greedy
 // (1-1/e)-approximate coverage oracle for cardinality-constrained families.
+//
+// Both exact oracles run one kernel, the family's prefix-sharing sum tree
+// (strategy/prefix_sum_tree.hpp) over the rows Y_x or s_x: every strategy
+// value is bit-identical to coverage_value / modular_value, and ties break
+// toward the smaller strategy id exactly as a per-strategy scan would.
 #pragma once
 
 #include <memory>
@@ -31,13 +36,20 @@ class CoverageOracle {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Exact enumeration: O(|F| · K/64) per call via bitset dot products.
+/// Exact enumeration: one add per node of the family's Y_x prefix-sum
+/// tree (at most Σ_x |Y_x|). The node-value scratch belongs to the oracle,
+/// so select() does not allocate after its first call — and one oracle
+/// object must not run select() from two threads at once (DflCsr builds
+/// one per policy).
 class ExactCoverageOracle final : public CoverageOracle {
  public:
   [[nodiscard]] StrategyId select(
       const FeasibleSet& family,
       const std::vector<double>& scores) const override;
   [[nodiscard]] std::string name() const override { return "exact"; }
+
+ private:
+  mutable std::vector<double> scratch_;
 };
 
 /// Lazy greedy on the submodular coverage function. Valid only for subset
@@ -53,7 +65,14 @@ class GreedyCoverageOracle final : public CoverageOracle {
 };
 
 /// Argmax over F of the modular objective Σ_{i ∈ s_x} scores[i] (exact
-/// enumeration). Used by the CUCB baseline and DFL-CSO reward lookups.
+/// enumeration over the family's s_x prefix-sum tree). Used by the CUCB
+/// baseline, which passes its own `scratch` so that repeated calls do not
+/// allocate.
+[[nodiscard]] StrategyId argmax_modular(const FeasibleSet& family,
+                                        const std::vector<double>& scores,
+                                        std::vector<double>& scratch);
+
+/// Same, with a call-local scratch buffer.
 [[nodiscard]] StrategyId argmax_modular(const FeasibleSet& family,
                                         const std::vector<double>& scores);
 

@@ -15,13 +15,17 @@
 namespace ncb {
 
 /// Builds SG over `family`. Vertex x of the result corresponds to strategy
-/// id x of the family.
-[[nodiscard]] Graph build_strategy_graph(const FeasibleSet& family);
+/// id x of the family. Policies share the family's own copy
+/// (FeasibleSet::strategy_graph(), built once, CSR only); build one here
+/// for the bitset rows (clique covers, figure dumps).
+[[nodiscard]] Graph build_strategy_graph(
+    const FeasibleSet& family,
+    GraphStorage storage = GraphStorage::kCsrAndBits);
 
 /// Strategies observable when x is played: every y (including x) with
 /// s_y ⊆ Y_x. This is a superset of SG's closed neighborhood of x (SG
 /// requires mutual containment). DFL-CSO can optionally exploit the full
-/// observable set.
+/// observable set, through the family's cached FeasibleSet::observable().
 [[nodiscard]] std::vector<StrategyId> observable_strategies(
     const FeasibleSet& family, StrategyId x);
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <thread>
 
 #include "graph/generators.hpp"
 #include "strategy/strategy_graph.hpp"
@@ -132,6 +134,36 @@ TEST(DflCso, ConvergesToBestStrategy) {
   const auto best = family->find({1, 3});
   ASSERT_TRUE(best.has_value());
   EXPECT_GT(plays[static_cast<std::size_t>(*best)], 3500);
+}
+
+// SG is the family's: every DflCso over one family reads the same graph
+// (its update lists are views into that one SG), including when the
+// policies are constructed concurrently, where std::call_once must make the
+// second constructor wait for the first build instead of racing it.
+TEST(DflCso, ConcurrentConstructionSharesOneStrategyGraph) {
+  Xoshiro256 rng(5);
+  const auto family = std::make_shared<const FeasibleSet>(make_subset_family(
+      std::make_shared<const Graph>(erdos_renyi(14, 0.3, rng)), 3));
+  std::optional<DflCso> a, b;
+  std::thread ta([&] { a.emplace(family); });
+  std::thread tb([&] { b.emplace(family); });
+  ta.join();
+  tb.join();
+  const Graph& sg = family->strategy_graph();
+  EXPECT_FALSE(sg.has_bitset_rows());
+  EXPECT_EQ(sg.edges(), build_strategy_graph(*family).edges());
+  for (StrategyId x = 0; x < static_cast<StrategyId>(family->size()); ++x) {
+    ASSERT_EQ(a->update_list(x).data(), sg.closed_neighborhood(x).data());
+    ASSERT_EQ(b->update_list(x).data(), sg.closed_neighborhood(x).data());
+  }
+  // The observable lists are cached the same way.
+  DflCso observable(family,
+                    DflCsoOptions{.scope = CsoUpdateScope::kAllObservable});
+  for (StrategyId x = 0; x < static_cast<StrategyId>(family->size()); ++x) {
+    EXPECT_EQ(observable.update_list(x).to_vector(),
+              observable_strategies(*family, x));
+    EXPECT_EQ(observable.update_list(x).data(), family->observable(x).data());
+  }
 }
 
 TEST(DflCso, NullFamilyThrows) {

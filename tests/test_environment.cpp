@@ -65,10 +65,13 @@ TEST(Environment, SideRewardIsClosedNeighborhoodSum) {
 TEST(Environment, StrategySideRewardIsCoverageSum) {
   Environment env(make_path_instance(), 6);
   const auto& r = env.advance();
-  // Y({0,2}) = {0,1,2,3}.
-  EXPECT_DOUBLE_EQ(env.strategy_side_reward({0, 2}), r[0] + r[1] + r[2] + r[3]);
+  // CB_x is the reward summed over Y_x. Y({0,2}) = {0,1,2,3}.
+  const Graph& g = env.graph();
+  EXPECT_DOUBLE_EQ(env.strategy_reward(g.strategy_neighborhood_list({0, 2})),
+                   r[0] + r[1] + r[2] + r[3]);
   // Y({3}) = {2,3}.
-  EXPECT_DOUBLE_EQ(env.strategy_side_reward({3}), r[2] + r[3]);
+  EXPECT_DOUBLE_EQ(env.strategy_reward(g.strategy_neighborhood_list({3})),
+                   r[2] + r[3]);
 }
 
 TEST(Environment, RewardsAccessorMatchesLastAdvance) {

@@ -52,9 +52,13 @@ TEST(BanditInstance, StrategyMeanIsModularSum) {
 
 TEST(BanditInstance, StrategySideRewardMeanIsCoverageSum) {
   const auto inst = make_path_instance();
+  // σ_x is the mean summed over Y_x.
   // Y({0,2}) = {0,1,2,3} → 1.8; Y({3}) = {2,3} → 0.9.
-  EXPECT_NEAR(inst.strategy_side_reward_mean({0, 2}), 1.8, 1e-12);
-  EXPECT_NEAR(inst.strategy_side_reward_mean({3}), 0.9, 1e-12);
+  const Graph& g = inst.graph();
+  EXPECT_NEAR(inst.strategy_mean(g.strategy_neighborhood_list({0, 2})), 1.8,
+              1e-12);
+  EXPECT_NEAR(inst.strategy_mean(g.strategy_neighborhood_list({3})), 0.9,
+              1e-12);
 }
 
 TEST(BanditInstance, CopyIsDeep) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <set>
 
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -139,6 +142,102 @@ TEST(Oracles, TieBreaksDeterministically) {
   // All equal scores: smallest strategy id wins.
   EXPECT_EQ(oracle.select(family, {0.5, 0.5, 0.5}), 0);
   EXPECT_EQ(argmax_modular(family, {0.5, 0.5, 0.5}), 0);
+}
+
+// The exact oracles sum over a prefix-sharing tree; they must return exactly
+// the index a first-strict-maximum scan over coverage_value / modular_value
+// returns, on every family shape and on scores full of ties, negatives,
+// signed zeros, 1e6 and +inf (where a reassociated or reordered sum would
+// pick a different tied or near-tied strategy).
+StrategyId reference_argmax(const FeasibleSet& family,
+                            const std::vector<double>& scores, bool coverage) {
+  StrategyId best = 0;
+  double best_value = -std::numeric_limits<double>::infinity();
+  for (StrategyId x = 0; x < static_cast<StrategyId>(family.size()); ++x) {
+    const double v = coverage ? coverage_value(family, x, scores)
+                              : modular_value(family, x, scores);
+    if (v > best_value) {
+      best_value = v;
+      best = x;
+    }
+  }
+  return best;
+}
+
+std::vector<FeasibleSet> property_families(Xoshiro256& rng) {
+  std::vector<FeasibleSet> out;
+  const auto graph = shared_graph(erdos_renyi(9, 0.3, rng));
+  out.push_back(make_subset_family(graph, 3));
+  out.push_back(make_subset_family(graph, 3, /*exact=*/true));
+  out.push_back(make_independent_set_family(graph, 4));
+  std::vector<int> groups(9);
+  for (int& g : groups) g = static_cast<int>(rng.uniform_int(3));
+  out.push_back(make_partition_matroid_family(graph, groups, 2));
+  // Explicit: random subsets in random order, so rows sharing a prefix
+  // are not adjacent in the family.
+  std::set<ArmSet> seen;
+  std::vector<ArmSet> explicit_rows;
+  for (int i = 0; i < 60; ++i) {
+    ArmSet s;
+    for (ArmId a = 0; a < 9; ++a) {
+      if (rng.bernoulli(0.3)) s.push_back(a);
+    }
+    if (!s.empty() && seen.insert(s).second) explicit_rows.push_back(s);
+  }
+  out.push_back(make_explicit_family(graph, explicit_rows));
+  return out;
+}
+
+std::vector<double> property_scores(Xoshiro256& rng, std::size_t n) {
+  const double palette[] = {0.0,  -0.0, 1.0, 0.5, -0.25, -3.0,
+                            1e6, std::numeric_limits<double>::infinity()};
+  std::vector<double> scores(n);
+  const int mode = static_cast<int>(rng.uniform_int(5));
+  for (double& s : scores) {
+    switch (mode) {
+      case 0: s = rng.bernoulli(0.5) ? 1.0 : 0.0; break;  // many ties
+      case 1: s = palette[rng.uniform_int(7)]; break;     // finite mix
+      case 2: s = palette[rng.uniform_int(8)]; break;     // with +inf
+      // Tenths: equal-looking sums that differ only by rounding, so any
+      // other summation order flips near-ties (0.1+0.2+0.3 > 0.6).
+      case 3: s = 0.1 * static_cast<double>(1 + rng.uniform_int(7)); break;
+      default: s = rng.uniform(-1.0, 1.0); break;
+    }
+  }
+  return scores;
+}
+
+TEST(ExactOracles, TreeSumMatchesReferenceScanExactly) {
+  Xoshiro256 rng(43);
+  const ExactCoverageOracle oracle;  // one oracle: scratch reused
+  std::vector<double> scratch;       // across families of every size
+  for (int trial = 0; trial < 8; ++trial) {
+    for (const FeasibleSet& family : property_families(rng)) {
+      SCOPED_TRACE("family kind " + std::to_string(static_cast<int>(
+                                        family.kind())));
+      for (int draw = 0; draw < 25; ++draw) {
+        const std::vector<double> scores = property_scores(rng, 9);
+        EXPECT_EQ(oracle.select(family, scores),
+                  reference_argmax(family, scores, /*coverage=*/true));
+        EXPECT_EQ(argmax_modular(family, scores, scratch),
+                  reference_argmax(family, scores, /*coverage=*/false));
+      }
+    }
+  }
+}
+
+TEST(ExactOracles, TreeSharesPrefixes) {
+  Xoshiro256 rng(47);
+  const auto family =
+      make_subset_family(shared_graph(erdos_renyi(12, 0.3, rng)), 3);
+  // One node per distinct s_x prefix: every ≤3-subset is its own prefix,
+  // plus the root.
+  EXPECT_EQ(family.strategy_tree().num_nodes(), family.size() + 1);
+  std::size_t row_entries = 0;
+  for (StrategyId x = 0; x < static_cast<StrategyId>(family.size()); ++x) {
+    row_entries += family.neighborhood(x).size();
+  }
+  EXPECT_LT(family.neighborhood_tree().num_nodes(), row_entries);
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 //   - a worker SIGKILLed mid-candidate (NCB_DIST_KILL_KEY) is requeued
 //     and the bytes still match,
 //   - the same panel over real TCP workers (--listen / --worker-connect)
-//     is byte-identical too.
+//     is byte-identical too,
+//   - SIGINT mid-panel drains the in-flight candidates, writes no panel
+//     and exits 130.
 // The event log under replay is generated in-process with the serve
 // engine, so the suite needs no prior CLI run. All tests GTEST_SKIP when
 // the binary is not built (ASan config builds tests without examples).
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -303,6 +306,44 @@ TEST(ReplayCli, TcpWorkersProduceByteIdenticalPanel) {
   EXPECT_EQ(read_text(out), read_text(reference));
   EXPECT_NE(read_text(dir.file("coordinator.out")).find("logging identity OK"),
             std::string::npos);
+}
+
+TEST(ReplayCli, SigintDrainsInFlightCandidatesAndWritesNoPanel) {
+  REQUIRE_BINARY();
+  TempDir dir;
+  const std::string log = dir.file("events.ncbl");
+  write_event_log(log, 20000);
+
+  // Eight KL-UCB candidates over 20k records: ~0.8 s each on a 4-core
+  // Xeon, ~3 s for two workers, so the signal lands mid-panel.
+  const std::string out = dir.file("interrupted.json");
+  const std::string log_out = dir.file("interrupted.out");
+  std::vector<std::string> args = panel_args(log, out);
+  args[5] =
+      "kl-ucb;kl-ucb:c=0.5;kl-ucb:c=1;kl-ucb:c=1.5;kl-ucb:c=2;kl-ucb:c=2.5;"
+      "kl-ucb:c=3;kl-ucb:c=3.5";
+  args.push_back("--workers");
+  args.push_back("2");
+  const pid_t pid = spawn_replay(args, {}, log_out);
+  ASSERT_GT(pid, 0);
+  // The fleet line is flushed after the stop handlers are installed.
+  for (int i = 0; i < 4000; ++i) {
+    if (read_text(log_out).find("candidates across") != std::string::npos) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(read_text(log_out).find("candidates across"), std::string::npos);
+  // Give the fleet time to take its first candidates, so they are in
+  // flight (and must drain) when the stop lands.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ::kill(pid, SIGINT);
+  EXPECT_EQ(wait_exit(pid), 130);
+  EXPECT_NE(read_text(log_out).find("interrupted: in-flight candidates "
+                                    "drained, no panel written"),
+            std::string::npos)
+      << read_text(log_out);
+  EXPECT_FALSE(fs::exists(out)) << "a partial panel was written";
 }
 
 }  // namespace
