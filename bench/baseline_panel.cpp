@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "sim/thread_pool.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     double regret;
   };
   std::vector<Row> rows;
-  for (const auto& name : single_play_policy_names()) {
+  for (const auto& name : PolicyRegistry::instance().single_play_names()) {
     const auto result =
         run_single_experiment(config, name, Scenario::kSso, &pool);
     std::cout << name << ',' << result.final_cumulative.mean() << ','

@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "core/index_policy.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "graph/clique_cover.hpp"
 #include "graph/generators.hpp"
 #include "strategy/oracle.hpp"
@@ -28,7 +28,8 @@ Graph bench_graph(std::size_t k, double p) {
 void BM_SinglePolicyStep(benchmark::State& state, const std::string& name) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const Graph g = bench_graph(k, 0.3);
-  const auto policy = make_single_play_policy(name, 1 << 20, 7);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play(name, 1 << 20, 7);
   policy->reset(g);
   Xoshiro256 rng(9);
   std::vector<Observation> obs;
@@ -50,7 +51,8 @@ void BM_CombinatorialPolicyStep(benchmark::State& state,
   const auto graph = std::make_shared<const Graph>(bench_graph(k, 0.3));
   const auto family =
       std::make_shared<const FeasibleSet>(make_subset_family(graph, 2));
-  const auto policy = make_combinatorial_policy(name, family, 7);
+  const auto policy =
+      PolicyRegistry::instance().make_combinatorial(name, family, 7);
   policy->reset();
   Xoshiro256 rng(9);
   std::vector<Observation> obs;
@@ -75,7 +77,8 @@ void BM_CombinatorialPolicyStep(benchmark::State& state,
 void BM_ObservePerSlotBatched(benchmark::State& state,
                               const std::string& name) {
   const Graph g = bench_graph(400, 0.6);
-  const auto policy = make_single_play_policy(name, 1 << 20, 7);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play(name, 1 << 20, 7);
   policy->reset(g);
   Xoshiro256 rng(9);
   const ArmId played = 0;
@@ -96,7 +99,8 @@ void BM_ObservePerSlotBatched(benchmark::State& state,
 void BM_ObservePerSlotPerEdge(benchmark::State& state,
                               const std::string& name) {
   const Graph g = bench_graph(400, 0.6);
-  const auto policy = make_single_play_policy(name, 1 << 20, 7);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play(name, 1 << 20, 7);
   policy->reset(g);
   Xoshiro256 rng(9);
   const ArmId played = 0;
@@ -125,7 +129,8 @@ void BM_SelectIncrementalVsRecompute(benchmark::State& state) {
   const double p = static_cast<double>(state.range(1)) / 1000.0;
   const bool recompute = state.range(2) != 0;
   const Graph g = bench_graph(k, p);
-  const auto policy = make_single_play_policy("dfl-sso", 1 << 20, 7);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play("dfl-sso", 1 << 20, 7);
   auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
   policy->reset(g);
   Xoshiro256 rng(9);

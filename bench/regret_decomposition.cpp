@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "sim/analysis.hpp"
 
 int main(int argc, char** argv) {
@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   const auto instance = build_instance(config);
   for (const char* name : {"moss", "dfl-sso"}) {
     Environment env(instance, flags.seed + 1);
-    const auto policy = make_single_play_policy(name, config.horizon, flags.seed);
+    const auto policy = PolicyRegistry::instance().make_single_play(
+        name, config.horizon, flags.seed);
     RunnerOptions opts;
     opts.horizon = config.horizon;
     const auto run = run_single_play(*policy, env, Scenario::kSso, opts);

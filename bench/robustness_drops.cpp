@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "sim/replication.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
     options.pool = &pool;
     const auto result = run_replicated_single(
         [&](std::uint64_t seed) {
-          return make_single_play_policy("dfl-sso", config.horizon, seed);
+          return PolicyRegistry::instance().make_single_play(
+              "dfl-sso", config.horizon, seed);
         },
         instance, Scenario::kSso, options);
     std::cout << drop << ',' << result.final_cumulative.mean() << ','

@@ -23,7 +23,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
 #include "sim/thread_pool.hpp"
@@ -186,7 +186,8 @@ void warm_all_arms(SinglePlayPolicy& policy, std::size_t k, TimeSlot& t,
 void BM_DflSsoSlot(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const Graph g = stress_graph(k, permille(state));
-  const auto policy = make_single_play_policy("dfl-sso", 1 << 20, 7);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play("dfl-sso", 1 << 20, 7);
   policy->reset(g);
   Xoshiro256 rng(9);
   ObservationBatch batch;
@@ -217,7 +218,8 @@ void BM_DflSsoSlotLargeK(benchmark::State& state) {
   Xoshiro256 graph_rng(42);
   const Graph g = erdos_renyi(k, p, graph_rng, ErSampling::kGeometric,
                               GraphStorage::kCsrOnly);
-  const auto policy = make_single_play_policy("dfl-sso", 1 << 20, 7);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play("dfl-sso", 1 << 20, 7);
   policy->reset(g);
   Xoshiro256 rng(9);
   ObservationBatch batch;

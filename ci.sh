@@ -285,10 +285,12 @@ metrics_identity() {
 # Replay smoke: the offline evaluator prices a candidate panel on the log
 # the serve smoke just wrote, with the serving spec pinned as the logging
 # policy. Asserts (a) the logging-identity line — the IPS estimate of the
-# logging policy equals the log's empirical mean bitwise, or ncb_replay
-# exits 1; (b) the panel JSON carries the schema header and estimator
-# fields; (c) a second run is byte-identical; (d) a truncated copy of the
-# log makes --inspect-log exit nonzero and say so.
+# logging policy equals the log's empirical mean bitwise AND its replayed
+# exploration draws reproduce every served action (matched == events), or
+# ncb_replay exits 1 — on the real 2-connection log, the sharded run and
+# the SIGKILL run alike; (b) the panel JSON carries the schema header and
+# estimator fields; (c) a second run is byte-identical; (d) a truncated
+# copy of the log makes --inspect-log exit nonzero and say so.
 replay_smoke() {
   local log=build/serve_smoke.ncbl
   if [ ! -f "$log" ]; then
@@ -329,6 +331,7 @@ replay_smoke() {
       | tee build/replay_smoke_kill.out
   # The injection must actually have fired (guards against spec drift).
   grep -q 'requeued 1 candidates' build/replay_smoke_kill.out
+  grep -q 'logging identity OK' build/replay_smoke_kill.out
   cmp build/replay_smoke.json build/replay_smoke_kill.json
   echo "replay smoke: sharded panel (2 workers, incl. SIGKILLed worker) byte-identical to single-process"
   # Chop the tail mid-record: inspect must refuse to call the log intact.

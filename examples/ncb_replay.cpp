@@ -9,8 +9,9 @@
 // The graph flags must match the serving run (the log stores traffic, not
 // the graph), and --epsilon/--seed must match it for --logging-policy to
 // reproduce the served actions exactly. With those matched, the logging
-// policy's IPS estimate equals the log's empirical mean reward bitwise —
-// ncb_replay verifies that identity and fails loudly when it breaks.
+// policy's IPS estimate equals the log's empirical mean reward bitwise and
+// its replayed draws match every served action — ncb_replay verifies that
+// identity and fails loudly when it breaks.
 //
 // With --workers/--listen, SIGINT/SIGTERM stop the panel gracefully: no
 // candidate is assigned after the signal, in-flight ones drain, no partial
@@ -347,18 +348,21 @@ int main(int argc, char** argv) {
 
     // The identity pin: the logging policy replayed at matched seeds must
     // price itself at exactly the log's empirical mean (weight 1.0 on every
-    // event, so the IPS accumulator saw the raw reward sequence).
+    // event, so the IPS accumulator saw the raw reward sequence), and its
+    // own exploration draws must reproduce every served action.
     if (!logging_spec.empty()) {
       const replay::CandidateSummary& logger = panel.candidates.front();
       const bool identity =
           logger.ips_mean == panel.empirical_mean &&
           logger.ips_variance == panel.empirical_variance &&
-          logger.ess == static_cast<double>(logger.events);
+          logger.ess == static_cast<double>(logger.events) &&
+          logger.matched == logger.events;
       if (!identity) {
         std::cerr << "ncb_replay: LOGGING IDENTITY BROKEN: ips="
                   << exp::json_number(logger.ips_mean) << " empirical="
                   << exp::json_number(panel.empirical_mean)
                   << " ess=" << exp::json_number(logger.ess) << "/"
+                  << logger.events << " matched=" << logger.matched << "/"
                   << logger.events
                   << " — graph/seed/epsilon flags do not match the serving "
                      "run, or the estimator drifted\n";
@@ -366,7 +370,7 @@ int main(int argc, char** argv) {
       }
       std::cout << "ncb_replay: logging identity OK: ips == empirical mean == "
                 << exp::json_number(logger.ips_mean) << " over "
-                << logger.events << " events\n";
+                << logger.events << " events, all served actions matched\n";
     }
     return 0;
   } catch (const std::exception& e) {

@@ -14,7 +14,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/policy_factory.hpp"
 #include "core/policy_registry.hpp"
 #include "sim/experiment.hpp"
 #include "util/arg_parse.hpp"
@@ -128,12 +127,14 @@ int run(int argc, char** argv) {
         is_combinatorial(scenario)
             ? run_replicated_combinatorial(
                   [&](std::uint64_t seed) {
-                    return make_combinatorial_policy(policy, family, seed);
+                    return PolicyRegistry::instance().make_combinatorial(
+                        policy, family, seed);
                   },
                   instance, *family, scenario, ro)
             : run_replicated_single(
                   [&](std::uint64_t seed) {
-                    return make_single_play_policy(policy, config.horizon, seed);
+                    return PolicyRegistry::instance().make_single_play(
+                        policy, config.horizon, seed);
                   },
                   instance, scenario, ro);
     // Multi-param specs contain commas; CSV-quote them to keep 4 columns.

@@ -1,8 +1,8 @@
 // Scenario tags for the four cases of §II, plus the bitmask vocabulary the
 // policy layer uses to advertise scenario support.
 //
-// This lives in core/ (not sim/) because policies and the registry need it;
-// sim/semantics.hpp re-exports it for the existing include sites.
+// This lives in core/ (not sim/) because policies and the registry need
+// it; the simulation runner includes it from here too.
 #pragma once
 
 #include <cstdint>

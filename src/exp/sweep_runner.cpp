@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -83,12 +83,12 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
       const std::uint64_t policy_seed = derive_seed_at(config.seed, 2 * r + 1);
       RunResult run;
       if (combinatorial) {
-        const auto policy =
-            make_combinatorial_policy(job.policy, family, policy_seed);
+        const auto policy = PolicyRegistry::instance().make_combinatorial(
+            job.policy, family, policy_seed);
         run = run_combinatorial(*policy, *family, env, job.scenario, runner);
       } else {
-        const auto policy =
-            make_single_play_policy(job.policy, config.horizon, policy_seed);
+        const auto policy = PolicyRegistry::instance().make_single_play(
+            job.policy, config.horizon, policy_seed);
         run = run_single_play(*policy, env, job.scenario, runner);
       }
       out.reps.push_back(sample_run(run, grid));

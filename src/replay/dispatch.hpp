@@ -2,8 +2,8 @@
 // net::StreamTransport, byte-identical to the single-process panel.
 //
 // Sharding is by CANDIDATE, not by log range: a candidate policy's state
-// is sequential and history-dependent (the replay determinism contract
-// mirrors serve::DecisionEngine's clock and per-key streams), so cutting
+// is sequential and history-dependent (each candidate is a serve::Explorer
+// whose clock and learned state carry across the whole stream), so cutting
 // the stream would change every estimate after the cut — and break the
 // logging-identity pin. Candidates, on the other hand, never interact:
 // replay_panel scores each one independently over the same stream. So the

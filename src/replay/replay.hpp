@@ -4,7 +4,9 @@
 // The serve event log carries exactly what off-policy evaluation needs —
 // (decision_id, key, action, propensity) per decision and (decision_id,
 // reward) per join — in the engine's global operation order (appends happen
-// under the engine lock). replay_panel() walks that order once per panel:
+// under the engine lock). replay_panel() walks that order once per panel,
+// and every walk maps feedbacks to decisions with the one serve::JoinWalker
+// rule, so "joined" means the same events in every pass:
 //
 //   pass 1  join decisions to rewards (serve::join_event_log), fit the
 //           per-arm empirical-mean reward model (the DR baseline), and
@@ -12,19 +14,20 @@
 //   pass 2  drive each candidate through the stream independently (the
 //           candidates never interact, which is also what lets a
 //           distributed panel assign candidates to workers). Each
-//           candidate is a registry-built policy wrapped in the exact
-//           decide()/report() semantics of serve::DecisionEngine — the
-//           same policy clock, the same per-key counter-based exploration
-//           streams (seed ^ fnv1a_key(key)), the same observe() call at
-//           feedback time — so its state evolves as it would have online
-//           and a replay is bit-identical across runs and machines.
+//           candidate is a serve::Explorer — the object DecisionEngine
+//           itself serves with — ticked on every decision record
+//           (choose: same clock, same (key, decision_id) exploration draw)
+//           and fed on every joined feedback (learn: the logged action's
+//           reward), so its state evolves as it would have online and a
+//           replay is bit-identical across runs and machines.
 //
 // Each joined event scores the candidate through IPS / SNIPS / DR
 // (replay/estimators.hpp) using the candidate's action *distribution*
-// q(a | key) = eps/K + (1-eps)*1[a = greedy], the same expression the
-// engine logs as propensity. Replaying the logging policy spec at matched
-// seed/epsilon therefore reproduces q == p bitwise and the IPS estimate
-// equals the log's empirical mean reward exactly — the identity CI pins.
+// q(a | key) = Explorer::propensity(a, greedy), the expression the engine
+// logs. Replaying the logging policy spec at matched seed/epsilon therefore
+// reproduces q == p and the served actions (matched == events) bitwise,
+// and the IPS estimate equals the log's empirical mean reward exactly —
+// the identity CI pins.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +45,8 @@ struct ReplayOptions {
   /// Engine-level exploration rate assumed for every candidate (the
   /// epsilon the service would run them with). Must be in [0, 1].
   double epsilon = 0.05;
-  /// Master seed for candidate policy streams and per-key exploration
-  /// streams; match the serving seed to replay the logging policy exactly.
+  /// Master seed for candidate policy streams and exploration draws; match
+  /// the serving seed to replay the logging policy exactly.
   std::uint64_t seed = 20170605;
   /// Horizon hint forwarded to policy builders (0 = anytime).
   TimeSlot horizon = 0;
@@ -59,7 +62,7 @@ struct CandidateSummary {
   std::uint64_t decisions = 0;  ///< Decision records replayed through it.
   std::uint64_t events = 0;     ///< Joined feedback events scored.
   /// Events where the candidate's own sampled action (policy greedy +
-  /// per-key exploration draw) equals the logged action.
+  /// the (key, decision_id) exploration draw) equals the logged action.
   std::uint64_t matched = 0;
   // Raw state (exact; wire-transportable).
   RunningStat ips_stat;  ///< Per-event IPS terms w*r.
@@ -132,8 +135,7 @@ struct PanelResult {
 /// summary with the raw accumulator state filled in (display estimates
 /// still zero — call finalize_candidate). `arm_model` and
 /// `model_arm_average` are pass-1 outputs (PanelResult::arm_model /
-/// model_arm_average). The arithmetic is operation-for-operation the one
-/// the lockstep panel performs for that candidate, so the result is
+/// model_arm_average). The result depends only on these inputs, so it is
 /// bitwise identical wherever it runs.
 [[nodiscard]] CandidateSummary score_candidate(
     const Graph& graph, const std::vector<serve::EventRecord>& records,

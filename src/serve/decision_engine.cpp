@@ -16,6 +16,46 @@ std::uint64_t fnv1a_key(const std::string& key) noexcept {
   return h;
 }
 
+Explorer::Explorer(const Graph& graph, const std::string& policy_spec,
+                   double epsilon, std::uint64_t seed, TimeSlot horizon)
+    : num_arms_(graph.num_vertices()), epsilon_(epsilon), seed_(seed) {
+  if (num_arms_ == 0) {
+    throw std::invalid_argument("decision engine: empty graph");
+  }
+  if (!(epsilon_ >= 0.0 && epsilon_ <= 1.0)) {
+    throw std::invalid_argument("decision engine: epsilon must be in [0, 1]");
+  }
+  policy_ = PolicyRegistry::instance().make_single_play(policy_spec, horizon,
+                                                        seed_);
+  policy_->reset(graph);
+  description_ = policy_->describe();
+}
+
+Explorer::Choice Explorer::choose(std::uint64_t key_hash) {
+  Choice choice;
+  choice.t = ++t_;
+  choice.greedy = policy_->select(choice.t);
+  choice.sampled = choice.greedy;
+  if (epsilon_ > 0.0) {
+    Xoshiro256 rng(
+        derive_seed_at(seed_ ^ key_hash, static_cast<std::uint64_t>(choice.t)));
+    if (rng.uniform() < epsilon_) {
+      choice.sampled = static_cast<ArmId>(rng.uniform_int(num_arms_));
+    }
+  }
+  return choice;
+}
+
+double Explorer::propensity(ArmId action, ArmId greedy) const noexcept {
+  double p = epsilon_ / static_cast<double>(num_arms_);
+  if (action == greedy) p += 1.0 - epsilon_;
+  return p;
+}
+
+void Explorer::learn(ArmId action, double reward) {
+  policy_->observe(action, t_, {{action, reward}});
+}
+
 namespace {
 
 obs::MetricsRegistry& engine_registry(const EngineOptions& options) {
@@ -27,59 +67,31 @@ obs::MetricsRegistry& engine_registry(const EngineOptions& options) {
 
 DecisionEngine::DecisionEngine(Graph graph, const EngineOptions& options,
                                EventLog* log)
-    : graph_(std::move(graph)),
-      epsilon_(options.epsilon),
-      seed_(options.seed),
+    : explorer_(graph, options.policy_spec, options.epsilon, options.seed,
+                options.horizon),
       log_(log),
       m_decisions_(engine_registry(options).counter("serve.engine.decisions")),
       m_feedbacks_(engine_registry(options).counter("serve.engine.feedbacks")),
       m_unknown_(
           engine_registry(options).counter("serve.engine.unknown_feedbacks")),
       m_duplicates_(engine_registry(options).counter(
-          "serve.engine.duplicate_feedbacks")) {
-  if (graph_.num_vertices() == 0) {
-    throw std::invalid_argument("decision engine: empty graph");
-  }
-  if (!(epsilon_ >= 0.0 && epsilon_ <= 1.0)) {
-    throw std::invalid_argument("decision engine: epsilon must be in [0, 1]");
-  }
-  policy_ = PolicyRegistry::instance().make_single_play(
-      options.policy_spec, options.horizon, seed_);
-  policy_->reset(graph_);
-  policy_description_ = policy_->describe();
-}
+          "serve.engine.duplicate_feedbacks")) {}
 
 Decision DecisionEngine::decide(const std::string& user_key,
                                 std::uint64_t slot) {
   const std::uint64_t key_hash = fnv1a_key(user_key);
   std::lock_guard<std::mutex> lock(mutex_);
-  const TimeSlot t = ++t_;  // global decision order drives the policy clock
-  const ArmId greedy = policy_->select(t);
-
-  // The exploration draw comes from the key's own counter-based stream, so
-  // it is independent of which connection carried the request.
-  const std::uint64_t key_index = per_key_count_[key_hash]++;
-  const std::size_t num_arms = graph_.num_vertices();
-  ArmId action = greedy;
-  if (epsilon_ > 0.0) {
-    Xoshiro256 rng(derive_seed_at(seed_ ^ key_hash, key_index));
-    if (rng.uniform() < epsilon_) {
-      action = static_cast<ArmId>(rng.uniform_int(num_arms));
-    }
-  }
-  // Epsilon-greedy logging propensity: every arm gets eps/K from the
-  // uniform branch; the greedy arm additionally gets the (1-eps) mass.
-  double propensity = epsilon_ / static_cast<double>(num_arms);
-  if (action == greedy) propensity += 1.0 - epsilon_;
+  const Explorer::Choice choice = explorer_.choose(key_hash);
 
   Decision decision;
-  decision.decision_id = static_cast<std::uint64_t>(t);
+  decision.decision_id = static_cast<std::uint64_t>(choice.t);
   decision.slot = slot;
-  decision.action = action;
-  decision.propensity = propensity;
-  pending_.emplace(decision.decision_id, action);
+  decision.action = choice.sampled;
+  decision.propensity = explorer_.propensity(choice.sampled, choice.greedy);
+  pending_.emplace(decision.decision_id, decision.action);
   if (log_ != nullptr) {
-    log_->append_decision(decision.decision_id, user_key, action, propensity);
+    log_->append_decision(decision.decision_id, user_key, decision.action,
+                          decision.propensity);
   }
   m_decisions_.inc();
   return decision;
@@ -90,8 +102,9 @@ bool DecisionEngine::report(std::uint64_t decision_id, double reward) {
   const auto it = pending_.find(decision_id);
   if (it == pending_.end()) {
     // Issued-but-not-pending means the reward already arrived: a duplicate.
-    // An id outside [1, t_] was never issued at all.
-    if (decision_id >= 1 && decision_id <= static_cast<std::uint64_t>(t_)) {
+    // An id outside [1, clock] was never issued at all.
+    if (decision_id >= 1 &&
+        decision_id <= static_cast<std::uint64_t>(explorer_.clock())) {
       ++duplicate_feedbacks_;
       m_duplicates_.inc();
     } else {
@@ -100,11 +113,7 @@ bool DecisionEngine::report(std::uint64_t decision_id, double reward) {
     }
     return false;
   }
-  const ArmId played = it->second;
-  // Bandit feedback only: the service observes the reward of the served
-  // action, never side observations — the relation graph still shapes the
-  // policy's index, just without N_i sharing.
-  policy_->observe(played, t_, {{played, reward}});
+  explorer_.learn(it->second, reward);
   pending_.erase(it);
   ++feedbacks_;
   m_feedbacks_.inc();
@@ -113,17 +122,18 @@ bool DecisionEngine::report(std::uint64_t decision_id, double reward) {
 }
 
 std::size_t DecisionEngine::num_arms() const noexcept {
-  return graph_.num_vertices();
+  return explorer_.num_arms();
 }
 
 std::string DecisionEngine::describe() const {
-  return policy_description_ + ", eps=" + std::to_string(epsilon_) + ", K=" +
-         std::to_string(graph_.num_vertices());
+  return explorer_.description() +
+         ", eps=" + std::to_string(explorer_.epsilon()) +
+         ", K=" + std::to_string(explorer_.num_arms());
 }
 
 std::uint64_t DecisionEngine::decisions() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<std::uint64_t>(t_);
+  return static_cast<std::uint64_t>(explorer_.clock());
 }
 
 std::uint64_t DecisionEngine::feedbacks() const {

@@ -9,10 +9,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "dist/protocol.hpp"
 
@@ -266,7 +264,7 @@ EventLogScan read_event_log(const std::string& path) {
   }
   scan.valid_bytes = kHeaderBytes;
 
-  std::set<std::uint64_t> decision_ids;
+  JoinWalker walker;
   std::size_t at = kHeaderBytes;
   while (true) {
     if (data.size() - at < kRecordHeaderBytes) {
@@ -304,27 +302,52 @@ EventLogScan read_event_log(const std::string& path) {
       record.propensity = reader.get_double();
       reader.finish();
       ++scan.decisions;
-      decision_ids.insert(record.decision_id);
     } else {
       record.decision_id = reader.get_u64();
       record.reward = reader.get_double();
       reader.finish();
       ++scan.feedbacks;
-      if (decision_ids.count(record.decision_id)) ++scan.joined;
     }
+    walker.next(record);
     scan.records.push_back(std::move(record));
     at += kRecordHeaderBytes + length;
     scan.valid_bytes = at;
   }
+  scan.joined = walker.joined() + walker.duplicates();
   return scan;
 }
 
-EventLogJoin join_event_log(const EventLogScan& scan) {
+std::size_t JoinWalker::next(const EventRecord& record) {
+  if (record.type == EventType::kDecision) {
+    const std::size_t ordinal = joined_.size();
+    joined_.push_back(false);
+    const auto [it, fresh] = holder_.try_emplace(record.decision_id, ordinal);
+    if (!fresh && joined_[it->second]) it->second = ordinal;
+    return ordinal;
+  }
+  const auto it = holder_.find(record.decision_id);
+  if (it == holder_.end()) {
+    ++orphans_;
+    return kUnjoined;
+  }
+  if (joined_[it->second]) {
+    ++duplicates_;
+    return kUnjoined;
+  }
+  joined_[it->second] = true;
+  ++joins_;
+  return it->second;
+}
+
+EventLogJoin join_event_log(
+    const EventLogScan& scan,
+    const std::function<void(const JoinedEvent&)>& on_join) {
   EventLogJoin join;
   join.min_propensity = std::numeric_limits<double>::infinity();
-  std::unordered_map<std::uint64_t, std::size_t> by_id;
-  by_id.reserve(scan.decisions);
+  join.events.reserve(scan.decisions);
+  JoinWalker walker(scan.decisions);
   for (const EventRecord& record : scan.records) {
+    const std::size_t ordinal = walker.next(record);
     if (record.type == EventType::kDecision) {
       if (!(record.propensity > 0.0)) {
         throw std::invalid_argument(
@@ -338,28 +361,21 @@ EventLogJoin join_event_log(const EventLogScan& scan) {
       event.key = record.key;
       event.action = record.action;
       event.propensity = record.propensity;
-      by_id[record.decision_id] = join.events.size();
       join.events.push_back(std::move(event));
-      ++join.decisions;
       if (record.propensity < join.min_propensity) {
         join.min_propensity = record.propensity;
       }
-    } else {
-      const auto it = by_id.find(record.decision_id);
-      if (it == by_id.end()) {
-        ++join.orphan_feedbacks;
-        continue;
-      }
-      JoinedEvent& event = join.events[it->second];
-      if (event.has_reward) {
-        ++join.duplicate_feedbacks;
-        continue;
-      }
+    } else if (ordinal != JoinWalker::kUnjoined) {
+      JoinedEvent& event = join.events[ordinal];
       event.reward = record.reward;
       event.has_reward = true;
-      ++join.joined;
+      if (on_join) on_join(event);
     }
   }
+  join.decisions = walker.decisions();
+  join.joined = walker.joined();
+  join.orphan_feedbacks = walker.orphans();
+  join.duplicate_feedbacks = walker.duplicates();
   return join;
 }
 

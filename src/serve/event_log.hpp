@@ -29,9 +29,11 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -144,7 +146,8 @@ struct EventLogScan {
   std::vector<EventRecord> records;
   std::uint64_t decisions = 0;
   std::uint64_t feedbacks = 0;
-  /// Feedback records whose decision_id matched an earlier decision record.
+  /// Feedback records whose decision_id matched an earlier decision record
+  /// (JoinWalker's joins plus its duplicates: everything but orphans).
   std::uint64_t joined = 0;
   /// Byte length of the valid prefix (header + complete records).
   std::uint64_t valid_bytes = 0;
@@ -159,6 +162,49 @@ struct EventLogScan {
 /// version, unknown record type, oversized record, undecodable payload).
 [[nodiscard]] EventLogScan read_event_log(const std::string& path);
 
+/// The one decision-to-reward join rule every log consumer applies. Feed
+/// it records in log order: decisions are numbered 0, 1, ... (their
+/// ordinal) and stay open until a feedback joins them; a feedback joins the
+/// open decision holding its decision_id. A decision_id issued again while
+/// its first decision is still open stays with the first (the repeat can
+/// never join); once the holder has joined, a later decision may reuse the
+/// id. The engine never reissues an id, so on a served log this is simply
+/// "feedback joins its decision, first feedback wins".
+class JoinWalker {
+ public:
+  static constexpr std::size_t kUnjoined = static_cast<std::size_t>(-1);
+
+  JoinWalker() = default;
+  /// Reserves room for `decisions` decision records up front, so a walk
+  /// whose decision count is known never rehashes.
+  explicit JoinWalker(std::size_t decisions) {
+    holder_.reserve(decisions);
+    joined_.reserve(decisions);
+  }
+
+  /// A decision record returns its own ordinal. A feedback record returns
+  /// the ordinal of the decision it joins, or kUnjoined for an orphan (id
+  /// never issued) or a duplicate (the id's holder already joined).
+  std::size_t next(const EventRecord& record);
+
+  [[nodiscard]] std::uint64_t decisions() const noexcept {
+    return joined_.size();
+  }
+  [[nodiscard]] std::uint64_t joined() const noexcept { return joins_; }
+  [[nodiscard]] std::uint64_t orphans() const noexcept { return orphans_; }
+  [[nodiscard]] std::uint64_t duplicates() const noexcept {
+    return duplicates_;
+  }
+
+ private:
+  /// decision_id → ordinal of the decision holding it.
+  std::unordered_map<std::uint64_t, std::size_t> holder_;
+  std::vector<bool> joined_;  ///< Per decision ordinal.
+  std::uint64_t joins_ = 0;
+  std::uint64_t orphans_ = 0;
+  std::uint64_t duplicates_ = 0;
+};
+
 /// One decision joined to its reward (when one arrived).
 struct JoinedEvent {
   std::uint64_t decision_id = 0;
@@ -169,26 +215,31 @@ struct JoinedEvent {
   bool has_reward = false;
 };
 
-/// A scanned log joined decision-to-reward, the input shape counterfactual
-/// evaluation needs. `events` preserves decision order; the join stats
-/// separate the engine-guaranteed cases (every feedback matches exactly one
-/// earlier decision) from anything a torn or hand-edited log could hold.
+/// A scanned log joined decision-to-reward by JoinWalker, the input shape
+/// counterfactual evaluation needs. `events` preserves decision order; the
+/// join stats separate the engine-guaranteed cases (every feedback matches
+/// exactly one earlier decision) from anything a torn or hand-edited log
+/// could hold.
 struct EventLogJoin {
   std::vector<JoinedEvent> events;  ///< One entry per decision record.
   std::uint64_t decisions = 0;
   std::uint64_t joined = 0;
   /// Feedback records whose decision_id matched no earlier decision.
   std::uint64_t orphan_feedbacks = 0;
-  /// Feedback records for a decision that already had a reward.
+  /// Feedback records whose decision_id's holder already had a reward.
   std::uint64_t duplicate_feedbacks = 0;
   /// Smallest logged propensity (the epsilon/K exploration floor);
   /// +infinity when the log holds no decisions.
   double min_propensity = 0.0;
 };
 
-/// Joins a scan's feedback records to their decisions. Throws
-/// std::invalid_argument when a decision record carries a non-positive
-/// propensity (such a log cannot support importance weighting).
-[[nodiscard]] EventLogJoin join_event_log(const EventLogScan& scan);
+/// Joins a scan's feedback records to their decisions. When set, `on_join`
+/// sees each decision as its feedback joins it, in stream order (the order
+/// a replay consumes rewards in). Throws std::invalid_argument when a
+/// decision record carries a non-positive propensity (such a log cannot
+/// support importance weighting).
+[[nodiscard]] EventLogJoin join_event_log(
+    const EventLogScan& scan,
+    const std::function<void(const JoinedEvent&)>& on_join = {});
 
 }  // namespace ncb::serve

@@ -3,7 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
 
@@ -91,7 +91,8 @@ ReplicatedResult run_single_experiment(const ExperimentConfig& config,
   // bit-identical whether `pool` is null, 1 thread, or 64.
   return exp::run_sharded_single(
       [&](std::uint64_t seed) {
-        return make_single_play_policy(policy_name, config.horizon, seed);
+        return PolicyRegistry::instance().make_single_play(
+            policy_name, config.horizon, seed);
       },
       instance, scenario, options);
 }
@@ -109,7 +110,8 @@ ReplicatedResult run_combinatorial_experiment(const ExperimentConfig& config,
   options.pool = pool;
   return exp::run_sharded_combinatorial(
       [&](std::uint64_t seed) {
-        return make_combinatorial_policy(policy_name, family, seed);
+        return PolicyRegistry::instance().make_combinatorial(
+            policy_name, family, seed);
       },
       instance, *family, scenario, options);
 }

@@ -13,7 +13,7 @@
 
 #include "core/policy.hpp"
 #include "env/environment.hpp"
-#include "sim/semantics.hpp"
+#include "core/scenario.hpp"
 #include "strategy/feasible_set.hpp"
 #include "util/types.hpp"
 

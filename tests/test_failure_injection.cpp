@@ -6,7 +6,7 @@
 
 #include "core/dfl_cso.hpp"
 #include "core/dfl_sso.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
 #include "sim/runner.hpp"
 
@@ -57,11 +57,13 @@ TEST(FailureInjection, SsrNeverDropsPayoutObservations) {
   RunnerOptions opts;
   opts.horizon = 300;
   Environment env_a(inst, 13);
-  auto a = make_single_play_policy("dfl-ssr", opts.horizon, 2);
+  auto a =
+      PolicyRegistry::instance().make_single_play("dfl-ssr", opts.horizon, 2);
   const auto clean = run_single_play(*a, env_a, Scenario::kSsr, opts);
   opts.observation_drop_prob = 0.9;
   Environment env_b(inst, 13);
-  auto b = make_single_play_policy("dfl-ssr", opts.horizon, 2);
+  auto b =
+      PolicyRegistry::instance().make_single_play("dfl-ssr", opts.horizon, 2);
   const auto dropped = run_single_play(*b, env_b, Scenario::kSsr, opts);
   EXPECT_EQ(clean.cumulative_regret, dropped.cumulative_regret);
 }
@@ -135,7 +137,8 @@ TEST_P(DropSweep, PoliciesSurvive) {
   for (const char* name : {"dfl-sso", "ucb-n", "ucb-maxn", "exp3-set",
                            "thompson-side", "eps-greedy-side"}) {
     Environment env(inst, 41);
-    auto policy = make_single_play_policy(name, opts.horizon, 6);
+    auto policy =
+        PolicyRegistry::instance().make_single_play(name, opts.horizon, 6);
     const auto result = run_single_play(*policy, env, Scenario::kSso, opts);
     EXPECT_EQ(result.cumulative_regret.size(), 200u) << name;
   }

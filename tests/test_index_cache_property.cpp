@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/index_policy.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -93,7 +93,8 @@ TEST(IndexCacheProperty, CacheEqualsFromScratchRecompute) {
   for (const auto& spec : kIndexPolicies) {
     for (const auto& [gname, g] : graphs) {
       SCOPED_TRACE(spec + " on " + gname);
-      const auto policy = make_single_play_policy(spec, kHorizon, 7);
+      const auto policy =
+          PolicyRegistry::instance().make_single_play(spec, kHorizon, 7);
       auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
       ASSERT_NE(idx, nullptr);
       policy->reset(g);
@@ -147,7 +148,8 @@ TEST(IndexCacheProperty, InvalidateForcesExactRebuild) {
   const Graph g = erdos_renyi(30, 0.2, gen);
   for (const auto& spec : kIndexPolicies) {
     SCOPED_TRACE(spec);
-    const auto policy = make_single_play_policy(spec, kHorizon, 3);
+    const auto policy =
+        PolicyRegistry::instance().make_single_play(spec, kHorizon, 3);
     auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
     ASSERT_NE(idx, nullptr);
     policy->reset(g);

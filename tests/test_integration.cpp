@@ -3,7 +3,7 @@
 // convergence to zero per-slot regret, and DFL-SSO dominating MOSS.
 #include <gtest/gtest.h>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
 #include "sim/experiment.hpp"
 #include "sim/replication.hpp"
@@ -26,7 +26,7 @@ ReplicationOptions opts(std::size_t reps, TimeSlot horizon) {
 
 SinglePolicyFactory named_factory(const std::string& name, TimeSlot horizon) {
   return [name, horizon](std::uint64_t seed) {
-    return make_single_play_policy(name, horizon, seed);
+    return PolicyRegistry::instance().make_single_play(name, horizon, seed);
   };
 }
 

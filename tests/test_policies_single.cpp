@@ -7,7 +7,7 @@
 #include "core/epsilon_greedy.hpp"
 #include "core/exp3.hpp"
 #include "core/moss.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "core/random_policy.hpp"
 #include "core/thompson.hpp"
 #include "core/ucb1.hpp"
@@ -283,8 +283,9 @@ TEST(RandomPolicy, UniformCoverage) {
 }
 
 TEST(PolicyFactory, BuildsEveryName) {
-  for (const auto& name : single_play_policy_names()) {
-    const auto policy = make_single_play_policy(name, 1000, 7);
+  for (const auto& name : PolicyRegistry::instance().single_play_names()) {
+    const auto policy =
+        PolicyRegistry::instance().make_single_play(name, 1000, 7);
     ASSERT_NE(policy, nullptr) << name;
     policy->reset(path_graph(4));
     const ArmId a = policy->select(1);
@@ -294,7 +295,8 @@ TEST(PolicyFactory, BuildsEveryName) {
 }
 
 TEST(PolicyFactory, UnknownNameThrows) {
-  EXPECT_THROW(make_single_play_policy("nope", 100, 1), std::invalid_argument);
+  EXPECT_THROW(PolicyRegistry::instance().make_single_play("nope", 100, 1),
+               std::invalid_argument);
 }
 
 TEST(PolicyFactory, SelectsBeforeResetThrow) {
@@ -312,7 +314,8 @@ class SinglePolicyContract : public ::testing::TestWithParam<std::string> {};
 TEST_P(SinglePolicyContract, RunsHundredSlotsInRange) {
   Xoshiro256 rng(77);
   const Graph g = erdos_renyi(10, 0.3, rng);
-  const auto policy = make_single_play_policy(GetParam(), 100, 42);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play(GetParam(), 100, 42);
   policy->reset(g);
   for (TimeSlot t = 1; t <= 100; ++t) {
     const ArmId a = policy->select(t);
@@ -326,7 +329,8 @@ TEST_P(SinglePolicyContract, RunsHundredSlotsInRange) {
 
 TEST_P(SinglePolicyContract, ResetRestartsDeterministically) {
   const Graph g = path_graph(6);
-  const auto policy = make_single_play_policy(GetParam(), 100, 42);
+  const auto policy =
+      PolicyRegistry::instance().make_single_play(GetParam(), 100, 42);
   std::vector<ArmId> first, second;
   for (int round = 0; round < 2; ++round) {
     policy->reset(g);
@@ -341,8 +345,9 @@ TEST_P(SinglePolicyContract, ResetRestartsDeterministically) {
   EXPECT_EQ(first, second);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, SinglePolicyContract,
-                         ::testing::ValuesIn(single_play_policy_names()));
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, SinglePolicyContract,
+    ::testing::ValuesIn(PolicyRegistry::instance().single_play_names()));
 
 }  // namespace
 }  // namespace ncb

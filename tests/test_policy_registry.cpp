@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/policy_factory.hpp"
 #include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
 #include "sim/experiment.hpp"
@@ -116,39 +115,41 @@ TEST(PolicyRegistry, UnknownNameSuggestsNearest) {
 
   EXPECT_EQ(registry.nearest_name("ucb-nn"), "ucb-n");
   EXPECT_EQ(registry.nearest_name("thomson"), "thompson");
-  EXPECT_THROW((void)make_single_play_policy("nope", 100, 1),
+  EXPECT_THROW((void)registry.make_single_play("nope", 100, 1),
                std::invalid_argument);
 }
 
 TEST(PolicyRegistry, WrongKindIsExplained) {
+  const PolicyRegistry& registry = PolicyRegistry::instance();
   const std::string msg = thrown_message(
-      [] { (void)make_single_play_policy("dfl-cso", 100, 1); });
+      [&] { (void)registry.make_single_play("dfl-cso", 100, 1); });
   EXPECT_NE(msg.find("combinatorial"), std::string::npos) << msg;
 }
 
 TEST(PolicyRegistry, ParamSpecsRoundTripIntoDescribe) {
-  const auto eps = make_single_play_policy("eps-greedy:eps=0.05", 1000, 7);
+  const PolicyRegistry& registry = PolicyRegistry::instance();
+  const auto eps = registry.make_single_play("eps-greedy:eps=0.05", 1000, 7);
   EXPECT_NE(eps->describe().find("eps=0.05"), std::string::npos)
       << eps->describe();
 
-  const auto ucb = make_single_play_policy("ucb1:c=4", 1000, 7);
+  const auto ucb = registry.make_single_play("ucb1:c=4", 1000, 7);
   EXPECT_NE(ucb->describe().find("c=4"), std::string::npos) << ucb->describe();
 
   // "auto" selects the anytime variant regardless of the run horizon.
-  const auto anytime = make_single_play_policy("moss:horizon=auto", 5000, 7);
+  const auto anytime = registry.make_single_play("moss:horizon=auto", 5000, 7);
   EXPECT_EQ(anytime->name(), "MOSS-anytime");
-  const auto fixed = make_single_play_policy("moss:horizon=500", 5000, 7);
+  const auto fixed = registry.make_single_play("moss:horizon=500", 5000, 7);
   EXPECT_NE(fixed->describe().find("horizon=500"), std::string::npos)
       << fixed->describe();
   // Bare "moss" inherits the run horizon (legacy behavior).
-  const auto moss = make_single_play_policy("moss", 5000, 7);
+  const auto moss = registry.make_single_play("moss", 5000, 7);
   EXPECT_NE(moss->describe().find("horizon=5000"), std::string::npos)
       << moss->describe();
 
-  const auto sw = make_single_play_policy("sw-dfl-sso:window=250", 5000, 7);
+  const auto sw = registry.make_single_play("sw-dfl-sso:window=250", 5000, 7);
   EXPECT_NE(sw->name().find("w=250"), std::string::npos) << sw->name();
 
-  const auto combo = PolicyRegistry::instance().make_combinatorial(
+  const auto combo = registry.make_combinatorial(
       "cucb:c=3",
       [] {
         ExperimentConfig config;
@@ -162,26 +163,29 @@ TEST(PolicyRegistry, ParamSpecsRoundTripIntoDescribe) {
 }
 
 TEST(PolicyRegistry, MalformedSpecsThrow) {
+  const PolicyRegistry& registry = PolicyRegistry::instance();
   // Unknown key, naming the valid ones.
-  const std::string unknown_key = thrown_message(
-      [] { (void)make_single_play_policy("eps-greedy:epsilon=0.5", 100, 1); });
+  const std::string unknown_key = thrown_message([&] {
+    (void)registry.make_single_play("eps-greedy:epsilon=0.5", 100, 1);
+  });
   EXPECT_NE(unknown_key.find("unknown param"), std::string::npos);
   EXPECT_NE(unknown_key.find("eps"), std::string::npos);
 
-  EXPECT_THROW((void)make_single_play_policy("ucb1:c=abc", 100, 1),
+  EXPECT_THROW((void)registry.make_single_play("ucb1:c=abc", 100, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)make_single_play_policy("ucb1:c=1,c=2", 100, 1),
+  EXPECT_THROW((void)registry.make_single_play("ucb1:c=1,c=2", 100, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)make_single_play_policy("ucb1:c", 100, 1),
+  EXPECT_THROW((void)registry.make_single_play("ucb1:c", 100, 1),
                std::invalid_argument);
   // "auto" only where the schema allows it.
-  EXPECT_THROW((void)make_single_play_policy("ucb1:c=auto", 100, 1),
+  EXPECT_THROW((void)registry.make_single_play("ucb1:c=auto", 100, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)make_single_play_policy("sw-dfl-sso:window=2.5", 100, 1),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)registry.make_single_play("sw-dfl-sso:window=2.5", 100, 1),
+      std::invalid_argument);
   // Well-formed "auto" accepted where allowed.
   EXPECT_NO_THROW(
-      (void)make_single_play_policy("sw-dfl-sso:window=auto", 100, 1));
+      (void)registry.make_single_play("sw-dfl-sso:window=auto", 100, 1));
 }
 
 // The batched span delivery must be behaviorally identical to handing the
@@ -195,8 +199,10 @@ TEST(PolicyRegistry, BatchedMatchesPerEdgeTrajectories) {
         "dfl-ssr"}) {
     Xoshiro256 graph_rng(123);
     const Graph g = erdos_renyi(12, 0.4, graph_rng);
-    const auto batched = make_single_play_policy(name, 300, 42);
-    const auto per_edge = make_single_play_policy(name, 300, 42);
+    const auto batched =
+        PolicyRegistry::instance().make_single_play(name, 300, 42);
+    const auto per_edge =
+        PolicyRegistry::instance().make_single_play(name, 300, 42);
     batched->reset(g);
     per_edge->reset(g);
 

@@ -4,7 +4,7 @@
 
 #include <numeric>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "graph/clique_cover.hpp"
 #include "graph/generators.hpp"
 #include "sim/runner.hpp"
@@ -86,7 +86,8 @@ TEST_P(RunnerInvariants, SinglePlayAccountingConsistent) {
   const Graph g = erdos_renyi(12, 0.35, rng);
   auto inst = random_bernoulli_instance(g, rng);
   Environment env(inst, GetParam() * 13 + 1);
-  const auto policy = make_single_play_policy("dfl-sso", 400, GetParam());
+  const auto policy =
+      PolicyRegistry::instance().make_single_play("dfl-sso", 400, GetParam());
   RunnerOptions opts;
   opts.horizon = 400;
   const auto result = run_single_play(*policy, env, Scenario::kSso, opts);
@@ -118,7 +119,8 @@ TEST_P(RunnerInvariants, SsrAccountingConsistent) {
   const Graph g = erdos_renyi(10, 0.3, rng);
   auto inst = random_bernoulli_instance(g, rng);
   Environment env(inst, GetParam() * 7 + 5);
-  const auto policy = make_single_play_policy("dfl-ssr", 300, GetParam());
+  const auto policy =
+      PolicyRegistry::instance().make_single_play("dfl-ssr", 300, GetParam());
   RunnerOptions opts;
   opts.horizon = 300;
   const auto result = run_single_play(*policy, env, Scenario::kSsr, opts);
@@ -135,7 +137,8 @@ TEST_P(RunnerInvariants, CombinatorialAccountingConsistent) {
       make_subset_family(std::make_shared<const Graph>(inst.graph()), 2));
   Environment env(inst, GetParam() + 99);
   for (const char* name : {"dfl-cso", "dfl-csr", "cucb"}) {
-    const auto policy = make_combinatorial_policy(name, family, GetParam());
+    const auto policy =
+        PolicyRegistry::instance().make_combinatorial(name, family, GetParam());
     const Scenario scenario =
         std::string(name) == "dfl-csr" ? Scenario::kCsr : Scenario::kCso;
     RunnerOptions opts;
@@ -169,7 +172,8 @@ TEST_P(PolicyGraphSweep, HundredSlotsOnEveryGraphShape) {
     case 4: g = path_graph(9); break;
     default: g = disjoint_cliques(3, 3); break;
   }
-  auto policy = make_single_play_policy(policy_name, 100, 7);
+  auto policy =
+      PolicyRegistry::instance().make_single_play(policy_name, 100, 7);
   policy->reset(g);
   Xoshiro256 rng(55);
   for (TimeSlot t = 1; t <= 100; ++t) {

@@ -25,6 +25,7 @@
 #include "serve/event_log.hpp"
 #include "sim/experiment.hpp"
 #include "util/rng.hpp"
+#include "util/running_stat.hpp"
 
 namespace ncb {
 namespace {
@@ -76,12 +77,14 @@ Graph make_graph(const ServeSetup& setup) {
 }
 
 /// Drives one policy online (the exact serve decide/report loop) and logs
-/// to `log_path` when non-empty. Returns the run's empirical mean reward.
-/// Rewards are Bernoulli(arm_mean(action)) drawn from a counter-based
-/// stream keyed by decision_id, so two runs at matched seeds face the same
-/// reward randomness per decision.
+/// to `log_path` when non-empty. Returns the run's empirical mean reward
+/// (sum/n) and, when `rewards` is non-null, also feeds it the reward
+/// sequence in report order. Rewards are Bernoulli(arm_mean(action)) drawn
+/// from a counter-based stream keyed by decision_id, so two runs at
+/// matched seeds face the same reward randomness per decision.
 double drive_engine(const ServeSetup& setup, const std::string& policy_spec,
-                    const std::string& log_path) {
+                    const std::string& log_path,
+                    RunningStat* rewards = nullptr) {
   const Graph graph = make_graph(setup);
   std::unique_ptr<serve::EventLog> log;
   if (!log_path.empty()) {
@@ -103,6 +106,7 @@ double drive_engine(const ServeSetup& setup, const std::string& policy_spec,
         reward_rng.bernoulli(arm_mean(decision.action)) ? 1.0 : 0.0;
     engine.report(decision.decision_id, reward);
     reward_sum += reward;
+    if (rewards != nullptr) rewards->add(reward);
   }
   if (log) log->close();
   return reward_sum / static_cast<double>(setup.horizon);
@@ -132,6 +136,46 @@ TEST(EventLogJoin, JoinsOrphansAndDuplicates) {
   EXPECT_TRUE(join.events[0].has_reward);
   EXPECT_EQ(join.events[0].reward, 1.0);  // first feedback wins
   EXPECT_FALSE(join.events[1].has_reward);
+}
+
+/// A decision_id issued again while its first decision is still open stays
+/// with the first: the feedback credits the earlier decision everywhere —
+/// in join_event_log (hence the DR model), in the empirical pass, and in
+/// every candidate's walk.
+TEST(EventLogJoin, ReissuedOpenIdKeepsTheFirstDecision) {
+  TempDir tmp;
+  const std::string path = tmp.file("reissue.ncbl");
+  {
+    serve::EventLog log({path, 64 * 1024, 50});
+    log.append_decision(1, "alice", 3, 0.5);
+    log.append_decision(1, "bob", 4, 0.5);  // id 1 still open
+    log.append_feedback(1, 1.0);
+    log.append_decision(2, "carol", 0, 0.5);  // separates arm 4's fallback
+    log.append_feedback(2, 0.0);
+    log.close();
+  }
+  const serve::EventLogScan scan = serve::read_event_log(path);
+  const serve::EventLogJoin join = serve::join_event_log(scan);
+  ASSERT_EQ(join.events.size(), 3u);
+  EXPECT_TRUE(join.events[0].has_reward);
+  EXPECT_EQ(join.events[0].reward, 1.0);
+  EXPECT_FALSE(join.events[1].has_reward);
+  EXPECT_EQ(join.joined, 2u);
+
+  ExperimentConfig config;
+  config.graph_family = GraphFamily::kComplete;
+  config.num_arms = 6;
+  replay::ReplayOptions options;
+  options.epsilon = 0.5;
+  const replay::PanelResult panel = replay::replay_panel(
+      build_graph(config), scan, {"ucb1", "random"}, options);
+  EXPECT_EQ(panel.arm_model.at(3), 1.0);  // the reward went to arm 3
+  EXPECT_EQ(panel.arm_model.at(4), 0.5);  // arm 4: global-mean fallback
+  EXPECT_EQ(panel.arm_model.at(0), 0.0);
+  EXPECT_EQ(panel.empirical_mean, 0.5);
+  for (const replay::CandidateSummary& candidate : panel.candidates) {
+    EXPECT_EQ(candidate.events, panel.joined) << candidate.spec;
+  }
 }
 
 TEST(EventLogJoin, NonPositivePropensityThrows) {
@@ -179,7 +223,9 @@ TEST(ReplayPanel, LoggingPolicyIpsIdentityIsExact) {
   TempDir tmp;
   ServeSetup setup;
   const std::string path = tmp.file("serve.ncbl");
-  const double online_mean = drive_engine(setup, setup.policy_spec, path);
+  RunningStat online;
+  const double online_mean =
+      drive_engine(setup, setup.policy_spec, path, &online);
 
   const serve::EventLogScan scan = serve::read_event_log(path);
   EXPECT_FALSE(scan.truncated_tail);
@@ -190,13 +236,17 @@ TEST(ReplayPanel, LoggingPolicyIpsIdentityIsExact) {
       make_graph(setup), scan, {setup.policy_spec}, options);
 
   EXPECT_EQ(panel.joined, setup.horizon);
-  EXPECT_DOUBLE_EQ(panel.empirical_mean, online_mean);
+  // The empirical pass is a Welford accumulator over the logged rewards,
+  // so it must equal the same accumulator fed the online reward sequence.
+  EXPECT_EQ(panel.empirical_mean, online.mean());
+  EXPECT_EQ(panel.empirical_variance, online.variance());
   const replay::CandidateSummary& logger = panel.candidates.at(0);
   EXPECT_EQ(logger.events, setup.horizon);
   // Bitwise, not approximate: == on doubles is the point of the test.
   EXPECT_EQ(logger.ips_mean, panel.empirical_mean);
   EXPECT_EQ(logger.ips_variance, panel.empirical_variance);
-  EXPECT_EQ(logger.snips, panel.empirical_mean);
+  // Every weight is exactly 1.0, so SNIPS is the online loop's own sum/n.
+  EXPECT_EQ(logger.snips, online_mean);
   EXPECT_EQ(logger.ess, static_cast<double>(setup.horizon));
   EXPECT_EQ(logger.max_weight, 1.0);
   // The replayed sampled-action stream reproduces the served actions.

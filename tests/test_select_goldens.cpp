@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/index_policy.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -192,7 +192,8 @@ TEST(SelectGoldens, TraceMatchesPreRefactorCapture) {
     while (kGraphNames[gi] != golden.graph) ++gi;
     SCOPED_TRACE(std::string(golden.policy) + " on " + golden.graph);
 
-    const auto policy = make_single_play_policy(golden.policy, kHorizon, 123);
+    const auto policy = PolicyRegistry::instance().make_single_play(
+        golden.policy, kHorizon, 123);
     auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
     ASSERT_NE(idx, nullptr);
     const Graph g = make_graph(golden.graph);

@@ -10,7 +10,7 @@
 #include <set>
 #include <sstream>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "exp/emitters.hpp"
 #include "exp/shard_scheduler.hpp"
 #include "exp/sweep_runner.hpp"
@@ -369,7 +369,8 @@ TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   options.master_seed = job.config.seed;
   options.runner.horizon = job.config.horizon;
   const auto make = [&](std::uint64_t seed) {
-    return make_single_play_policy(job.policy, job.config.horizon, seed);
+    return PolicyRegistry::instance().make_single_play(
+        job.policy, job.config.horizon, seed);
   };
   const ReplicatedResult sequential =
       run_sharded_single(make, instance, Scenario::kSso, options);
