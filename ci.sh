@@ -64,12 +64,13 @@ smoke() {
 }
 
 # Sweep engine smoke: a tiny 2-policy grid (K <= 50) must (a) produce
-# byte-identical JSON across thread counts, (b) round-trip through the
-# --max-jobs / --resume path to the exact bytes of an uninterrupted run,
-# and (c) produce those same bytes from the distributed dispatch layer —
-# with 2 worker processes, and again while one worker is SIGKILLed mid-run
-# (the NCB_DIST_KILL_KEY crash injection of the shared worker loop; see
-# src/dist/worker.hpp) so the requeue path is exercised on every CI run.
+# byte-identical, md5-pinned JSON across thread counts and shard sizes,
+# (b) round-trip through the --max-jobs / --resume path to the exact bytes
+# of an uninterrupted run, and (c) produce those same bytes from the
+# distributed dispatch layer — with 2 worker processes, and again while
+# one worker is SIGKILLed mid-run (the NCB_DIST_KILL_KEY crash injection
+# of the shared worker loop; see src/dist/worker.hpp) so the requeue path
+# is exercised on every CI run.
 # The fig3 paper grid then repeats the 4-worker + kill comparison at full
 # size.
 sweep_smoke() {
@@ -88,6 +89,19 @@ seed = 7
 EOF
   ./build/examples/ncb_sweep --spec "$spec" --out build/sweep_full.json \
       --csv build/sweep_full.csv --threads 4
+  # Pinned before the replication drivers were folded into one loop: the
+  # one-loop rewrite must not move a byte of sweep output.
+  echo "02f994595cfe9dc5a0d21a92538cfe25  build/sweep_full.json" \
+      | md5sum -c --quiet -
+  # Shard-plan invariance: one-replication and four-replication shards, at
+  # other thread counts, must land on the same bytes as the automatic plan.
+  ./build/examples/ncb_sweep --spec "$spec" --out build/sweep_shard1.json \
+      --threads 2 --shard-size 1
+  ./build/examples/ncb_sweep --spec "$spec" --out build/sweep_shard4.json \
+      --threads 3 --shard-size 4
+  cmp build/sweep_full.json build/sweep_shard1.json
+  cmp build/sweep_full.json build/sweep_shard4.json
+  echo "sweep smoke: md5-pinned, byte-identical across --shard-size 1/4/auto"
   ./build/examples/ncb_sweep --spec "$spec" --out build/sweep_resume.json \
       --threads 1 --max-jobs 1
   ./build/examples/ncb_sweep --spec "$spec" --out build/sweep_resume.json \

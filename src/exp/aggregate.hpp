@@ -1,12 +1,11 @@
 // Streaming mergeable aggregates for the sweep engine.
 //
 // A replication's regret trajectory is sampled at a fixed checkpoint grid
-// the moment the run finishes, then the trajectory is dropped — shards carry
+// the moment the run finishes, then the trajectory is dropped — shards park
 // only O(reps × checkpoints) samples, never full horizon-length series. Job
 // aggregation feeds the samples to Welford accumulators in global
-// replication order (shards in index order, replications in order within a
-// shard), so the aggregate is bit-identical for any thread count AND any
-// shard size.
+// replication order (exp::run_replications folds them that way), so the
+// aggregate is bit-identical for any thread count AND any shard size.
 #pragma once
 
 #include <vector>
@@ -33,12 +32,6 @@ struct RepSample {
 /// series (RunnerOptions.record_series) over a horizon >= grid.back().
 [[nodiscard]] RepSample sample_run(const RunResult& run,
                                    const std::vector<TimeSlot>& grid);
-
-/// Everything one shard hands back to the job aggregator.
-struct ShardSamples {
-  std::vector<RepSample> reps;  ///< In replication order within the shard.
-  double optimal_per_slot = 0.0;
-};
 
 /// Welford mean/variance of the regret curves at the checkpoint grid, plus
 /// the final-cumulative scalar distribution. add_rep() must be called in

@@ -1,13 +1,6 @@
 #include "exp/shard_scheduler.hpp"
 
-#include <map>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <utility>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace ncb::exp {
 
@@ -30,118 +23,6 @@ ShardPlan plan_shards(std::size_t replications, TimeSlot horizon,
     plan.shard_size = replications;
   }
   return plan;
-}
-
-void for_each_shard(const ShardPlan& plan, ThreadPool* pool,
-                    const std::function<void(std::size_t)>& fn) {
-  const std::size_t shards = plan.num_shards();
-  if (shards == 0) return;
-  if (pool) {
-    pool->submit_bulk(0, shards, fn);
-    pool->wait_idle();
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) fn(s);
-  }
-}
-
-namespace {
-
-void merge_part(ReplicatedResult& result, const ReplicatedResult& part) {
-  if (part.replications == 0) return;
-  result.per_slot_regret.merge(part.per_slot_regret);
-  result.cumulative_regret.merge(part.cumulative_regret);
-  result.per_slot_pseudo_regret.merge(part.per_slot_pseudo_regret);
-  result.final_cumulative.merge(part.final_cumulative);
-  result.optimal_per_slot = part.optimal_per_slot;
-  result.replications += part.replications;
-}
-
-/// Shared shard→result reduction. `run_rep(r)` executes replication r and
-/// must be thread-safe across distinct r. Shards merge *eagerly* but
-/// strictly in shard-index order (a completed out-of-order shard parks in
-/// `pending` until its turn), so the result is bit-identical to a
-/// sequential run while peak memory stays at one accumulator plus the few
-/// shards that finished ahead of their turn — not all shards at once.
-template <typename RunRep>
-ReplicatedResult run_sharded_impl(Scenario scenario,
-                                  const ReplicationOptions& options,
-                                  std::size_t shard_size_override,
-                                  const RunRep& run_rep) {
-  const ShardPlan plan =
-      plan_shards(options.replications, options.runner.horizon,
-                  shard_size_override);
-  std::mutex merge_mutex;
-  std::map<std::size_t, ReplicatedResult> pending;
-  std::size_t next_to_merge = 0;
-  ReplicatedResult result;
-  result.scenario = scenario;
-
-  for_each_shard(plan, options.pool, [&](std::size_t s) {
-    ReplicatedResult part;
-    part.scenario = scenario;
-    for (std::size_t r = plan.shard_begin(s); r < plan.shard_end(s); ++r) {
-      const RunResult run = run_rep(r);
-      part.per_slot_regret.add_series(run.per_slot_regret);
-      part.cumulative_regret.add_series(run.cumulative_regret);
-      part.per_slot_pseudo_regret.add_series(run.per_slot_pseudo_regret);
-      part.final_cumulative.add(run.cumulative_regret.back());
-      part.optimal_per_slot = run.optimal_per_slot;
-      ++part.replications;
-    }
-    const std::lock_guard<std::mutex> lock(merge_mutex);
-    pending.emplace(s, std::move(part));
-    for (auto it = pending.find(next_to_merge); it != pending.end();
-         it = pending.find(next_to_merge)) {
-      merge_part(result, it->second);
-      pending.erase(it);
-      ++next_to_merge;
-    }
-  });
-  // for_each_shard blocked until every shard ran, so all shards merged.
-  return result;
-}
-
-}  // namespace
-
-ReplicatedResult run_sharded_single(const SinglePolicyFactory& make_policy,
-                                    const BanditInstance& instance,
-                                    Scenario scenario,
-                                    const ReplicationOptions& options,
-                                    std::size_t shard_size_override) {
-  if (!make_policy) {
-    throw std::invalid_argument("run_sharded_single: null factory");
-  }
-  // One shared copy up front; replications then share it instead of each
-  // deep-copying the CSR graph into their Environment.
-  const auto shared =
-      std::make_shared<const BanditInstance>(instance);
-  return run_sharded_impl(
-      scenario, options, shard_size_override, [&](std::size_t r) {
-        Environment env(shared, derive_seed_at(options.master_seed, 2 * r));
-        const auto policy =
-            make_policy(derive_seed_at(options.master_seed, 2 * r + 1));
-        return run_single_play(*policy, env, scenario, options.runner);
-      });
-}
-
-ReplicatedResult run_sharded_combinatorial(
-    const CombinatorialPolicyFactory& make_policy,
-    const BanditInstance& instance, const FeasibleSet& family,
-    Scenario scenario, const ReplicationOptions& options,
-    std::size_t shard_size_override) {
-  if (!make_policy) {
-    throw std::invalid_argument("run_sharded_combinatorial: null factory");
-  }
-  const auto shared =
-      std::make_shared<const BanditInstance>(instance);
-  return run_sharded_impl(
-      scenario, options, shard_size_override, [&](std::size_t r) {
-        Environment env(shared, derive_seed_at(options.master_seed, 2 * r));
-        const auto policy =
-            make_policy(derive_seed_at(options.master_seed, 2 * r + 1));
-        return run_combinatorial(*policy, family, env, scenario,
-                                 options.runner);
-      });
 }
 
 }  // namespace ncb::exp

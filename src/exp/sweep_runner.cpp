@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/policy_registry.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace ncb::exp {
@@ -65,47 +64,34 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
   RunnerOptions runner;
   runner.horizon = config.horizon;
 
-  const auto cancelled = [&options] {
-    return options.should_stop && options.should_stop();
-  };
-
   const ShardPlan plan =
       plan_shards(config.replications, config.horizon, options.shard_size);
-  std::vector<ShardSamples> shards(plan.num_shards());
-  for_each_shard(plan, options.pool, [&](std::size_t s) {
-    // A cancelled shard stays empty; the job is then reported incomplete
-    // and dropped, so partial aggregates never reach an emitter.
-    if (cancelled()) return;
-    ShardSamples out;
-    out.reps.reserve(plan.shard_end(s) - plan.shard_begin(s));
-    for (std::size_t r = plan.shard_begin(s); r < plan.shard_end(s); ++r) {
-      Environment env(instance, derive_seed_at(config.seed, 2 * r));
-      const std::uint64_t policy_seed = derive_seed_at(config.seed, 2 * r + 1);
-      RunResult run;
-      if (combinatorial) {
-        const auto policy = PolicyRegistry::instance().make_combinatorial(
-            job.policy, family, policy_seed);
-        run = run_combinatorial(*policy, *family, env, job.scenario, runner);
-      } else {
-        const auto policy = PolicyRegistry::instance().make_single_play(
-            job.policy, config.horizon, policy_seed);
-        run = run_single_play(*policy, env, job.scenario, runner);
-      }
-      out.reps.push_back(sample_run(run, grid));
-      out.optimal_per_slot = run.optimal_per_slot;
-    }
-    shards[s] = std::move(out);
-  });
-
   JobOutcome outcome;
   outcome.job = job;
   outcome.aggregate = JobAggregate(grid);
-  for (const ShardSamples& shard : shards) {
-    for (const RepSample& rep : shard.reps) outcome.aggregate.add_rep(rep);
-    if (!shard.reps.empty()) {
-      outcome.aggregate.set_optimal(shard.optimal_per_slot);
-    }
-  }
+  // Each run is sampled on its worker, so only RepSamples ever park. A
+  // cancelled shard leaves the job short; it is then reported incomplete
+  // and dropped, so partial aggregates never reach an emitter.
+  run_replications(
+      plan, instance, config.seed, options.pool, options.should_stop,
+      [&](Environment& env, std::uint64_t policy_seed) {
+        RunResult run;
+        if (combinatorial) {
+          const auto policy = PolicyRegistry::instance().make_combinatorial(
+              job.policy, family, policy_seed);
+          run = run_combinatorial(*policy, *family, env, job.scenario, runner);
+        } else {
+          const auto policy = PolicyRegistry::instance().make_single_play(
+              job.policy, config.horizon, policy_seed);
+          run = run_single_play(*policy, env, job.scenario, runner);
+        }
+        return std::pair{sample_run(run, grid), run.optimal_per_slot};
+      },
+      [&outcome](std::pair<RepSample, double>&& sample) {
+        outcome.aggregate.add_rep(sample.first);
+        outcome.aggregate.set_optimal(sample.second);
+      });
+
   outcome.shards = plan.num_shards();
   outcome.shard_size = plan.shard_size;
   outcome.complete =

@@ -1,12 +1,14 @@
-// The sweep engine's execution layer: expand a SweepSpec, run each job's
-// replications as fine-grained shards on a ThreadPool, and stream mergeable
-// aggregates shard → job → sweep.
+// The sweep engine's execution layer: expand a SweepSpec and run each job's
+// replications through exp::run_replications (exp/shard_scheduler.hpp), the
+// one replication loop, sampling every run onto the job's checkpoint grid
+// on its worker thread and streaming the job aggregates out in order.
 //
 // Determinism contract: a job's aggregate (and therefore the emitted JSON)
 // is bit-identical for any thread count and any shard size, because every
-// replication draws counter-based seeds and samples merge in global
-// replication order. Timing is collected separately and never enters the
-// deterministic records.
+// replication draws counter-based seeds and the loop folds the samples in
+// global replication order — the same contract, from the same loop, as
+// run_replicated_* and run_*_experiment. Timing is collected separately
+// and never enters the deterministic records.
 #pragma once
 
 #include <functional>

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/policy_registry.hpp"
-#include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
 
 namespace ncb {
@@ -86,10 +85,7 @@ ReplicatedResult run_single_experiment(const ExperimentConfig& config,
   options.master_seed = config.seed;
   options.runner.horizon = config.horizon;
   options.pool = pool;
-  // Sharded execution (exp/shard_scheduler.hpp): long horizons split into
-  // one-replication shards so the pool never starves, and the result is
-  // bit-identical whether `pool` is null, 1 thread, or 64.
-  return exp::run_sharded_single(
+  return run_replicated_single(
       [&](std::uint64_t seed) {
         return PolicyRegistry::instance().make_single_play(
             policy_name, config.horizon, seed);
@@ -108,7 +104,7 @@ ReplicatedResult run_combinatorial_experiment(const ExperimentConfig& config,
   options.master_seed = config.seed;
   options.runner.horizon = config.horizon;
   options.pool = pool;
-  return exp::run_sharded_combinatorial(
+  return run_replicated_combinatorial(
       [&](std::uint64_t seed) {
         return PolicyRegistry::instance().make_combinatorial(
             policy_name, family, seed);

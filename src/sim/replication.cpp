@@ -1,9 +1,8 @@
 #include "sim/replication.hpp"
 
-#include <mutex>
 #include <stdexcept>
 
-#include "util/rng.hpp"
+#include "exp/shard_scheduler.hpp"
 
 namespace ncb {
 
@@ -17,20 +16,27 @@ std::vector<double> ReplicatedResult::average_regret() const {
 
 namespace {
 
-/// Shared reduction state guarded by a mutex; replications merge into it.
-struct Reduction {
-  std::mutex mutex;
+/// Drives the replications through exp::run_replications and folds each
+/// run into the aggregate; `run` plays one replication on a worker thread.
+ReplicatedResult replicate(
+    const BanditInstance& instance, Scenario scenario,
+    const ReplicationOptions& options,
+    const std::function<RunResult(Environment&, std::uint64_t)>& run) {
+  validate_runner_options(options.runner);  // before plan_shards reads it
   ReplicatedResult result;
-};
-
-void reduce(Reduction& red, const RunResult& run) {
-  const std::lock_guard<std::mutex> lock(red.mutex);
-  red.result.per_slot_regret.add_series(run.per_slot_regret);
-  red.result.cumulative_regret.add_series(run.cumulative_regret);
-  red.result.per_slot_pseudo_regret.add_series(run.per_slot_pseudo_regret);
-  red.result.final_cumulative.add(run.cumulative_regret.back());
-  red.result.optimal_per_slot = run.optimal_per_slot;
-  ++red.result.replications;
+  result.scenario = scenario;
+  exp::run_replications(
+      exp::plan_shards(options.replications, options.runner.horizon),
+      std::make_shared<const BanditInstance>(instance), options.master_seed,
+      options.pool, nullptr, run, [&result](RunResult&& one) {
+        result.per_slot_regret.add_series(one.per_slot_regret);
+        result.cumulative_regret.add_series(one.cumulative_regret);
+        result.per_slot_pseudo_regret.add_series(one.per_slot_pseudo_regret);
+        result.final_cumulative.add(one.cumulative_regret.back());
+        result.optimal_per_slot = one.optimal_per_slot;
+        ++result.replications;
+      });
+  return result;
 }
 
 }  // namespace
@@ -42,28 +48,12 @@ ReplicatedResult run_replicated_single(const SinglePolicyFactory& make_policy,
   if (!make_policy) {
     throw std::invalid_argument("run_replicated_single: null factory");
   }
-  // Two seeds per replication: environment stream, policy stream.
-  const auto seeds = derive_seeds(options.master_seed, options.replications * 2);
-  Reduction red;
-  red.result.scenario = scenario;
-
-  const auto one_rep = [&](std::size_t r) {
-    Environment env(instance, seeds[2 * r]);
-    const auto policy = make_policy(seeds[2 * r + 1]);
-    const RunResult run =
-        run_single_play(*policy, env, scenario, options.runner);
-    reduce(red, run);
-  };
-
-  if (options.pool) {
-    for (std::size_t r = 0; r < options.replications; ++r) {
-      options.pool->submit([&, r] { one_rep(r); });
-    }
-    options.pool->wait_idle();
-  } else {
-    for (std::size_t r = 0; r < options.replications; ++r) one_rep(r);
-  }
-  return std::move(red.result);
+  return replicate(instance, scenario, options,
+                   [&](Environment& env, std::uint64_t policy_seed) {
+                     const auto policy = make_policy(policy_seed);
+                     return run_single_play(*policy, env, scenario,
+                                            options.runner);
+                   });
 }
 
 ReplicatedResult run_replicated_combinatorial(
@@ -73,27 +63,12 @@ ReplicatedResult run_replicated_combinatorial(
   if (!make_policy) {
     throw std::invalid_argument("run_replicated_combinatorial: null factory");
   }
-  const auto seeds = derive_seeds(options.master_seed, options.replications * 2);
-  Reduction red;
-  red.result.scenario = scenario;
-
-  const auto one_rep = [&](std::size_t r) {
-    Environment env(instance, seeds[2 * r]);
-    const auto policy = make_policy(seeds[2 * r + 1]);
-    const RunResult run =
-        run_combinatorial(*policy, family, env, scenario, options.runner);
-    reduce(red, run);
-  };
-
-  if (options.pool) {
-    for (std::size_t r = 0; r < options.replications; ++r) {
-      options.pool->submit([&, r] { one_rep(r); });
-    }
-    options.pool->wait_idle();
-  } else {
-    for (std::size_t r = 0; r < options.replications; ++r) one_rep(r);
-  }
-  return std::move(red.result);
+  return replicate(instance, scenario, options,
+                   [&](Environment& env, std::uint64_t policy_seed) {
+                     const auto policy = make_policy(policy_seed);
+                     return run_combinatorial(*policy, family, env, scenario,
+                                              options.runner);
+                   });
 }
 
 }  // namespace ncb

@@ -1,9 +1,11 @@
 // Multi-replication experiment driver.
 //
-// Each replication r gets an independent environment seed and policy seed
-// derived from the master seed via SplitMix64, so results are bit-identical
-// regardless of thread count or scheduling order. Series are aggregated per
-// time slot with Welford accumulators.
+// Replications run through exp::run_replications (exp/shard_scheduler.hpp),
+// the one replication loop: replication r draws counter-based environment
+// and policy seeds from the master seed, and its series are folded into
+// per-slot Welford accumulators strictly in replication order. A
+// ReplicatedResult is therefore bit-identical to a sequential in-order run
+// for any pool and any thread count.
 #pragma once
 
 #include <functional>
@@ -48,7 +50,7 @@ struct ReplicationOptions {
   std::size_t replications = 20;
   std::uint64_t master_seed = 20170605;  // ICDCS'17
   RunnerOptions runner;
-  /// Worker pool to parallelize over; nullptr runs sequentially.
+  /// Worker pool to parallelize over; nullptr runs sequentially (same bits).
   ThreadPool* pool = nullptr;
 };
 

@@ -26,19 +26,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  if (!task) throw std::invalid_argument("ThreadPool: null task");
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (shutting_down_) {
-      throw std::logic_error("ThreadPool: submit after shutdown");
-    }
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
 void ThreadPool::submit_bulk(std::size_t first, std::size_t last,
                              std::function<void(std::size_t)> fn) {
   if (first >= last) return;

@@ -2,7 +2,7 @@
 //
 // Deliberately simple: a mutex-guarded queue and a condition variable
 // (Core Guidelines CP.20/CP.42 style — RAII locks, cv waits with predicates).
-// Tasks are type-erased std::function<void()>; wait_idle() blocks until all
+// Work arrives as index ranges (submit_bulk); wait_idle() blocks until all
 // submitted tasks finished, so callers can reuse one pool across phases.
 #pragma once
 
@@ -28,13 +28,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Must not be called after shutdown started.
-  void submit(std::function<void()> task);
-
   /// Enqueues `fn(i)` for every i in [first, last) under ONE lock acquisition
   /// with ONE wake-up, so schedulers submitting thousands of fine-grained
   /// shards do not serialize on per-task mutex churn. `fn` is shared across
   /// the queued tasks (workers invoke it concurrently with distinct indices).
+  /// Must not be called after shutdown started; a null `fn` throws
+  /// std::invalid_argument.
   void submit_bulk(std::size_t first, std::size_t last,
                    std::function<void(std::size_t)> fn);
 

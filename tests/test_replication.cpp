@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dfl_cso.hpp"
 #include "core/dfl_sso.hpp"
 #include "core/moss.hpp"
-#include "core/dfl_cso.hpp"
+#include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
+#include "sim/experiment.hpp"
 
 namespace ncb {
 namespace {
@@ -43,21 +45,65 @@ TEST(Replication, CountsAndSeriesLengths) {
   EXPECT_DOUBLE_EQ(result.optimal_per_slot, inst.best_mean());
 }
 
+/// Every slot's mean and variance of all three series, plus the final
+/// cumulative regret, must match bit for bit (EXPECT_EQ, not NEAR).
+void expect_same_bits(const ReplicatedResult& a, const ReplicatedResult& b) {
+  ASSERT_EQ(a.replications, b.replications);
+  const auto same_series = [](const SeriesStat& x, const SeriesStat& y,
+                              const char* name) {
+    ASSERT_EQ(x.length(), y.length()) << name;
+    for (std::size_t i = 0; i < x.length(); ++i) {
+      EXPECT_EQ(x.at(i).mean(), y.at(i).mean()) << name << " slot " << i;
+      EXPECT_EQ(x.at(i).variance(), y.at(i).variance())
+          << name << " slot " << i;
+    }
+  };
+  same_series(a.per_slot_regret, b.per_slot_regret, "per_slot_regret");
+  same_series(a.cumulative_regret, b.cumulative_regret, "cumulative_regret");
+  same_series(a.per_slot_pseudo_regret, b.per_slot_pseudo_regret,
+              "per_slot_pseudo_regret");
+  EXPECT_EQ(a.final_cumulative.count(), b.final_cumulative.count());
+  EXPECT_EQ(a.final_cumulative.mean(), b.final_cumulative.mean());
+  EXPECT_EQ(a.final_cumulative.variance(), b.final_cumulative.variance());
+  EXPECT_EQ(a.optimal_per_slot, b.optimal_per_slot);
+}
+
 TEST(Replication, DeterministicRegardlessOfThreads) {
   const auto inst = small_instance();
   const auto sequential = run_replicated_single(
-      sso_factory(), inst, Scenario::kSso, quick_options(8, 300));
-  ThreadPool pool(4);
-  const auto parallel = run_replicated_single(
-      sso_factory(), inst, Scenario::kSso, quick_options(8, 300, &pool));
-  // Welford means are permutation-sensitive only to rounding; the totals
-  // must agree to floating-point noise.
-  const auto a = sequential.cumulative_regret.means();
-  const auto b = parallel.cumulative_regret.means();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-8);
-  EXPECT_NEAR(sequential.final_cumulative.mean(),
-              parallel.final_cumulative.mean(), 1e-8);
+      sso_factory(), inst, Scenario::kSso, quick_options(12, 300));
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    const auto parallel = run_replicated_single(
+        sso_factory(), inst, Scenario::kSso, quick_options(12, 300, &pool));
+    expect_same_bits(sequential, parallel);
+  }
+}
+
+TEST(Replication, RunSingleExperimentMatchesSequentialReplication) {
+  // n = 2000 plans shards of 8 replications: 20 reps → shards 8, 8, 4.
+  ExperimentConfig config;
+  config.num_arms = 12;
+  config.horizon = 2000;
+  config.replications = 20;
+  config.seed = 77;
+  const BanditInstance instance = build_instance(config);
+  ReplicationOptions options;
+  options.replications = config.replications;
+  options.master_seed = config.seed;
+  options.runner.horizon = config.horizon;
+  const auto sequential = run_replicated_single(
+      [&](std::uint64_t seed) {
+        return PolicyRegistry::instance().make_single_play(
+            "dfl-sso", config.horizon, seed);
+      },
+      instance, Scenario::kSso, options);
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    expect_same_bits(
+        sequential, run_single_experiment(config, "dfl-sso", Scenario::kSso, p));
+  }
 }
 
 TEST(Replication, DifferentSeedsGiveDifferentResults) {

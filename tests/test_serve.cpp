@@ -451,6 +451,7 @@ ScenarioResult run_scenario(int connections, int n,
     // decide/feedback traffic flows — the "telemetry observes, never
     // perturbs" invariant under actual interleaving.
     std::atomic<bool> poller_stop{false};
+    std::atomic<bool> poller_replied{false};
     std::thread poller;
     if (poll) {
       poller = std::thread([&] {
@@ -461,6 +462,7 @@ ScenarioResult run_scenario(int connections, int n,
           const auto frame = dist::read_frame(fd);
           if (!frame || frame->type != MsgType::kStatsReply) break;
           ++result.background_polls;
+          poller_replied.store(true);
         }
         ::close(fd);
       });
@@ -468,6 +470,19 @@ ScenarioResult run_scenario(int connections, int n,
 
     std::vector<int> fds;
     try {
+      // The lockstep clients start only once the poller holds its first
+      // StatsReply, so polls and traffic overlap by construction rather
+      // than by the scheduler's luck.
+      if (poll) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!poller_replied.load()) {
+          if (std::chrono::steady_clock::now() >= deadline) {
+            throw std::runtime_error("poller got no StatsReply within 10 s");
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
       for (int c = 0; c < connections; ++c) {
         const int fd = handshake_client(socket_path);
         if (fd < 0) throw std::runtime_error("handshake failed");

@@ -361,6 +361,22 @@ TEST(SweepRunner, CombinatorialScenarioRuns) {
   EXPECT_EQ(result.outcomes[0].job.key, "cso:dfl-cso@er,K=6,p=0.4,n=60,M=2");
 }
 
+/// Slot-by-slot bitwise equality of two Welford series (means and
+/// variances — EXPECT_EQ, not NEAR).
+void expect_same_bits(const SeriesStat& a, const SeriesStat& b) {
+  ASSERT_EQ(a.length(), b.length());
+  for (std::size_t i = 0; i < a.length(); ++i) {
+    EXPECT_EQ(a.at(i).mean(), b.at(i).mean()) << "slot " << i;
+    EXPECT_EQ(a.at(i).variance(), b.at(i).variance()) << "slot " << i;
+  }
+}
+
+void expect_same_bits(const RunningStat& a, const RunningStat& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+}
+
 TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   SweepJob job = tiny_spec().expand()[1];  // dfl-sso
   const BanditInstance instance = build_instance(job.config);
@@ -373,19 +389,59 @@ TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
         job.policy, job.config.horizon, seed);
   };
   const ReplicatedResult sequential =
-      run_sharded_single(make, instance, Scenario::kSso, options);
-  ThreadPool pool(3);
-  options.pool = &pool;
-  const ReplicatedResult pooled =
-      run_sharded_single(make, instance, Scenario::kSso, options);
-  ASSERT_EQ(sequential.replications, pooled.replications);
-  const auto a = sequential.cumulative_regret.means();
-  const auto b = pooled.cumulative_regret.means();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "slot " << i;  // bitwise, not NEAR
+      run_replicated_single(make, instance, Scenario::kSso, options);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    options.pool = &pool;
+    const ReplicatedResult pooled =
+        run_replicated_single(make, instance, Scenario::kSso, options);
+    ASSERT_EQ(sequential.replications, pooled.replications);
+    expect_same_bits(sequential.per_slot_regret, pooled.per_slot_regret);
+    expect_same_bits(sequential.cumulative_regret, pooled.cumulative_regret);
+    expect_same_bits(sequential.per_slot_pseudo_regret,
+                     pooled.per_slot_pseudo_regret);
+    expect_same_bits(sequential.final_cumulative, pooled.final_cumulative);
   }
-  EXPECT_EQ(sequential.final_cumulative.mean(), pooled.final_cumulative.mean());
+}
+
+TEST(ShardedReplication, DenseSweepJobMatchesReplicatedResult) {
+  // A dense-grid (checkpoints = 0) sweep job samples every slot, so its
+  // aggregate must be the ReplicatedResult of the same config, bit for bit
+  // — whatever the pool or the shard plan on either side.
+  ThreadPool pool(4);
+  for (const Scenario scenario : {Scenario::kSso, Scenario::kCso}) {
+    SweepSpec spec;
+    spec.scenario = scenario;
+    spec.policies = {is_combinatorial(scenario) ? "dfl-cso" : "dfl-sso"};
+    spec.arms = {10};
+    spec.edge_probabilities = {0.4};
+    spec.horizons = {2000};  // auto plan: shards of 8 replications
+    spec.replications = 12;
+    spec.seed = 5;
+    spec.strategy_size = 2;
+    spec.checkpoints = 0;
+    const SweepJob job = spec.expand().at(0);
+    SweepRunOptions options;
+    options.pool = &pool;
+    options.shard_size = 5;
+    const JobOutcome outcome = run_sweep_job(job, spec.checkpoints, options);
+    ASSERT_TRUE(outcome.complete);
+    const ReplicatedResult replicated =
+        is_combinatorial(scenario)
+            ? run_combinatorial_experiment(job.config, job.policy, scenario,
+                                           &pool)
+            : run_single_experiment(job.config, job.policy, scenario, &pool);
+    ASSERT_EQ(outcome.aggregate.grid().size(),
+              replicated.per_slot_regret.length());
+    expect_same_bits(outcome.aggregate.expected(), replicated.per_slot_regret);
+    expect_same_bits(outcome.aggregate.cumulative(),
+                     replicated.cumulative_regret);
+    expect_same_bits(outcome.aggregate.final_cumulative(),
+                     replicated.final_cumulative);
+    EXPECT_EQ(outcome.aggregate.optimal_per_slot(),
+              replicated.optimal_per_slot);
+  }
 }
 
 TEST(ShardedReplication, RunSingleExperimentPoolInvariant) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 namespace ncb {
@@ -12,9 +13,7 @@ namespace {
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
+  pool.submit_bulk(0, 100, [&counter](std::size_t) { counter.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 100);
 }
@@ -27,7 +26,7 @@ TEST(ThreadPool, DefaultsToHardwareConcurrency) {
 TEST(ThreadPool, SingleThreadStillWorks) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&counter] { ++counter; });
+  pool.submit_bulk(0, 10, [&counter](std::size_t) { ++counter; });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 10);
 }
@@ -35,7 +34,7 @@ TEST(ThreadPool, SingleThreadStillWorks) {
 TEST(ThreadPool, WaitIdleBlocksUntilDone) {
   ThreadPool pool(2);
   std::atomic<bool> done{false};
-  pool.submit([&done] {
+  pool.submit_bulk(0, 1, [&done](std::size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     done.store(true);
   });
@@ -47,7 +46,7 @@ TEST(ThreadPool, ReusableAcrossPhases) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int phase = 0; phase < 3; ++phase) {
-    for (int i = 0; i < 20; ++i) pool.submit([&counter] { ++counter; });
+    pool.submit_bulk(0, 20, [&counter](std::size_t) { ++counter; });
     pool.wait_idle();
     EXPECT_EQ(counter.load(), 20 * (phase + 1));
   }
@@ -55,14 +54,21 @@ TEST(ThreadPool, ReusableAcrossPhases) {
 
 TEST(ThreadPool, NullTaskRejected) {
   ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), std::invalid_argument);
+  EXPECT_THROW(pool.submit_bulk(0, 1, std::function<void(std::size_t)>{}),
+               std::invalid_argument);
+  // The rejected call enqueued nothing: the pool is idle and still usable.
+  pool.wait_idle();
+  std::atomic<int> counter{0};
+  pool.submit_bulk(0, 1, [&counter](std::size_t) { ++counter; });
+  pool.wait_idle();
+  EXPECT_EQ(counter.load(), 1);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&counter] { ++counter; });
+    pool.submit_bulk(0, 50, [&counter](std::size_t) { ++counter; });
     // No wait_idle: destructor must still run all tasks.
   }
   EXPECT_EQ(counter.load(), 50);
@@ -71,13 +77,11 @@ TEST(ThreadPool, DestructorDrainsQueue) {
 TEST(ThreadPool, ParallelSumCorrect) {
   ThreadPool pool(4);
   std::vector<long> partial(16, 0);
-  for (std::size_t w = 0; w < 16; ++w) {
-    pool.submit([&partial, w] {
-      long total = 0;
-      for (long i = 0; i < 100000; ++i) total += static_cast<long>(w);
-      partial[w] = total;
-    });
-  }
+  pool.submit_bulk(0, 16, [&partial](std::size_t w) {
+    long total = 0;
+    for (long i = 0; i < 100000; ++i) total += static_cast<long>(w);
+    partial[w] = total;
+  });
   pool.wait_idle();
   long total = 0;
   for (const long p : partial) total += p;
@@ -87,7 +91,10 @@ TEST(ThreadPool, ParallelSumCorrect) {
 TEST(ThreadPool, ManySmallTasksStress) {
   ThreadPool pool(8);
   std::atomic<long> counter{0};
-  for (int i = 0; i < 5000; ++i) pool.submit([&counter] { ++counter; });
+  // One bulk call per task: 5000 separate enqueues racing the workers.
+  for (int i = 0; i < 5000; ++i) {
+    pool.submit_bulk(0, 1, [&counter](std::size_t) { ++counter; });
+  }
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 5000);
 }
@@ -101,20 +108,25 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
 TEST(ThreadPool, TaskExceptionPropagatesAtWaitIdle) {
   ThreadPool pool(2);
   std::atomic<int> completed{0};
-  pool.submit([] { throw std::runtime_error("task boom"); });
-  for (int i = 0; i < 10; ++i) pool.submit([&completed] { ++completed; });
+  pool.submit_bulk(0, 1, [](std::size_t) {
+    throw std::runtime_error("task boom");
+  });
+  pool.submit_bulk(0, 10, [&completed](std::size_t) { ++completed; });
   EXPECT_THROW(pool.wait_idle(), std::runtime_error);
   // The other tasks still ran; the pool stays usable afterwards.
   EXPECT_EQ(completed.load(), 10);
-  pool.submit([&completed] { ++completed; });
+  pool.submit_bulk(0, 1, [&completed](std::size_t) { ++completed; });
   pool.wait_idle();
   EXPECT_EQ(completed.load(), 11);
 }
 
 TEST(ThreadPool, OnlyFirstExceptionKept) {
   ThreadPool pool(1);
-  pool.submit([] { throw std::runtime_error("first"); });
-  pool.submit([] { throw std::logic_error("second"); });
+  // One worker runs the queue in FIFO order, so index 0 throws first.
+  pool.submit_bulk(0, 2, [](std::size_t i) {
+    if (i == 0) throw std::runtime_error("first");
+    throw std::logic_error("second");
+  });
   try {
     pool.wait_idle();
     FAIL() << "expected an exception";
