@@ -3,7 +3,9 @@
 # with per-stage timing and a one-line recap so CI logs are skimmable.
 #
 # Usage: ./ci.sh            — everything: the release lane, then ASan/UBSan.
-#        ./ci.sh release    — -Werror Release build, full ctest, observe-path
+#        ./ci.sh release    — header reachability guard (every src/ header
+#                             reached by non-test code), -Werror Release
+#                             build, full ctest, observe-path
 #                             smoke, sweep-engine smoke (resume round-trip,
 #                             thread determinism, distributed dispatch incl.
 #                             localhost-TCP workers, a combinatorial CSO+CSR
@@ -42,6 +44,30 @@ stage() {
   "$@"
   dt=$(( $(date +%s) - t0 ))
   RECAP+=("${label} OK (${dt}s)")
+}
+
+# Reachability guard: every src/**/*.hpp must be #included by some non-test
+# code — a file in src/ other than the header's own .cpp, or one in
+# examples/, bench/ or perfbench/. A header whose .cpp defines a
+# PolicyRegistration counts as reached (the registry reaches it by name).
+# Code only tests reach is dead weight; it must go with its last caller.
+reach_guard() {
+  local hdr rel own reachers orphans=()
+  while IFS= read -r hdr; do
+    rel=${hdr#src/}
+    own=${hdr%.hpp}.cpp
+    reachers=$(grep -rlF --include='*.cpp' --include='*.hpp' \
+        "#include \"$rel\"" src examples bench perfbench || true)
+    [ -n "$(grep -vxF "$own" <<< "$reachers" || true)" ] && continue
+    [ -f "$own" ] && grep -Eq '\bPolicyRegistration[[:space:]]+k' "$own" \
+        && continue
+    orphans+=("$rel")
+  done < <(find src -name '*.hpp' | sort)
+  if [ "${#orphans[@]}" -gt 0 ]; then
+    printf 'reach guard: no non-test code includes src/%s\n' "${orphans[@]}" >&2
+    return 1
+  fi
+  echo "reach guard: every src/ header has a non-test reacher"
 }
 
 release_build() {
@@ -609,6 +635,8 @@ PY
 }
 
 release_lane() {
+  stage "reach" "reach guard: every src/ header has a non-test reacher" \
+        reach_guard
   stage "tier-1" "tier-1: -Werror Release build + full test suite" tier1
   stage "smoke" "observe-path smoke: batched vs per-edge delivery must run" smoke
   stage "sweep" "sweep smoke: resume + thread/worker determinism + kill-requeue" \

@@ -38,7 +38,6 @@ ArmId SingleIndexPolicy::select(TimeSlot t) {
   if (num_arms_ == 0) {
     throw std::logic_error(name() + ": reset() not called");
   }
-  before_select(t);
   double* cache = cached_indices_.data();
   if (refresh_mode() == IndexRefreshMode::kEveryRound) {
     refresh_all_indices(t, cache);
@@ -58,9 +57,9 @@ void SingleIndexPolicy::refresh_all_indices(TimeSlot t, double* out) const {
 }
 
 void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
-  // Time moving backwards (piecewise scenarios replaying, tests probing
-  // arbitrary slots) invalidates every valid_until promise; fall back to a
-  // full rebuild rather than trusting stale plateaus.
+  // Time moving backwards (tests probe arbitrary slots) invalidates every
+  // valid_until promise; fall back to a full rebuild rather than trusting
+  // stale plateaus.
   if (all_dirty_ || t < last_select_t_) {
     rebuild_cache(t, cache);
     return;

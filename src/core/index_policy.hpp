@@ -1,10 +1,10 @@
 // Shared skeleton for the single-play index policies.
 //
 // Every stochastic index learner in this codebase (DFL-SSO, DFL-SSR, MOSS,
-// UCB1, UCB-N, KL-UCB, the non-stationary DFL variants) selects
-// argmax_i index(i, t) with uniform random tie-breaking. SingleIndexPolicy
-// owns that loop plus the seeded reset plumbing so the per-policy code is
-// just the index formula and the statistics it reads.
+// UCB1, UCB-N, KL-UCB) selects argmax_i index(i, t) with uniform random
+// tie-breaking. SingleIndexPolicy owns that loop plus the seeded reset
+// plumbing so the per-policy code is just the index formula and the
+// statistics it reads.
 //
 // select() never evaluates the virtual index() per arm. It maintains a flat
 // per-arm index array and runs the block-vectorized reservoir argmax
@@ -97,11 +97,6 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   /// count and RNG have been restored.
   virtual void on_reset(const Graph& graph) = 0;
 
-  /// Pre-selection maintenance hook (e.g. sliding-window eviction). Runs
-  /// before the cache refresh, so stat changes made here (with their
-  /// mark_index_dirty calls) are visible to the same select().
-  virtual void before_select(TimeSlot /*t*/) {}
-
   /// Post-selection refinement hook: maps the argmax-index arm to the arm
   /// actually played (the §IX neighbor-greedy / MaxN heuristics).
   [[nodiscard]] virtual ArmId refine_selection(ArmId best) { return best; }
@@ -135,7 +130,8 @@ class SingleIndexPolicy : public SinglePlayPolicy {
     dirty_list_.push_back(i);
   }
 
-  /// Marks every arm stale (decay steps, bulk evictions, piecewise resets).
+  /// Marks every arm stale, for updates that touch more arms than a full
+  /// rebuild costs (DFL-SSR's two-hop dirty set on dense graphs).
   void mark_all_indices_dirty() noexcept { all_dirty_ = true; }
   [[nodiscard]] bool all_indices_dirty() const noexcept { return all_dirty_; }
 

@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -26,12 +25,6 @@ class Distribution {
 
   /// Human-readable description, e.g. "Bernoulli(0.42)".
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Machine-readable type tag for serialization, e.g. "bernoulli".
-  [[nodiscard]] virtual std::string kind() const = 0;
-
-  /// Constructor parameters in declaration order (full precision).
-  [[nodiscard]] virtual std::vector<double> params() const = 0;
 };
 
 using DistributionPtr = std::unique_ptr<Distribution>;
@@ -44,8 +37,6 @@ class BernoulliDist final : public Distribution {
   [[nodiscard]] double mean() const noexcept override { return p_; }
   [[nodiscard]] DistributionPtr clone() const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::string kind() const override { return "bernoulli"; }
-  [[nodiscard]] std::vector<double> params() const override { return {p_}; }
 
  private:
   double p_;
@@ -59,8 +50,6 @@ class BetaDist final : public Distribution {
   [[nodiscard]] double mean() const noexcept override { return a_ / (a_ + b_); }
   [[nodiscard]] DistributionPtr clone() const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::string kind() const override { return "beta"; }
-  [[nodiscard]] std::vector<double> params() const override { return {a_, b_}; }
 
  private:
   double a_, b_;
@@ -74,8 +63,6 @@ class UniformDist final : public Distribution {
   [[nodiscard]] double mean() const noexcept override { return 0.5 * (lo_ + hi_); }
   [[nodiscard]] DistributionPtr clone() const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::string kind() const override { return "uniform"; }
-  [[nodiscard]] std::vector<double> params() const override { return {lo_, hi_}; }
 
  private:
   double lo_, hi_;
@@ -90,8 +77,6 @@ class ClippedGaussianDist final : public Distribution {
   [[nodiscard]] double mean() const noexcept override { return clipped_mean_; }
   [[nodiscard]] DistributionPtr clone() const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::string kind() const override { return "gaussian"; }
-  [[nodiscard]] std::vector<double> params() const override { return {mu_, sigma_}; }
 
  private:
   double mu_, sigma_, clipped_mean_;
@@ -105,8 +90,6 @@ class ConstantDist final : public Distribution {
   [[nodiscard]] double mean() const noexcept override { return value_; }
   [[nodiscard]] DistributionPtr clone() const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::string kind() const override { return "constant"; }
-  [[nodiscard]] std::vector<double> params() const override { return {value_}; }
 
  private:
   double value_;

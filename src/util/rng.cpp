@@ -137,14 +137,6 @@ void Xoshiro256::long_jump() noexcept {
   state_ = {s0, s1, s2, s3};
 }
 
-std::vector<std::uint64_t> derive_seeds(std::uint64_t master_seed,
-                                        std::size_t count) {
-  SplitMix64 mixer(master_seed);
-  std::vector<std::uint64_t> seeds(count);
-  for (auto& seed : seeds) seed = mixer.next();
-  return seeds;
-}
-
 std::uint64_t derive_seed_at(std::uint64_t master_seed,
                              std::uint64_t index) noexcept {
   // SplitMix64's state after k draws is master + k * gamma, so the stream

@@ -72,14 +72,11 @@ class Xoshiro256 {
   bool has_cached_gaussian_ = false;
 };
 
-/// Derives `count` independent 64-bit seeds from `master_seed`.
-[[nodiscard]] std::vector<std::uint64_t> derive_seeds(std::uint64_t master_seed,
-                                                      std::size_t count);
-
-/// Counter-based access into the same stream: O(1) equivalent of
-/// `derive_seeds(master_seed, index + 1)[index]`. Lets a shard seed its
-/// replications without generating the whole seed prefix, so sharded and
-/// sequential drivers draw bit-identical per-replication streams.
+/// The index-th of the independent 64-bit seeds derived from `master_seed`:
+/// O(1) random access into the SplitMix64 stream seeded with it (the
+/// (index + 1)-th next()). Lets a shard seed its replications without
+/// generating the whole seed prefix, so sharded and sequential drivers draw
+/// bit-identical per-replication streams.
 [[nodiscard]] std::uint64_t derive_seed_at(std::uint64_t master_seed,
                                            std::uint64_t index) noexcept;
 

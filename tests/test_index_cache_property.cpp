@@ -4,11 +4,11 @@
 // SingleIndexPolicy::select() refreshes only dirty arms plus arms whose
 // plateau expired; index(i, t) is the pure from-scratch reference each
 // policy must also implement. After any interleaving of selects, batched
-// side observations, observe-without-select bursts, sliding-window
-// evictions, non-monotone timestamps, and mid-run resets, the two must
-// agree on every arm — not approximately, exactly. Any drift means a
-// stale cache entry survived (wrong valid_until, missed dirty marking,
-// or a hoisted expression that is not bit-identical to the reference).
+// side observations, observe-without-select bursts, non-monotone
+// timestamps, and mid-run resets, the two must agree on every arm — not
+// approximately, exactly. Any drift means a stale cache entry survived
+// (wrong valid_until, missed dirty marking, or a hoisted expression that
+// is not bit-identical to the reference).
 #include <string>
 #include <vector>
 
@@ -28,8 +28,7 @@ constexpr int kSteps = 400;
 const std::vector<std::string> kIndexPolicies = {
     "dfl-sso",  "dfl-sso-greedy", "dfl-ssr", "dfl-ssr-meansum",
     "moss",     "moss-anytime",   "ucb1",    "ucb-n",
-    "ucb-maxn", "kl-ucb",         "kl-ucb-n", "sw-dfl-sso",
-    "d-dfl-sso"};
+    "ucb-maxn", "kl-ucb",         "kl-ucb-n"};
 
 struct NamedGraph {
   std::string name;
@@ -134,8 +133,8 @@ TEST(IndexCacheProperty, CacheEqualsFromScratchRecompute) {
         expect_cache_matches_recompute(*idx, t, n, step);
         observe_neighborhood(*policy, g, a, t, rewards, batch);
       }
-      // Final sweep after the last observe: one more select so evictions
-      // (sw-dfl-sso) and late expiries are folded in, then recheck.
+      // Final sweep after the last observe: one more select so late
+      // expiries are folded in, then recheck.
       t += 1;
       (void)policy->select(t);
       expect_cache_matches_recompute(*idx, t, n, kSteps);

@@ -21,7 +21,7 @@ const std::vector<std::string> kLegacySingleNames{
     "moss",     "moss-anytime",   "ucb1",      "ucb-n",
     "ucb-maxn", "kl-ucb",         "kl-ucb-n",  "eps-greedy",
     "eps-greedy-side", "thompson", "thompson-side", "exp3",
-    "exp3-set", "sw-dfl-sso",     "d-dfl-sso", "random"};
+    "exp3-set", "random"};
 
 const std::vector<std::string> kLegacyCombinatorialNames{
     "dfl-cso", "dfl-cso-observable", "dfl-csr", "dfl-csr-greedy", "cucb"};
@@ -146,9 +146,6 @@ TEST(PolicyRegistry, ParamSpecsRoundTripIntoDescribe) {
   EXPECT_NE(moss->describe().find("horizon=5000"), std::string::npos)
       << moss->describe();
 
-  const auto sw = registry.make_single_play("sw-dfl-sso:window=250", 5000, 7);
-  EXPECT_NE(sw->name().find("w=250"), std::string::npos) << sw->name();
-
   const auto combo = registry.make_combinatorial(
       "cucb:c=3",
       [] {
@@ -180,12 +177,10 @@ TEST(PolicyRegistry, MalformedSpecsThrow) {
   // "auto" only where the schema allows it.
   EXPECT_THROW((void)registry.make_single_play("ucb1:c=auto", 100, 1),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)registry.make_single_play("sw-dfl-sso:window=2.5", 100, 1),
-      std::invalid_argument);
+  EXPECT_THROW((void)registry.make_single_play("moss:horizon=2.5", 100, 1),
+               std::invalid_argument);
   // Well-formed "auto" accepted where allowed.
-  EXPECT_NO_THROW(
-      (void)registry.make_single_play("sw-dfl-sso:window=auto", 100, 1));
+  EXPECT_NO_THROW((void)registry.make_single_play("moss:horizon=auto", 100, 1));
 }
 
 // The batched span delivery must be behaviorally identical to handing the

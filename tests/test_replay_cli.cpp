@@ -20,6 +20,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -119,6 +120,28 @@ int wait_exit(pid_t pid) {
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
   return -1;
+}
+
+/// TCP connections the kernel has completed to local port `port` (accepted
+/// or still waiting in a listen backlog), from /proc/net/tcp: the local
+/// address ends in ":<port as %04X>" and the state is 01 (ESTABLISHED).
+int established_to_port(int port) {
+  char suffix[8];
+  std::snprintf(suffix, sizeof suffix, ":%04X", port);
+  std::ifstream in("/proc/net/tcp");
+  std::string line;
+  std::getline(in, line);  // header
+  int count = 0;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string slot, local, remote, state;
+    fields >> slot >> local >> remote >> state;
+    if (local.size() > 5 && local.compare(local.size() - 5, 5, suffix) == 0 &&
+        state == "01") {
+      ++count;
+    }
+  }
+  return count;
 }
 
 int run_replay(const std::vector<std::string>& args, const EnvVars& env = {},
@@ -298,8 +321,28 @@ TEST(ReplayCli, TcpWorkersProduceByteIdenticalPanel) {
     advertised.pop_back();
   }
 
+  // A 400-record panel can finish on the first worker before the second
+  // one dials in; the listener is then gone and the late worker is
+  // refused. So the coordinator is held stopped until both workers are
+  // connected: the kernel still completes their handshakes into its listen
+  // backlog, and on SIGCONT it accepts both in one turn.
+  ASSERT_EQ(::kill(coordinator, SIGSTOP), 0);
+  int status = 0;
+  while (::waitpid(coordinator, &status, WUNTRACED) < 0 && errno == EINTR) {
+  }
+  ASSERT_TRUE(WIFSTOPPED(status)) << "coordinator exited before workers";
+  const int port = std::stoi(advertised.substr(advertised.rfind(':') + 1));
   const pid_t w1 = spawn_replay({"--worker-connect", advertised}, {});
   const pid_t w2 = spawn_replay({"--worker-connect", advertised}, {});
+  bool both_connected = false;
+  for (int i = 0; i < 2000 && !both_connected; ++i) {
+    both_connected = established_to_port(port) >= 2;
+    if (!both_connected) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ::kill(coordinator, SIGCONT);
+  EXPECT_TRUE(both_connected) << "workers never connected to " << advertised;
   EXPECT_EQ(wait_exit(coordinator), 0);
   EXPECT_EQ(wait_exit(w1), 0);
   EXPECT_EQ(wait_exit(w2), 0);

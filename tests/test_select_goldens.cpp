@@ -132,24 +132,6 @@ const GoldenTrace kGoldens[] = {
     {"kl-ucb-n", "ws", 138, 7670111143734666254ULL,
      {5, 18, 24, 12, 23, 13, 4, 23, 23, 14, 4, 4,
       4, 4, 4, 4, 6, 14, 23, 8, 8, 12, 12, 13}},
-    {"sw-dfl-sso", "er", 242, 9407991070716895131ULL,
-     {5, 13, 18, 7, 17, 11, 4, 24, 8, 8, 6, 2,
-      7, 5, 7, 7, 7, 7, 7, 2, 7, 7, 7, 7}},
-    {"sw-dfl-sso", "star", 1132, 4759844349287503180ULL,
-     {5, 11, 7, 10, 4, 1, 6, 2, 24, 9, 17, 16,
-      12, 20, 14, 21, 3, 18, 8, 13, 15, 22, 23, 19}},
-    {"sw-dfl-sso", "ws", 264, 3175406172698987408ULL,
-     {5, 18, 24, 13, 23, 12, 23, 22, 9, 18, 19, 19,
-      23, 23, 23, 23, 9, 11, 11, 11, 11, 11, 1, 11}},
-    {"d-dfl-sso", "er", 116, 15310594661388263481ULL,
-     {5, 13, 18, 7, 17, 11, 4, 24, 17, 13, 11, 8,
-      13, 6, 4, 4, 18, 11, 18, 18, 6, 8, 8, 8}},
-    {"d-dfl-sso", "star", 331, 4476316292021332157ULL,
-     {5, 11, 7, 10, 4, 1, 6, 2, 23, 8, 22, 13,
-      24, 15, 20, 21, 12, 14, 16, 19, 18, 9, 17, 3}},
-    {"d-dfl-sso", "ws", 84, 1225355607985734572ULL,
-     {5, 18, 24, 12, 23, 3, 9, 13, 4, 24, 24, 5,
-      5, 5, 5, 5, 5, 3, 3, 3, 24, 24, 24, 24}},
 };
 
 std::uint64_t fnv1a(const std::vector<ArmId>& xs) {
@@ -169,8 +151,7 @@ std::uint64_t fnv1a(const std::vector<ArmId>& xs) {
 const std::vector<std::string> kPolicies = {
     "dfl-sso",  "dfl-sso-greedy", "dfl-ssr",  "dfl-ssr-meansum",
     "moss",     "moss-anytime",   "ucb1",     "ucb-n",
-    "ucb-maxn", "kl-ucb",         "kl-ucb-n", "sw-dfl-sso",
-    "d-dfl-sso"};
+    "ucb-maxn", "kl-ucb",         "kl-ucb-n"};
 const std::vector<std::string> kGraphNames = {"er", "star", "ws"};
 
 Graph make_graph(const std::string& name) {
