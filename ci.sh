@@ -9,7 +9,8 @@
 #                             smoke, sweep-engine smoke (resume round-trip,
 #                             thread determinism, distributed dispatch incl.
 #                             localhost-TCP workers, a combinatorial CSO+CSR
-#                             grid md5-pinned), serve smoke (real server
+#                             grid and benchmark-shaped CSO+CSR runs
+#                             md5-pinned), serve smoke (real server
 #                             + driver + SIGTERM drain), replay smoke (offline
 #                             panel over the serve log + logging-identity pin
 #                             + sharded 2-worker panel, with and without a
@@ -234,6 +235,43 @@ EOF
     done
   done
   echo "sweep smoke: combinatorial CSO+CSR grid byte-identical (2 workers) and md5-pinned"
+
+  # Benchmark-shaped leg: the repository benchmark's combinatorial instance
+  # (K = 20, ER(0.3), M <= 3, so |F| = 1,350) long enough to leave the
+  # O_x = 1 plateau, where DFL-CSO refreshes hot com-arms every slot and
+  # its argmax spans six blocks. Pinned before the per-count width memo,
+  # the two-level argmax skip, the branch-free oracle leaf scan and
+  # DFL-CSO's flat com-arm rows: none of them may move a byte.
+  for scenario in cso csr; do
+    if [ "$scenario" = cso ]; then
+      policies='dfl-cso, cucb'
+      expected=057540691a4a0e9abfdb1e76b2abde37
+    else
+      policies='dfl-csr, cucb'
+      expected=d0063650010a36b736b7325356a23c3e
+    fi
+    spec="build/comb_bench_$scenario.sweep"
+    cat > "$spec" <<EOF
+name = ci-bench-$scenario
+scenario = $scenario
+policies = $policies
+graphs = er
+arms = 20
+p = 0.3
+horizons = 5000
+replications = 2
+checkpoints = 30
+strategy-size = 3
+seed = 1
+EOF
+    ./build/examples/ncb_sweep --spec "$spec" \
+        --out "build/comb_bench_$scenario.json" > /dev/null
+    ./build/examples/ncb_sweep --spec "$spec" \
+        --out "build/comb_bench_$scenario.w2.json" --workers 2 > /dev/null
+    cmp "build/comb_bench_$scenario.json" "build/comb_bench_$scenario.w2.json"
+    echo "$expected  build/comb_bench_$scenario.json" | md5sum -c --quiet -
+  done
+  echo "sweep smoke: benchmark-shaped CSO+CSR runs byte-identical (2 workers) and md5-pinned"
 }
 
 # Serve smoke: a real ncb_serve process (engine + event log + reactor)

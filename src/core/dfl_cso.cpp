@@ -21,7 +21,7 @@ void DflCso::reset() {
   arm_values_.assign(family_->graph().num_vertices(), 0.0);
   arm_stamp_.assign(family_->graph().num_vertices(), -1);
   epoch_ = 0;
-  rewards_.reserve(family_->size());
+  rewards_.resize(family_->size());
 }
 
 Span<StrategyId> DflCso::update_list(StrategyId x) const {
@@ -45,7 +45,10 @@ void DflCso::observe(StrategyId played, TimeSlot t,
     arm_values_.at(static_cast<std::size_t>(obs.arm)) = obs.value;
     arm_stamp_.at(static_cast<std::size_t>(obs.arm)) = epoch_;
   }
-  rewards_.clear();
+  // Rewards go field by field into a buffer sized for the longest update
+  // list (|F|): a push_back per com-arm built each Observation on the stack
+  // and re-read it whole, stalling on store forwarding.
+  Observation* out = rewards_.data();
   for (const StrategyId y : update_list(played)) {
     double reward = 0.0;
     bool complete = true;
@@ -56,9 +59,15 @@ void DflCso::observe(StrategyId played, TimeSlot t,
       }
       reward += arm_values_[static_cast<std::size_t>(i)];
     }
-    if (complete) rewards_.add(y, reward);
+    if (complete) {
+      out->arm = y;
+      out->value = reward;
+      ++out;
+    }
   }
-  sso_.observe(played, t, rewards_.span());
+  sso_.observe(played, t,
+               ObservationSpan(rewards_.data(),
+                               static_cast<std::size_t>(out - rewards_.data())));
 }
 
 std::string DflCso::name() const {

@@ -1,10 +1,8 @@
 #include "core/dfl_sso.hpp"
 
-#include <limits>
 #include <sstream>
 
 #include "core/policy_registry.hpp"
-#include "util/math.hpp"
 
 namespace ncb {
 
@@ -18,31 +16,16 @@ void DflSso::on_reset(const Graph& graph) {
   ArmStatIndexPolicy::on_reset(graph);
 }
 
-IndexRefresh DflSso::refresh_index(ArmId i, TimeSlot t) const {
-  const std::int64_t count = stats_.count(i);
-  if (count == 0) {
-    // +inf until the first observation dirty-marks the arm.
-    return {std::numeric_limits<double>::infinity(), kIndexValidForever};
-  }
-  // Width plateau: t ≤ K·O_i ⇔ the ratio rounds to ≤ 1.0 (t and K·O_i are
-  // exact in double up to 2^53 and division is monotonic), so log⁺ clips
-  // the width to exactly zero and the index sits at the empirical mean
-  // until slot K·O_i.
-  const std::int64_t plateau = static_cast<std::int64_t>(num_arms_) * count;
-  const double mean = stats_.mean(i);
-  if (t <= plateau) {
-    return {mean + options_.exploration_scale * 0.0, plateau};
-  }
-  const double ratio = static_cast<double>(t) /
-                       (static_cast<double>(num_arms_) *
-                        static_cast<double>(count));
-  return {mean + options_.exploration_scale *
-                     exploration_width(ratio, static_cast<double>(count)),
-          t};
+void DflSso::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                             TimeSlot* valid_until) {
+  refresh_plateau_indices(t, arms, values, valid_until,
+                          options_.exploration_scale);
 }
 
 double DflSso::index(ArmId i, TimeSlot t) const {
-  return refresh_index(i, t).value;
+  return plateau_index(stats_.mean(i), stats_.count(i), t,
+                       options_.exploration_scale)
+      .value;
 }
 
 ArmId DflSso::refine_selection(ArmId best) {

@@ -38,7 +38,8 @@ class DflSso final : public ArmStatIndexPolicy {
   [[nodiscard]] IndexRefreshMode refresh_mode() const override {
     return IndexRefreshMode::kIncremental;
   }
-  [[nodiscard]] IndexRefresh refresh_index(ArmId i, TimeSlot t) const override;
+  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                       TimeSlot* valid_until) override;
 
  private:
   DflSsoOptions options_;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/policy_registry.hpp"
-#include "util/math.hpp"
 
 namespace ncb {
 
@@ -30,6 +29,12 @@ std::int64_t DflSsr::side_observation_count(ArmId i) const {
 }
 
 double DflSsr::side_reward_estimate(ArmId i) const {
+  return estimate_given(i, options_.estimator == SsrEstimator::kPaired
+                               ? side_observation_count(i)
+                               : 0);
+}
+
+double DflSsr::estimate_given(ArmId i, std::int64_t ob) const {
   if (options_.estimator == SsrEstimator::kMeanSum) {
     const double* means = direct_.means();
     double total = 0.0;
@@ -40,7 +45,6 @@ double DflSsr::side_reward_estimate(ArmId i) const {
   }
   // Paired: average of the first Ob_i paired sums, which equals the sum of
   // each neighbor's mean over its first Ob_i observations.
-  const std::int64_t ob = side_observation_count(i);
   if (ob == 0) return 0.0;
   double total = 0.0;
   for (const ArmId j : graph_.closed_neighborhood(i)) {
@@ -49,23 +53,21 @@ double DflSsr::side_reward_estimate(ArmId i) const {
   return total / static_cast<double>(ob);
 }
 
-IndexRefresh DflSsr::refresh_index(ArmId i, TimeSlot t) const {
-  const std::int64_t ob = side_observation_count(i);
-  if (ob == 0) {
-    return {std::numeric_limits<double>::infinity(), kIndexValidForever};
+void DflSsr::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                             TimeSlot* valid_until) {
+  // DFL-SSO's width plateau, over the side-reward counter Ob_i.
+  for (const ArmId i : arms) {
+    const auto k = static_cast<std::size_t>(i);
+    const std::int64_t ob = side_observation_count(i);
+    const IndexRefresh r = plateau_refresh(estimate_given(i, ob), ob, t);
+    values[k] = r.value;
+    valid_until[k] = r.valid_until;
   }
-  // Same width plateau as DFL-SSO, over the side-reward counter Ob_i.
-  const std::int64_t plateau = static_cast<std::int64_t>(num_arms_) * ob;
-  if (t <= plateau) return {side_reward_estimate(i) + 0.0, plateau};
-  const double ratio = static_cast<double>(t) /
-                       (static_cast<double>(num_arms_) * static_cast<double>(ob));
-  return {side_reward_estimate(i) +
-              exploration_width(ratio, static_cast<double>(ob)),
-          t};
 }
 
 double DflSsr::index(ArmId i, TimeSlot t) const {
-  return refresh_index(i, t).value;
+  const std::int64_t ob = side_observation_count(i);
+  return plateau_index(estimate_given(i, ob), ob, t).value;
 }
 
 void DflSsr::observe(ArmId /*played*/, TimeSlot /*t*/,

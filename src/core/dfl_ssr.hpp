@@ -59,9 +59,13 @@ class DflSsr final : public SingleIndexPolicy {
   [[nodiscard]] IndexRefreshMode refresh_mode() const override {
     return IndexRefreshMode::kIncremental;
   }
-  [[nodiscard]] IndexRefresh refresh_index(ArmId i, TimeSlot t) const override;
+  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                       TimeSlot* valid_until) override;
 
  private:
+  /// B̄_i given Ob_i = `ob` (the paired estimator reads it; 0 when ob = 0).
+  [[nodiscard]] double estimate_given(ArmId i, std::int64_t ob) const;
+
   DflSsrOptions options_;
   Graph graph_{0};  // copied at reset(); no external lifetime requirement
   ArmStatsTable direct_;                           // O_i and X̄_i

@@ -1,12 +1,16 @@
 #include "core/index_policy.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/argmax.hpp"
 
 namespace ncb {
 namespace {
+
+/// A WidthMemo slot no off-plateau refresh uses (those run at t > K ≥ 1).
+constexpr TimeSlot kNoSlot = std::numeric_limits<TimeSlot>::min();
 
 /// Min-heap ordering on (valid_until, arm): the earliest expiry at front.
 struct LaterExpiry {
@@ -31,6 +35,8 @@ void SingleIndexPolicy::reset(const Graph& graph) {
   all_dirty_ = true;
   last_select_t_ = std::numeric_limits<TimeSlot>::min();
   tie_break_draws_ = 0;
+  width_memo_.clear();
+  width_evaluations_ = 0;
   on_reset(graph);
 }
 
@@ -54,6 +60,27 @@ void SingleIndexPolicy::refresh_all_indices(TimeSlot t, double* out) const {
   for (std::size_t k = 0; k < num_arms_; ++k) {
     out[k] = index(static_cast<ArmId>(k), t);
   }
+}
+
+void SingleIndexPolicy::refresh_indices(TimeSlot t, Span<ArmId> arms,
+                                        double* values,
+                                        TimeSlot* valid_until) {
+  for (const ArmId i : arms) {
+    const auto k = static_cast<std::size_t>(i);
+    values[k] = index(i, t);
+    valid_until[k] = t;
+  }
+}
+
+double SingleIndexPolicy::memo_width(std::int64_t count, TimeSlot t) {
+  const auto c = static_cast<std::size_t>(count);
+  if (c >= width_memo_.size()) width_memo_.resize(c + 1, {kNoSlot, 0.0});
+  WidthMemo& memo = width_memo_[c];
+  if (memo.slot != t) {
+    memo = {t, width_at(count, t)};
+    ++width_evaluations_;
+  }
+  return memo.width;
 }
 
 void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
@@ -84,17 +111,16 @@ void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
       schedule_expiry(arm, valid_until_[k]);
     }
   }
+  refresh_indices(t, dirty_list_, cache, valid_until_.data());
   for (const ArmId i : dirty_list_) {
     const auto k = static_cast<std::size_t>(i);
-    const IndexRefresh r = refresh_index(i, t);
-    cache[k] = r.value;
-    valid_until_[k] = r.valid_until;
-    if (r.valid_until == kIndexValidForever) {
+    const TimeSlot vu = valid_until_[k];
+    if (vu == kIndexValidForever) {
       // Never expires on its own; only an observation re-dirties it.
-    } else if (r.valid_until <= t) {
+    } else if (vu <= t) {
       hot_list_.push_back(i);
     } else {
-      schedule_expiry(i, r.valid_until);
+      schedule_expiry(i, vu);
     }
     dirty_flag_[k] = 0;
   }
@@ -108,16 +134,20 @@ void SingleIndexPolicy::rebuild_cache(TimeSlot t, double* cache) {
   expiry_heap_.clear();
   std::fill(sched_vu_.begin(), sched_vu_.end(), kIndexValidForever);
   hot_list_.clear();
+  // Every arm is stale: refresh them all in one batch, borrowing the
+  // (empty) dirty list as the arm list.
+  dirty_list_.resize(num_arms_);
+  std::iota(dirty_list_.begin(), dirty_list_.end(), ArmId{0});
+  refresh_indices(t, dirty_list_, cache, valid_until_.data());
+  dirty_list_.clear();
   for (std::size_t k = 0; k < num_arms_; ++k) {
-    const IndexRefresh r = refresh_index(static_cast<ArmId>(k), t);
-    cache[k] = r.value;
-    valid_until_[k] = r.valid_until;
-    if (r.valid_until == kIndexValidForever) {
-    } else if (r.valid_until <= t) {
+    const TimeSlot vu = valid_until_[k];
+    if (vu == kIndexValidForever) {
+    } else if (vu <= t) {
       hot_list_.push_back(static_cast<ArmId>(k));
     } else {
-      expiry_heap_.emplace_back(r.valid_until, static_cast<ArmId>(k));
-      sched_vu_[k] = r.valid_until;
+      expiry_heap_.emplace_back(vu, static_cast<ArmId>(k));
+      sched_vu_[k] = vu;
     }
   }
   std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry{});
@@ -159,6 +189,20 @@ void ArmStatIndexPolicy::observe(ArmId /*played*/, TimeSlot /*t*/,
                                  ObservationSpan observations) {
   for (const Observation& obs : observations) {
     absorb(obs.arm, obs.value);
+  }
+}
+
+void ArmStatIndexPolicy::refresh_plateau_indices(TimeSlot t, Span<ArmId> arms,
+                                                  double* values,
+                                                  TimeSlot* valid_until,
+                                                  double eta) {
+  const std::int64_t* counts = stats_.counts();
+  const double* means = stats_.means();
+  for (const ArmId i : arms) {
+    const auto k = static_cast<std::size_t>(i);
+    const IndexRefresh r = plateau_refresh(means[k], counts[k], t, eta);
+    values[k] = r.value;
+    valid_until[k] = r.valid_until;
   }
 }
 

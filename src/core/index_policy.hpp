@@ -7,9 +7,9 @@
 // statistics it reads.
 //
 // select() never evaluates the virtual index() per arm. It maintains a flat
-// per-arm index array and runs the block-vectorized reservoir argmax
-// (util/argmax.hpp) over it; how the array is kept current is the policy's
-// IndexRefreshMode:
+// per-arm index array and runs the two-level block-skipping reservoir
+// argmax (util/argmax.hpp) over it; how the array is kept current is the
+// policy's IndexRefreshMode:
 //
 //  * kEveryRound — the index depends on t every slot (UCB1's ln t, KL-UCB's
 //    budget). select() bulk-refreshes the whole array through one virtual
@@ -19,15 +19,26 @@
 //    future slot (the DFL family: width = sqrt(log⁺(t/(K·O_i))/O_i) is
 //    exactly zero while t ≤ K·O_i, so the index sits at the empirical mean
 //    on a "plateau"). observe() marks exactly the touched arms stale via
-//    mark_index_dirty(); refresh_index() returns each refreshed value with
-//    the last slot it stays valid (valid_until), and select() re-refreshes
-//    an arm only when it is dirty or its plateau expired — tracked by a
-//    lazy-deletion min-heap keyed on valid_until.
+//    mark_index_dirty(); select() re-refreshes an arm only when it is dirty
+//    or its plateau expired — tracked by a lazy-deletion min-heap keyed on
+//    valid_until — and hands the whole stale list to one virtual
+//    refresh_indices() call, which writes each value with the last slot it
+//    stays valid (valid_until).
+//
+// The kIncremental policies share one index formula, plateau_refresh():
+// estimate + η·width(t/(K·O), O), exactly estimate + η·0 through slot K·O.
+// Off the plateau the width depends on (t, O) only, and the arms refreshed
+// in one select share few distinct counts (on the benchmark's DFL-CSO
+// instance, ≈77 off-plateau com-arms per slot share ≈1.4), so
+// plateau_refresh() evaluates exploration_width once per distinct count
+// per select from a memo cleared on reset(); width_evaluations() counts
+// those evaluations.
 //
 // Both paths produce bit-for-the-comparisons-identical values to the
-// from-scratch index(), so the argmax comparisons — and therefore the
-// tie-break RNG draw sequence and every downstream selection — are exactly
-// reproduced (regression-tested against pre-refactor goldens).
+// from-scratch index(), which never reads the memo, so the argmax
+// comparisons — and therefore the tie-break RNG draw sequence and every
+// downstream selection — are exactly reproduced (regression-tested against
+// pre-refactor goldens).
 //
 // ArmStatIndexPolicy additionally owns the per-arm SoA stats table and
 // default-implements observe() as the *batched* update path: the whole
@@ -44,7 +55,9 @@
 
 #include "core/arm_stats.hpp"
 #include "core/policy.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
+#include "util/span.hpp"
 
 namespace ncb {
 
@@ -59,8 +72,8 @@ enum class IndexRefreshMode {
 inline constexpr TimeSlot kIndexValidForever =
     std::numeric_limits<TimeSlot>::max();
 
-/// One incremental refresh: the new index value and the last slot it stays
-/// valid for, assuming the arm's statistics do not change in between.
+/// One index value and the last slot it stays valid for, assuming the
+/// arm's statistics do not change in between.
 struct IndexRefresh {
   double value;
   TimeSlot valid_until;
@@ -79,6 +92,12 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   /// reset() — part of the reproducibility contract, pinned by goldens.
   [[nodiscard]] std::uint64_t tie_break_draws() const noexcept {
     return tie_break_draws_;
+  }
+
+  /// exploration_width evaluations made by plateau_refresh() since the last
+  /// reset() — one per distinct count O per select off the plateau.
+  [[nodiscard]] std::uint64_t width_evaluations() const noexcept {
+    return width_evaluations_;
   }
 
   /// The per-arm index array as of the last select() (diagnostics/tests).
@@ -113,12 +132,42 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   /// stream the SoA stat arrays.
   virtual void refresh_all_indices(TimeSlot t, double* out) const;
 
-  /// Incremental refresh of one stale arm (kIncremental policies must
-  /// override). The returned value must equal index(i, t) numerically, and
-  /// must keep equaling index(i, t') for every t ≤ t' ≤ valid_until absent
-  /// observations of the arm.
-  [[nodiscard]] virtual IndexRefresh refresh_index(ArmId i, TimeSlot t) const {
-    return {index(i, t), t};
+  /// Incremental refresh of the stale arms (kIncremental policies
+  /// override): for each i in `arms`, writes values[i] and valid_until[i].
+  /// values[i] must equal index(i, t) numerically, and must keep equaling
+  /// index(i, t') for every t ≤ t' ≤ valid_until[i] absent observations of
+  /// the arm. The default writes index(i, t), valid through t only.
+  virtual void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                               TimeSlot* valid_until);
+
+  /// The count-plateau index shared by DFL-SSO, MOSS and DFL-SSR, from an
+  /// arm's estimate and its count O at slot t: +inf, valid forever, at
+  /// O = 0; else estimate + η·exploration_width(t/(K·O), O). The width is
+  /// exactly zero while t ≤ K·O (the ratio rounds to ≤ 1.0: t and K·O are
+  /// exact in double up to 2^53 and division is monotonic), so the value
+  /// holds through slot K·O; off the plateau it holds for slot t only.
+  /// The uncached reference that index() uses.
+  [[nodiscard]] IndexRefresh plateau_index(double estimate,
+                                           std::int64_t count, TimeSlot t,
+                                           double eta = 1.0) const {
+    if (count == 0) {
+      return {std::numeric_limits<double>::infinity(), kIndexValidForever};
+    }
+    const std::int64_t plateau = static_cast<std::int64_t>(num_arms_) * count;
+    if (t <= plateau) return {estimate + eta * 0.0, plateau};
+    return {estimate + eta * width_at(count, t), t};
+  }
+
+  /// plateau_index() for refresh_indices(): bit-identical, with the width
+  /// read from a per-slot memo keyed by count. Off the plateau O < t/K, so
+  /// the memo holds at most t/K + 1 entries.
+  [[nodiscard]] IndexRefresh plateau_refresh(double estimate,
+                                             std::int64_t count, TimeSlot t,
+                                             double eta = 1.0) {
+    if (count == 0 || t <= static_cast<std::int64_t>(num_arms_) * count) {
+      return plateau_index(estimate, count, t, eta);
+    }
+    return {estimate + eta * memo_width(count, t), t};
   }
 
   /// Marks arm i's cached index stale. Deduplicated (a flag per arm), so
@@ -144,6 +193,14 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   void schedule_expiry(ArmId i, TimeSlot valid_until);
   void purge_expiry_heap();
 
+  [[nodiscard]] double width_at(std::int64_t count, TimeSlot t) const {
+    return exploration_width(static_cast<double>(t) /
+                                 (static_cast<double>(num_arms_) *
+                                  static_cast<double>(count)),
+                             static_cast<double>(count));
+  }
+  [[nodiscard]] double memo_width(std::int64_t count, TimeSlot t);
+
   std::vector<double> cached_indices_;
   std::vector<std::uint8_t> dirty_flag_;  // per-arm "already in dirty_list_"
   std::vector<ArmId> dirty_list_;
@@ -164,6 +221,14 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   bool all_dirty_ = true;
   TimeSlot last_select_t_ = std::numeric_limits<TimeSlot>::min();
   std::uint64_t tie_break_draws_ = 0;
+  // memo_width's memo: entry O holds width_at(O, slot) for the slot it was
+  // computed at; slot kNoSlot (TimeSlot's minimum) marks it empty.
+  struct WidthMemo {
+    TimeSlot slot;
+    double width;
+  };
+  std::vector<WidthMemo> width_memo_;
+  std::uint64_t width_evaluations_ = 0;
   std::uint64_t seed_;
 };
 
@@ -192,6 +257,12 @@ class ArmStatIndexPolicy : public SingleIndexPolicy {
     stats_.add(arm, value);
     mark_index_dirty(arm);
   }
+
+  /// refresh_indices() of a plateau index over the stats table:
+  /// plateau_refresh(X̄_i, O_i, t, eta) for each arm, read straight from
+  /// the SoA arrays.
+  void refresh_plateau_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                               TimeSlot* valid_until, double eta);
 
   /// The empirically best observed arm within N_best (always contains
   /// `best` itself) — the shared MaxN/neighbor-greedy refinement.

@@ -12,32 +12,33 @@ namespace ncb {
 Moss::Moss(MossOptions options)
     : ArmStatIndexPolicy(options.seed), options_(options) {}
 
-IndexRefresh Moss::refresh_index(ArmId i, TimeSlot t) const {
+double Moss::fixed_horizon_index(ArmId i) const {
   const std::int64_t count = stats_.count(i);
-  if (count == 0) {
-    return {std::numeric_limits<double>::infinity(), kIndexValidForever};
-  }
-  const double mean = stats_.mean(i);
-  if (options_.horizon > 0) {
-    // Fixed-horizon MOSS: the ratio uses n, not t, so the index only moves
-    // when the arm is played again.
-    const double ratio = static_cast<double>(options_.horizon) /
-                         (static_cast<double>(num_arms_) *
-                          static_cast<double>(count));
-    return {mean + exploration_width(ratio, static_cast<double>(count)),
-            kIndexValidForever};
-  }
-  // Anytime form: same width plateau as DFL-SSO (zero while t ≤ K·T_i).
-  const std::int64_t plateau = static_cast<std::int64_t>(num_arms_) * count;
-  if (t <= plateau) return {mean + 0.0, plateau};
-  const double ratio = static_cast<double>(t) /
+  if (count == 0) return std::numeric_limits<double>::infinity();
+  const double ratio = static_cast<double>(options_.horizon) /
                        (static_cast<double>(num_arms_) *
                         static_cast<double>(count));
-  return {mean + exploration_width(ratio, static_cast<double>(count)), t};
+  return stats_.mean(i) +
+         exploration_width(ratio, static_cast<double>(count));
+}
+
+void Moss::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                           TimeSlot* valid_until) {
+  if (options_.horizon <= 0) {
+    // Anytime form: DFL-SSO's width plateau over the play count T_i.
+    refresh_plateau_indices(t, arms, values, valid_until, 1.0);
+    return;
+  }
+  for (const ArmId i : arms) {
+    const auto k = static_cast<std::size_t>(i);
+    values[k] = fixed_horizon_index(i);
+    valid_until[k] = kIndexValidForever;
+  }
 }
 
 double Moss::index(ArmId i, TimeSlot t) const {
-  return refresh_index(i, t).value;
+  if (options_.horizon > 0) return fixed_horizon_index(i);
+  return plateau_index(stats_.mean(i), stats_.count(i), t).value;
 }
 
 void Moss::observe(ArmId played, TimeSlot /*t*/,

@@ -35,9 +35,14 @@ class Moss final : public ArmStatIndexPolicy {
   [[nodiscard]] IndexRefreshMode refresh_mode() const override {
     return IndexRefreshMode::kIncremental;
   }
-  [[nodiscard]] IndexRefresh refresh_index(ArmId i, TimeSlot t) const override;
+  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
+                       TimeSlot* valid_until) override;
 
  private:
+  /// Fixed-horizon index: the ratio uses n, not t, so it only moves when
+  /// the arm is played again.
+  [[nodiscard]] double fixed_horizon_index(ArmId i) const;
+
   MossOptions options_;
 };
 

@@ -48,15 +48,30 @@ std::size_t PrefixSumTree::argmax(const double* scores,
     value[n] = value[nodes_[n].parent] +
                scores[static_cast<std::size_t>(nodes_[n].arm)];
   }
-  std::size_t best = 0;
-  double best_value = -std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < leaf_.size(); ++r) {
-    const double v = value[leaf_[r]];
-    if (v > best_value) {
-      best_value = v;
-      best = r;
-    }
+  // Leaf pass (see the header): branch-free max, then its first row.
+  const double kNegInf = -std::numeric_limits<double>::infinity();
+  const std::uint32_t* leaf = leaf_.data();
+  const std::size_t rows = leaf_.size();
+  double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double v0 = value[leaf[r]], v1 = value[leaf[r + 1]];
+    const double v2 = value[leaf[r + 2]], v3 = value[leaf[r + 3]];
+    m0 = v0 > m0 ? v0 : m0;
+    m1 = v1 > m1 ? v1 : m1;
+    m2 = v2 > m2 ? v2 : m2;
+    m3 = v3 > m3 ? v3 : m3;
   }
+  for (; r < rows; ++r) {
+    const double v = value[leaf[r]];
+    m0 = v > m0 ? v : m0;
+  }
+  m0 = m1 > m0 ? m1 : m0;
+  m2 = m3 > m2 ? m3 : m2;
+  const double best_value = m2 > m0 ? m2 : m0;
+  if (best_value == kNegInf) return 0;
+  std::size_t best = 0;
+  while (!(value[leaf[best]] == best_value)) ++best;
   return best;
 }
 

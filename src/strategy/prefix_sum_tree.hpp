@@ -15,6 +15,13 @@
 // row directly — so values, and hence the smaller-row tie-break, are
 // bit-identical to a per-row scan. A family with no shared prefixes does
 // no more adds than that scan.
+//
+// The leaf pass picks the winner without a data-dependent branch per row:
+// a branch-free maximum over the leaf values in four independent chains
+// (NaN never wins), then a scan for the first row equal to it. That is the
+// first strict maximum of the historical left-to-right compare loop, with
+// its corner cases: +0.0 and -0.0 tie (first row wins), NaN rows are
+// skipped, and row 0 is returned when no row beats -inf (all -inf or NaN).
 #pragma once
 
 #include <cstddef>

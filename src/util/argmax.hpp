@@ -9,16 +9,20 @@
 // contract (sweep output is byte-identical across refactors), so any
 // faster implementation must replay the draws of that exact loop.
 //
-// This implementation is block-vectorized: scores are scanned in fixed-size
-// blocks; each block's maximum is reduced first with four independent,
-// branch-free accumulator chains (compiles to pipelined maxsd/maxpd — no
-// data-dependent branches), and blocks whose maximum stays strictly below
-// the running maximum are skipped outright, since no element in them can
-// update the maximum or tie with it. Only blocks that contain a potential
-// update are re-walked with the exact historical loop, so the RNG sees the
-// same draw sequence while the common case (steady state, distinct finite
-// indices) runs at memory speed. NaN scores never win and never tie, same
-// as the historical loop.
+// This implementation skips in two levels. Scores are scanned in blocks of
+// 256, each split into eight sub-blocks of 32. One pass reduces every
+// sub-block's maximum with four independent, branch-free accumulator
+// chains (pipelined maxsd/maxpd — no data-dependent branches); the block's
+// maximum is the max of its eight. A block whose maximum stays strictly
+// below the running maximum is skipped outright, since no element in it can
+// update the maximum or tie with it. In a block that can, the same rule is
+// applied again per sub-block against the running maximum as the scan
+// advances, and only the sub-blocks that pass are re-walked with the exact
+// historical loop. The skip rule is unchanged, only finer, so the RNG sees
+// the same draw sequence — while a score array whose maximum creeps upward
+// along the array (DFL-CSO's com-arm indices) rescans a few sub-blocks of
+// each block instead of the whole block. NaN scores never win and never
+// tie, same as the historical loop.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +63,9 @@ inline void reservoir_scan(const double* scores, std::size_t first,
 }
 
 /// Branch-free maximum of scores[first, last): four independent accumulator
-/// chains, `m = s > m ? s : m` per lane (NaN loses). Used to prove a block
-/// cannot touch the running maximum before paying for the exact scan.
+/// chains, `m = s > m ? s : m` per lane (NaN loses; -inf when empty or all
+/// NaN). Used to prove a (sub-)block cannot touch the running maximum
+/// before paying for the exact scan.
 inline double block_max(const double* scores, std::size_t first,
                         std::size_t last) noexcept {
   const double kNegInf = -std::numeric_limits<double>::infinity();
@@ -83,24 +88,41 @@ inline double block_max(const double* scores, std::size_t first,
   return m2 > m0 ? m2 : m0;
 }
 
-/// Argmax of scores[0, n) with reservoir tie-breaking, block-skipping
-/// regions that provably cannot update or tie the running maximum.
+/// Argmax of scores[0, n) with reservoir tie-breaking, skipping blocks and
+/// sub-blocks that provably cannot update or tie the running maximum.
 /// Returns the selected position; `draws_out` (optional) receives the
 /// number of uniform_int draws consumed. Requires n > 0.
 inline std::size_t reservoir_argmax(const double* scores, std::size_t n,
                                     Xoshiro256& rng,
                                     std::uint64_t* draws_out = nullptr) {
-  constexpr std::size_t kBlock = 256;
+  constexpr std::size_t kSub = 32;
+  constexpr std::size_t kSubsPerBlock = 8;
+  constexpr std::size_t kBlock = kSub * kSubsPerBlock;
   ArgmaxState state;
+  double sub_max[kSubsPerBlock];
   for (std::size_t begin = 0; begin < n; begin += kBlock) {
     const std::size_t end = begin + kBlock < n ? begin + kBlock : n;
+    const std::size_t subs = (end - begin + kSub - 1) / kSub;
+    double m = -std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < subs; ++s) {
+      const std::size_t first = begin + s * kSub;
+      const std::size_t last = first + kSub < end ? first + kSub : end;
+      sub_max[s] = block_max(scores, first, last);
+      m = sub_max[s] > m ? sub_max[s] : m;
+    }
     // Skip iff every element is strictly below the running maximum; the
     // >= comparison keeps -inf/+inf plateaus and first-block semantics
-    // exactly on the historical path (NaN-only blocks reduce to -inf and
-    // are scanned only while best_score is still -inf, where the
-    // historical loop also ignores them).
-    if (block_max(scores, begin, end) >= state.best_score) {
-      reservoir_scan(scores, begin, end, state, rng);
+    // exactly on the historical path (NaN-only sub-blocks reduce to -inf
+    // and are scanned only while best_score is still -inf, where the
+    // historical loop also ignores them). best_score only rises during the
+    // block, so each sub-block is tested against its value at that point.
+    if (!(m >= state.best_score)) continue;
+    for (std::size_t s = 0; s < subs; ++s) {
+      if (sub_max[s] >= state.best_score) {
+        const std::size_t first = begin + s * kSub;
+        const std::size_t last = first + kSub < end ? first + kSub : end;
+        reservoir_scan(scores, first, last, state, rng);
+      }
     }
   }
   if (draws_out != nullptr) *draws_out += state.draws;

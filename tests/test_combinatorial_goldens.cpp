@@ -14,6 +14,7 @@
 
 #include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
+#include "sim/experiment.hpp"
 #include "strategy/feasible_set.hpp"
 #include "util/rng.hpp"
 
@@ -142,6 +143,75 @@ TEST(CombinatorialGoldens, TraceMatchesFullRescanCapture) {
         run_trace(golden.policy, golden.graph, 2000 * (pi + 1) + gi);
     for (std::size_t i = 0; i < golden.head.size(); ++i) {
       EXPECT_EQ(selections[i], golden.head[i]) << "slot " << (i + 1);
+    }
+    EXPECT_EQ(fnv1a(selections), golden.selection_hash);
+  }
+}
+
+// The grid above (|F| = 696, 400 slots) never leaves the O_x = 1 plateau
+// at t ≤ |F|, so it pins neither hot com-arms (off-plateau refreshes every
+// slot) nor a long steady state. This case runs the benchmark instance —
+// K = 20, ER(0.3), all subsets of size <= 3 (|F| = 1,350), seed 1 — for
+// 3,000 slots, past t = 2|F|, with Bernoulli(μ_j) rewards over Y_x. The
+// expectations were captured from the implementation before the batched
+// per-count refresh, the two-level argmax skip, the branch-free oracle leaf
+// scan and DFL-CSO's flat com-arm rows, and must never change.
+struct LongRunGolden {
+  const char* policy;
+  std::uint64_t selection_hash;  // FNV-1a over all 3,000 selections
+  std::vector<StrategyId> tail;  // last 16 selections
+};
+
+const LongRunGolden kLongRunGoldens[] = {
+    {"dfl-cso", 4479461017448061992ULL,
+     {1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211,
+      1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211}},
+    {"dfl-cso-observable", 3795101159144749150ULL,
+     {1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211,
+      1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211}},
+    {"dfl-csr", 4556602464853175047ULL,
+     {310, 310, 310, 310, 310, 310, 310, 310,
+      310, 310, 310, 310, 310, 310, 310, 310}},
+    {"cucb", 6038368086120063862ULL,
+     {1211, 1211, 1111, 1111, 1111, 1211, 1211, 1211,
+      1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211}},
+};
+
+TEST(CombinatorialGoldens, LongRunOnBenchmarkInstanceMatchesCapture) {
+  constexpr TimeSlot kSlots = 3000;
+  ExperimentConfig config;
+  config.num_arms = 20;
+  config.edge_probability = 0.3;
+  config.strategy_size = 3;
+  config.seed = 1;
+  const BanditInstance instance = build_instance(config);
+  const auto family = build_family(config, instance.graph());
+  ASSERT_EQ(family->size(), 1350u);
+  const std::vector<double>& means = instance.means();
+  for (std::size_t pi = 0; pi < std::size(kLongRunGoldens); ++pi) {
+    const LongRunGolden& golden = kLongRunGoldens[pi];
+    SCOPED_TRACE(golden.policy);
+    const auto policy = PolicyRegistry::instance().make_combinatorial(
+        golden.policy, family, 123);
+    policy->reset();
+    Xoshiro256 rewards(3000 + pi);
+    std::vector<Observation> batch;
+    std::vector<StrategyId> selections;
+    selections.reserve(static_cast<std::size_t>(kSlots));
+    for (TimeSlot t = 1; t <= kSlots; ++t) {
+      const StrategyId x = policy->select(t);
+      selections.push_back(x);
+      batch.clear();
+      for (const ArmId j : family->neighborhood(x)) {
+        const double mu = means[static_cast<std::size_t>(j)];
+        batch.push_back({j, rewards.bernoulli(mu) ? 1.0 : 0.0});
+      }
+      policy->observe(x, t, ObservationSpan(batch.data(), batch.size()));
+    }
+    ASSERT_EQ(golden.tail.size(), 16u);
+    for (std::size_t i = 0; i < golden.tail.size(); ++i) {
+      const std::size_t slot = selections.size() - golden.tail.size() + i;
+      EXPECT_EQ(selections[slot], golden.tail[i]) << "slot " << (slot + 1);
     }
     EXPECT_EQ(fnv1a(selections), golden.selection_hash);
   }

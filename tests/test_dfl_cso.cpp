@@ -7,7 +7,10 @@
 #include <optional>
 #include <thread>
 
+#include "env/environment.hpp"
 #include "graph/generators.hpp"
+#include "sim/experiment.hpp"
+#include "sim/runner.hpp"
 #include "strategy/strategy_graph.hpp"
 #include "util/rng.hpp"
 
@@ -164,6 +167,34 @@ TEST(DflCso, ConcurrentConstructionSharesOneStrategyGraph) {
               observable_strategies(*family, x));
     EXPECT_EQ(observable.update_list(x).data(), family->observable(x).data());
   }
+}
+
+// The per-count width memo, on the benchmark's combinatorial instance
+// (K = 20, ER(0.3), M <= 3, seed 1; |F| = 1,350) over 5,000 slots. Before
+// the memo every off-plateau refresh evaluated the width itself: 383,247
+// evaluations on this run (≈77 per slot); the memo evaluates it once per
+// distinct count O_x per select, 6,900 times (≈1.4 per slot). Both
+// counters are reset-scoped.
+TEST(DflCso, WidthMemoCountsOnBenchmarkInstance) {
+  ExperimentConfig config;
+  config.num_arms = 20;
+  config.edge_probability = 0.3;
+  config.strategy_size = 3;
+  config.seed = 1;
+  const BanditInstance instance = build_instance(config);
+  const auto family = build_family(config, instance.graph());
+  ASSERT_EQ(family->size(), 1350u);
+  DflCso policy(family, DflCsoOptions{.seed = 1});
+  Environment env(instance, 1);
+  RunnerOptions options;
+  options.horizon = 5000;
+  options.record_series = false;
+  (void)run_combinatorial(policy, *family, env, Scenario::kCso, options);
+  EXPECT_EQ(policy.com_arm_learner().width_evaluations(), 6900u);
+  EXPECT_EQ(policy.com_arm_learner().tie_break_draws(), 74372u);
+  policy.reset();
+  EXPECT_EQ(policy.com_arm_learner().width_evaluations(), 0u);
+  EXPECT_EQ(policy.com_arm_learner().tie_break_draws(), 0u);
 }
 
 TEST(DflCso, NullFamilyThrows) {

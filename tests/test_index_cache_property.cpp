@@ -7,16 +7,18 @@
 // side observations, observe-without-select bursts, non-monotone
 // timestamps, and mid-run resets, the two must agree on every arm — not
 // approximately, exactly. Any drift means a stale cache entry survived
-// (wrong valid_until, missed dirty marking, or a hoisted expression that
-// is not bit-identical to the reference).
+// (wrong valid_until, missed dirty marking, a stale per-count width memo,
+// or a hoisted expression that is not bit-identical to the reference).
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dfl_sso.hpp"
 #include "core/index_policy.hpp"
 #include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
+#include "strategy/feasible_set.hpp"
 #include "util/rng.hpp"
 
 namespace ncb {
@@ -26,9 +28,9 @@ constexpr TimeSlot kHorizon = 200;
 constexpr int kSteps = 400;
 
 const std::vector<std::string> kIndexPolicies = {
-    "dfl-sso",  "dfl-sso-greedy", "dfl-ssr", "dfl-ssr-meansum",
-    "moss",     "moss-anytime",   "ucb1",    "ucb-n",
-    "ucb-maxn", "kl-ucb",         "kl-ucb-n"};
+    "dfl-sso",  "dfl-sso:eta=0.5", "dfl-sso-greedy", "dfl-ssr",
+    "dfl-ssr-meansum", "moss",     "moss-anytime",   "ucb1",
+    "ucb-n",    "ucb-maxn",        "kl-ucb",         "kl-ucb-n"};
 
 struct NamedGraph {
   std::string name;
@@ -172,6 +174,71 @@ TEST(IndexCacheProperty, InvalidateForcesExactRebuild) {
     for (std::size_t i = 0; i < rebuilt.size(); ++i) {
       EXPECT_EQ(rebuilt[i], idx->index(static_cast<ArmId>(i), 51));
     }
+  }
+}
+
+// DFL-CSO's regime: DFL-SSO on a strategy graph SG, run past t = 2|F| so
+// com-arms with O_x = 1 and 2 have left their plateaus and are refreshed
+// every slot through the per-count width memo.
+TEST(IndexCacheProperty, StrategyGraphPastTwicePlateauEqualsRecompute) {
+  Xoshiro256 gen(61);
+  const FeasibleSet family = make_subset_family(
+      std::make_shared<const Graph>(erdos_renyi(12, 0.3, gen)), 2);
+  const Graph& sg = family.strategy_graph();
+  const std::size_t n = sg.num_vertices();
+  const auto last = static_cast<TimeSlot>(2 * n + 50);
+  DflSso policy(DflSsoOptions{.seed = 8});
+  policy.reset(sg);
+  Xoshiro256 rewards(19);
+  std::vector<Observation> batch;
+  for (TimeSlot t = 1; t <= last; ++t) {
+    const ArmId x = policy.select(t);
+    expect_cache_matches_recompute(policy, t, n, static_cast<int>(t));
+    observe_neighborhood(policy, sg, x, t, rewards, batch);
+  }
+  // The memo was used off the plateau, and far fewer times than once per
+  // off-plateau refresh (at most one evaluation per count per slot).
+  EXPECT_GT(policy.width_evaluations(), 0u);
+  EXPECT_LT(policy.width_evaluations(), static_cast<std::uint64_t>(last));
+}
+
+// reset() onto a graph with another K must clear the width memo: a memo
+// entry is keyed by (count, slot), and its width also depends on K. Run
+// to slot T on K = 40 (leaving entries for slot T), reset onto K = 25,
+// observe without selecting, then select at the same slot T.
+TEST(IndexCacheProperty, ResetOntoOtherArmCountClearsWidthMemo) {
+  constexpr TimeSlot kT = 300;
+  Xoshiro256 gen(71);
+  const Graph first = erdos_renyi(40, 0.1, gen);
+  const Graph second = erdos_renyi(25, 0.1, gen);
+  for (const std::string spec :
+       {"dfl-sso", "dfl-sso:eta=0.5", "moss-anytime", "dfl-ssr"}) {
+    SCOPED_TRACE(spec);
+    const auto policy =
+        PolicyRegistry::instance().make_single_play(spec, kHorizon, 4);
+    auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
+    ASSERT_NE(idx, nullptr);
+    policy->reset(first);
+    Xoshiro256 rewards(23);
+    std::vector<Observation> batch;
+    for (TimeSlot t = 1; t < kT; ++t) {
+      observe_neighborhood(*policy, first, policy->select(t), t, rewards,
+                           batch);
+    }
+    const std::uint64_t before = idx->width_evaluations();
+    (void)policy->select(kT);
+    ASSERT_GT(idx->width_evaluations(), before) << "no memo entry at slot T";
+
+    policy->reset(second);
+    EXPECT_EQ(idx->width_evaluations(), 0u);
+    for (int round = 0; round < 2; ++round) {
+      for (ArmId a = 0; a < static_cast<ArmId>(second.num_vertices()); ++a) {
+        observe_neighborhood(*policy, second, a, kT, rewards, batch);
+      }
+    }
+    (void)policy->select(kT);
+    expect_cache_matches_recompute(*idx, kT, second.num_vertices(), 0);
+    EXPECT_GT(idx->width_evaluations(), 0u);
   }
 }
 

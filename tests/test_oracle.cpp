@@ -224,6 +224,50 @@ TEST(ExactOracles, TreeSumMatchesReferenceScanExactly) {
       }
     }
   }
+
+  // Leaf-pass edge cases (the branch-free max, then the first row equal
+  // to it). On the edgeless graph Y_x = s_x, so both objectives sum the
+  // rows {0} {1} {2} {3} {0,1} {0,2} {0,3} {1,2} {1,3} {2,3}, in order; on
+  // the path graph the coverage rows differ.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct EdgeCase {
+    const char* what;
+    std::vector<double> scores;
+    StrategyId expected;  // on the edgeless graph
+  };
+  const EdgeCase cases[] = {
+      {"max shared by -0.0 and +0.0", {-1.0, -0.0, 0.0, -1.0}, 1},
+      {"max shared by +0.0 and -0.0", {-1.0, 0.0, -0.0, -1.0}, 1},
+      {"NaN before the max", {nan, 0.5, 1.0, -1.0}, 7},
+      {"NaN rows only before an -inf tail", {nan, -inf, -inf, -inf}, 0},
+      {"all -inf", {-inf, -inf, -inf, -inf}, 0},
+      {"all NaN", {nan, nan, nan, nan}, 0},
+      {"max in the last row", {0.1, 0.1, 0.5, 0.5}, 9},
+      {"+inf ties: first row", {-1.0, inf, inf, -1.0}, 1},
+  };
+  const FeasibleSet edgeless =
+      make_subset_family(shared_graph(empty_graph(4)), 2);
+  const FeasibleSet path = make_subset_family(shared_graph(path_graph(4)), 2);
+  for (const EdgeCase& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(oracle.select(edgeless, c.scores), c.expected);
+    EXPECT_EQ(argmax_modular(edgeless, c.scores, scratch), c.expected);
+    EXPECT_EQ(reference_argmax(edgeless, c.scores, /*coverage=*/true),
+              c.expected);
+    EXPECT_EQ(oracle.select(path, c.scores),
+              reference_argmax(path, c.scores, /*coverage=*/true));
+    EXPECT_EQ(argmax_modular(path, c.scores, scratch),
+              reference_argmax(path, c.scores, /*coverage=*/false));
+  }
+  // A single row: row 0 whatever it sums to.
+  const FeasibleSet single =
+      make_explicit_family(shared_graph(path_graph(4)), {{1, 2}});
+  for (const double v : {0.5, -inf, nan, inf}) {
+    const std::vector<double> scores(4, v);
+    EXPECT_EQ(oracle.select(single, scores), 0);
+    EXPECT_EQ(argmax_modular(single, scores, scratch), 0);
+  }
 }
 
 TEST(ExactOracles, TreeSharesPrefixes) {
