@@ -9,8 +9,8 @@
 #                             smoke, sweep-engine smoke (resume round-trip,
 #                             thread determinism, distributed dispatch incl.
 #                             localhost-TCP workers, a combinatorial CSO+CSR
-#                             grid and benchmark-shaped CSO+CSR runs
-#                             md5-pinned), serve smoke (real server
+#                             grid and benchmark-shaped SSO+SSR and CSO+CSR
+#                             runs md5-pinned), serve smoke (real server
 #                             + driver + SIGTERM drain), replay smoke (offline
 #                             panel over the serve log + logging-identity pin
 #                             + sharded 2-worker panel, with and without a
@@ -175,6 +175,43 @@ EOF
   cmp build/sweep_full.json build/sweep_tcp.json
   echo "sweep smoke: localhost TCP (2 workers, one SIGKILLed mid-run) byte-identical"
 
+  # Benchmark-shaped single-play leg: the repository benchmark's K = 20
+  # ER(0.3) instance for 20,000 slots, far past the O_i = 1 plateau, where
+  # DFL-SSO and DFL-SSR keep off-plateau arms as bounds and DFL-SSR tracks
+  # Ob_i per observation. Pinned before the register-resident reward row,
+  # the tracked Ob_i and the bound-gated lazy refresh: none of them may
+  # move a byte.
+  local scenario policies expected
+  for scenario in sso ssr; do
+    if [ "$scenario" = sso ]; then
+      policies='dfl-sso, moss'
+      expected=2013e5480a4039696332e36a9d0888aa
+    else
+      policies='dfl-ssr, ucb1'
+      expected=7a6d27fff8a551aaff658e6d5f424de0
+    fi
+    cat > "build/single_bench_$scenario.sweep" <<EOF
+name = ci-bench-$scenario
+scenario = $scenario
+policies = $policies
+graphs = er
+arms = 20
+p = 0.3
+horizons = 20000
+replications = 4
+checkpoints = 30
+seed = 1
+EOF
+    ./build/examples/ncb_sweep --spec "build/single_bench_$scenario.sweep" \
+        --out "build/single_bench_$scenario.json" > /dev/null
+    ./build/examples/ncb_sweep --spec "build/single_bench_$scenario.sweep" \
+        --out "build/single_bench_$scenario.w2.json" --workers 2 > /dev/null
+    cmp "build/single_bench_$scenario.json" \
+        "build/single_bench_$scenario.w2.json"
+    echo "$expected  build/single_bench_$scenario.json" | md5sum -c --quiet -
+  done
+  echo "sweep smoke: benchmark-shaped SSO+SSR runs byte-identical (2 workers) and md5-pinned"
+
   comb_smoke
 
   ./build/examples/ncb_sweep --spec specs/fig3.sweep \
@@ -238,10 +275,10 @@ EOF
 
   # Benchmark-shaped leg: the repository benchmark's combinatorial instance
   # (K = 20, ER(0.3), M <= 3, so |F| = 1,350) long enough to leave the
-  # O_x = 1 plateau, where DFL-CSO refreshes hot com-arms every slot and
-  # its argmax spans six blocks. Pinned before the per-count width memo,
-  # the two-level argmax skip, the branch-free oracle leaf scan and
-  # DFL-CSO's flat com-arm rows: none of them may move a byte.
+  # O_x = 1 plateau, where DFL-CSO keeps hot com-arms off their plateau
+  # and its argmax spans six blocks. Pinned before the per-count width
+  # memo, the two-level argmax skip, the branch-free oracle leaf scan and
+  # DFL-CSO's presized staging buffer: none of them may move a byte.
   for scenario in cso csr; do
     if [ "$scenario" = cso ]; then
       policies='dfl-cso, cucb'

@@ -13,10 +13,17 @@ DflSsr::DflSsr(DflSsrOptions options)
 void DflSsr::on_reset(const Graph& graph) {
   graph_ = graph;
   direct_.reset(num_arms_);
-  prefix_sums_.assign(num_arms_, {});
-  if (options_.estimator == SsrEstimator::kPaired) {
-    for (auto& ps : prefix_sums_) ps.reserve(64);
+  prefix_sums_.assign(
+      options_.estimator == SsrEstimator::kPaired ? num_arms_ : 0, {});
+  // Every O_j = 0: Ob_i = 0 with all of N_i at the minimum.
+  ob_.assign(num_arms_, 0);
+  at_min_.resize(num_arms_);
+  for (std::size_t i = 0; i < num_arms_; ++i) {
+    at_min_[i] =
+        static_cast<std::uint32_t>(graph_.degree(static_cast<ArmId>(i)) + 1);
   }
+  paired_estimate_.assign(num_arms_, 0.0);
+  max_neighbor_ob_.assign(num_arms_, 0);
 }
 
 std::int64_t DflSsr::side_observation_count(ArmId i) const {
@@ -32,6 +39,13 @@ double DflSsr::side_reward_estimate(ArmId i) const {
   return estimate_given(i, options_.estimator == SsrEstimator::kPaired
                                ? side_observation_count(i)
                                : 0);
+}
+
+double DflSsr::tracked_side_reward_estimate(ArmId i) const {
+  const auto k = static_cast<std::size_t>(i);
+  return options_.estimator == SsrEstimator::kPaired
+             ? paired_estimate_.at(k)
+             : estimate_given(i, ob_.at(k));
 }
 
 double DflSsr::estimate_given(ArmId i, std::int64_t ob) const {
@@ -55,11 +69,14 @@ double DflSsr::estimate_given(ArmId i, std::int64_t ob) const {
 
 void DflSsr::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
                              TimeSlot* valid_until) {
-  // DFL-SSO's width plateau, over the side-reward counter Ob_i.
+  // DFL-SSO's width plateau, over the tracked side-reward counter Ob_i.
+  const bool paired = options_.estimator == SsrEstimator::kPaired;
   for (const ArmId i : arms) {
     const auto k = static_cast<std::size_t>(i);
-    const std::int64_t ob = side_observation_count(i);
-    const IndexRefresh r = plateau_refresh(estimate_given(i, ob), ob, t);
+    const std::int64_t ob = ob_[k];
+    const double estimate =
+        paired ? paired_estimate_[k] : estimate_given(i, ob);
+    const IndexRefresh r = plateau_refresh(i, estimate, ob, t);
     values[k] = r.value;
     valid_until[k] = r.valid_until;
   }
@@ -70,20 +87,52 @@ double DflSsr::index(ArmId i, TimeSlot t) const {
   return plateau_index(estimate_given(i, ob), ob, t).value;
 }
 
+void DflSsr::raise_count(ArmId arm, std::int64_t before) {
+  // Ob_i ≤ O_arm for every i ∈ N_arm; none can rise unless one sits at it.
+  if (max_neighbor_ob_[static_cast<std::size_t>(arm)] != before) return;
+  const std::int64_t* counts = direct_.counts();
+  const bool paired = options_.estimator == SsrEstimator::kPaired;
+  for (const ArmId i : graph_.closed_neighborhood(arm)) {
+    const auto k = static_cast<std::size_t>(i);
+    if (ob_[k] != before || --at_min_[k] > 0) continue;
+    // The last member at the minimum left it: every O_j over N_i is now
+    // ≥ before + 1, and O_arm is exactly that.
+    const std::int64_t ob = before + 1;
+    std::uint32_t at_min = 0;
+    for (const ArmId j : graph_.closed_neighborhood(i)) {
+      at_min += counts[static_cast<std::size_t>(j)] == ob ? 1 : 0;
+    }
+    ob_[k] = ob;
+    at_min_[k] = at_min;
+    for (const ArmId j : graph_.closed_neighborhood(i)) {
+      std::int64_t& m = max_neighbor_ob_[static_cast<std::size_t>(j)];
+      m = m < ob ? ob : m;
+    }
+    if (paired) {
+      paired_estimate_[k] = estimate_given(i, ob);
+      mark_index_dirty(i);
+    }
+  }
+}
+
 void DflSsr::observe(ArmId /*played*/, TimeSlot /*t*/,
                      ObservationSpan observations) {
+  const bool paired = options_.estimator == SsrEstimator::kPaired;
   for (const Observation& obs : observations) {
     const auto i = static_cast<std::size_t>(obs.arm);
+    const std::int64_t before = direct_.count(obs.arm);
     direct_.add(obs.arm, obs.value);
-    if (options_.estimator == SsrEstimator::kPaired) {
+    if (paired) {
       const double prev = prefix_sums_[i].empty() ? 0.0 : prefix_sums_[i].back();
       prefix_sums_[i].push_back(prev + obs.value);
     }
+    raise_count(obs.arm, before);
   }
-  // An arm's index reads the min count and means over its *closed
-  // neighborhood*, so the stale set is the union of the observed arms'
-  // closed neighborhoods (two hops from the played arm). When scanning
-  // that union would cost ≥ K marks, flooding the whole cache is cheaper.
+  if (paired) return;
+  // A mean-sum index reads the means over its *closed neighborhood*, so
+  // the stale set is the union of the observed arms' closed neighborhoods
+  // (two hops from the played arm). When scanning that union would cost
+  // ≥ K marks, flooding the whole cache is cheaper.
   if (!all_indices_dirty()) {
     std::size_t touched = 0;
     for (const Observation& obs : observations) {

@@ -31,12 +31,16 @@ void SingleIndexPolicy::reset(const Graph& graph) {
   valid_until_.assign(num_arms_, 0);
   expiry_heap_.clear();
   sched_vu_.assign(num_arms_, kIndexValidForever);
-  hot_list_.clear();
   all_dirty_ = true;
   last_select_t_ = std::numeric_limits<TimeSlot>::min();
   tie_break_draws_ = 0;
   width_memo_.clear();
+  bound_memo_.clear();
+  bounded_.assign(num_arms_, 0);
+  bounded_arm_.resize(num_arms_);
   width_evaluations_ = 0;
+  index_refreshes_ = 0;
+  bound_evaluations_ = 0;
   on_reset(graph);
 }
 
@@ -45,15 +49,32 @@ ArmId SingleIndexPolicy::select(TimeSlot t) {
     throw std::logic_error(name() + ": reset() not called");
   }
   double* cache = cached_indices_.data();
+  std::size_t best;
   if (refresh_mode() == IndexRefreshMode::kEveryRound) {
     refresh_all_indices(t, cache);
+    index_refreshes_ += num_arms_;
+    best = reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_);
   } else {
     refresh_incremental(t, cache);
+    const std::uint8_t* bounded = bounded_.data();
+    best = reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_,
+                            [this, bounded, t](std::size_t k, double score) {
+                              return bounded[k] != 0 ? resolve_bound(k, t)
+                                                     : score;
+                            });
   }
   last_select_t_ = t;
-  const std::size_t best =
-      reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_);
   return refine_selection(static_cast<ArmId>(best));
+}
+
+std::vector<double> SingleIndexPolicy::cached_indices() const {
+  std::vector<double> values = cached_indices_;
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (bounded_[k] == 0) continue;
+    const BoundedArm& arm = bounded_arm_[k];
+    values[k] = arm.estimate + arm.eta * width_at(arm.count, last_select_t_);
+  }
+  return values;
 }
 
 void SingleIndexPolicy::refresh_all_indices(TimeSlot t, double* out) const {
@@ -83,6 +104,18 @@ double SingleIndexPolicy::memo_width(std::int64_t count, TimeSlot t) {
   return memo.width;
 }
 
+double SingleIndexPolicy::memo_bound_width(std::int64_t count,
+                                           TimeSlot horizon) {
+  const auto c = static_cast<std::size_t>(count);
+  if (c >= bound_memo_.size()) bound_memo_.resize(c + 1, {kNoSlot, 0.0});
+  WidthMemo& memo = bound_memo_[c];
+  if (memo.slot != horizon) {
+    memo = {horizon, width_at(count, horizon) * (1.0 + 1e-9)};
+    ++bound_evaluations_;
+  }
+  return memo.width;
+}
+
 void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
   // Time moving backwards (tests probe arbitrary slots) invalidates every
   // valid_until promise; fall back to a full rebuild rather than trusting
@@ -91,10 +124,6 @@ void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
     rebuild_cache(t, cache);
     return;
   }
-  // Hot arms expired the moment they were refreshed; re-dirty them without
-  // a heap round-trip (dedup'd against observe()'s own markings).
-  for (const ArmId i : hot_list_) mark_index_dirty(i);
-  hot_list_.clear();
   // Expired promises become dirty. A popped entry whose arm is still
   // valid (its promise was extended after the push) renews itself at the
   // authoritative expiry instead of triggering a refresh.
@@ -111,16 +140,13 @@ void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
       schedule_expiry(arm, valid_until_[k]);
     }
   }
+  index_refreshes_ += dirty_list_.size();
   refresh_indices(t, dirty_list_, cache, valid_until_.data());
   for (const ArmId i : dirty_list_) {
+    // A value valid forever expires only by an observation's dirty mark.
     const auto k = static_cast<std::size_t>(i);
-    const TimeSlot vu = valid_until_[k];
-    if (vu == kIndexValidForever) {
-      // Never expires on its own; only an observation re-dirties it.
-    } else if (vu <= t) {
-      hot_list_.push_back(i);
-    } else {
-      schedule_expiry(i, vu);
+    if (valid_until_[k] != kIndexValidForever) {
+      schedule_expiry(i, valid_until_[k]);
     }
     dirty_flag_[k] = 0;
   }
@@ -131,26 +157,14 @@ void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
 void SingleIndexPolicy::rebuild_cache(TimeSlot t, double* cache) {
   std::fill(dirty_flag_.begin(), dirty_flag_.end(), std::uint8_t{0});
   dirty_list_.clear();
-  expiry_heap_.clear();
-  std::fill(sched_vu_.begin(), sched_vu_.end(), kIndexValidForever);
-  hot_list_.clear();
   // Every arm is stale: refresh them all in one batch, borrowing the
   // (empty) dirty list as the arm list.
   dirty_list_.resize(num_arms_);
   std::iota(dirty_list_.begin(), dirty_list_.end(), ArmId{0});
+  index_refreshes_ += num_arms_;
   refresh_indices(t, dirty_list_, cache, valid_until_.data());
   dirty_list_.clear();
-  for (std::size_t k = 0; k < num_arms_; ++k) {
-    const TimeSlot vu = valid_until_[k];
-    if (vu == kIndexValidForever) {
-    } else if (vu <= t) {
-      hot_list_.push_back(static_cast<ArmId>(k));
-    } else {
-      expiry_heap_.emplace_back(vu, static_cast<ArmId>(k));
-      sched_vu_[k] = vu;
-    }
-  }
-  std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry{});
+  purge_expiry_heap();
   all_dirty_ = false;
 }
 
@@ -166,9 +180,7 @@ void SingleIndexPolicy::schedule_expiry(ArmId i, TimeSlot valid_until) {
 
 void SingleIndexPolicy::purge_expiry_heap() {
   // Drops every superseded entry in one pass by rebuilding from the
-  // authoritative per-arm expiries. Hot-listed arms (valid_until == the
-  // last refresh slot) get a redundant entry here; it pops on the next
-  // select and its dirty marking dedups against the hot list's own.
+  // authoritative per-arm expiries.
   expiry_heap_.clear();
   for (std::size_t k = 0; k < num_arms_; ++k) {
     if (valid_until_[k] != kIndexValidForever) {
@@ -200,7 +212,7 @@ void ArmStatIndexPolicy::refresh_plateau_indices(TimeSlot t, Span<ArmId> arms,
   const double* means = stats_.means();
   for (const ArmId i : arms) {
     const auto k = static_cast<std::size_t>(i);
-    const IndexRefresh r = plateau_refresh(means[k], counts[k], t, eta);
+    const IndexRefresh r = plateau_refresh(i, means[k], counts[k], t, eta);
     values[k] = r.value;
     valid_until[k] = r.valid_until;
   }

@@ -27,18 +27,26 @@
 //
 // The kIncremental policies share one index formula, plateau_refresh():
 // estimate + η·width(t/(K·O), O), exactly estimate + η·0 through slot K·O.
-// Off the plateau the width depends on (t, O) only, and the arms refreshed
-// in one select share few distinct counts (on the benchmark's DFL-CSO
-// instance, ≈77 off-plateau com-arms per slot share ≈1.4), so
-// plateau_refresh() evaluates exploration_width once per distinct count
-// per select from a memo cleared on reset(); width_evaluations() counts
-// those evaluations.
+// Off the plateau (a "hot" arm) the exact value holds for one slot only,
+// so with η > 0 the array holds a certified upper bound instead —
+// estimate + η·width(O, T)·(1 + 1e-9), valid through T, the next power of
+// two above t — and select() passes the argmax a resolver that computes
+// the exact value only for an arm whose bound reaches the running maximum
+// when the scan gets to it. A hot arm nobody observes costs nothing until
+// T (on the sweep-single instance DFL-SSO's per-slot index values fall
+// from 16.5 to 11.5, its exact widths from 8.5 to 4.2). Exact widths come
+// from a memo keyed by count and cleared on reset(): the arms resolved in
+// one select share few distinct counts (on the benchmark's DFL-CSO
+// instance, ≈1.4 per slot), so exploration_width runs once per distinct
+// count per select (width_evaluations()), and once per count per T for
+// bounds (bound_evaluations()); index_refreshes() counts the per-arm
+// values.
 //
 // Both paths produce bit-for-the-comparisons-identical values to the
 // from-scratch index(), which never reads the memo, so the argmax
 // comparisons — and therefore the tie-break RNG draw sequence and every
 // downstream selection — are exactly reproduced (regression-tested against
-// pre-refactor goldens).
+// pre-refactor goldens). cached_indices() reports the resolved values.
 //
 // ArmStatIndexPolicy additionally owns the per-arm SoA stats table and
 // default-implements observe() as the *batched* update path: the whole
@@ -94,16 +102,29 @@ class SingleIndexPolicy : public SinglePlayPolicy {
     return tie_break_draws_;
   }
 
-  /// exploration_width evaluations made by plateau_refresh() since the last
-  /// reset() — one per distinct count O per select off the plateau.
+  /// exploration_width evaluations for exact off-plateau values (refreshes
+  /// and bound resolutions) since the last reset() — at most one per
+  /// distinct count O per select.
   [[nodiscard]] std::uint64_t width_evaluations() const noexcept {
     return width_evaluations_;
   }
 
-  /// The per-arm index array as of the last select() (diagnostics/tests).
-  [[nodiscard]] const std::vector<double>& cached_indices() const noexcept {
-    return cached_indices_;
+  /// exploration_width evaluations for bounds since the last reset() — one
+  /// per distinct count O per bound horizon T.
+  [[nodiscard]] std::uint64_t bound_evaluations() const noexcept {
+    return bound_evaluations_;
   }
+
+  /// Per-arm index values select() computed since the last reset(): every
+  /// arm handed to a refresh (all K per kEveryRound select or full
+  /// rebuild, the stale list otherwise) plus every bound resolved.
+  [[nodiscard]] std::uint64_t index_refreshes() const noexcept {
+    return index_refreshes_;
+  }
+
+  /// The per-arm index values as of the last select() (diagnostics/tests),
+  /// with every bounded entry resolved to its exact value at that slot.
+  [[nodiscard]] std::vector<double> cached_indices() const;
 
   /// Test/bench hook: drops every cached value so the next select() does a
   /// full from-scratch rebuild.
@@ -136,7 +157,9 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   /// override): for each i in `arms`, writes values[i] and valid_until[i].
   /// values[i] must equal index(i, t) numerically, and must keep equaling
   /// index(i, t') for every t ≤ t' ≤ valid_until[i] absent observations of
-  /// the arm. The default writes index(i, t), valid through t only.
+  /// the arm — unless plateau_refresh() wrote it as a bound, which must
+  /// instead stay ≥ index(i, t') over that range. The default writes
+  /// index(i, t), valid through t only.
   virtual void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
                                TimeSlot* valid_until);
 
@@ -158,16 +181,34 @@ class SingleIndexPolicy : public SinglePlayPolicy {
     return {estimate + eta * width_at(count, t), t};
   }
 
-  /// plateau_index() for refresh_indices(): bit-identical, with the width
-  /// read from a per-slot memo keyed by count. Off the plateau O < t/K, so
-  /// the memo holds at most t/K + 1 entries.
-  [[nodiscard]] IndexRefresh plateau_refresh(double estimate,
+  /// plateau_index() of arm i for refresh_indices(). On the plateau (and
+  /// for η ≤ 0) it is bit-identical, with the width read from a per-slot
+  /// memo keyed by count; off the plateau O < t/K, so the memo holds at
+  /// most t/K + 1 entries. Off the plateau with η > 0 the arm is left
+  /// *bounded*: the value written is estimate + η·width(O, T)·(1 + 1e-9),
+  /// valid through T, the smallest power of two above t. The width is
+  /// non-decreasing in t and the slack covers libm rounding, so while the
+  /// arm's statistics stay unchanged this bounds plateau_index() at every
+  /// slot up to T; select() resolves the exact value only when the bound
+  /// reaches the running maximum of its argmax (resolve_bound()).
+  [[nodiscard]] IndexRefresh plateau_refresh(ArmId i, double estimate,
                                              std::int64_t count, TimeSlot t,
                                              double eta = 1.0) {
+    const auto k = static_cast<std::size_t>(i);
     if (count == 0 || t <= static_cast<std::int64_t>(num_arms_) * count) {
+      bounded_[k] = 0;
       return plateau_index(estimate, count, t, eta);
     }
-    return {estimate + eta * memo_width(count, t), t};
+    if (!(eta > 0.0)) {
+      bounded_[k] = 0;
+      return {estimate + eta * memo_width(count, t), t};
+    }
+    // t > K·O ≥ 1, so T = 2^(⌊log2 t⌋ + 1) (for t < 2^62).
+    const int bits = 64 - __builtin_clzll(static_cast<std::uint64_t>(t));
+    const auto horizon = static_cast<TimeSlot>(std::uint64_t{1} << bits);
+    bounded_[k] = 1;
+    bounded_arm_[k] = {estimate, count, eta};
+    return {estimate + eta * memo_bound_width(count, horizon), horizon};
   }
 
   /// Marks arm i's cached index stale. Deduplicated (a flag per arm), so
@@ -200,6 +241,14 @@ class SingleIndexPolicy : public SinglePlayPolicy {
                              static_cast<double>(count));
   }
   [[nodiscard]] double memo_width(std::int64_t count, TimeSlot t);
+  [[nodiscard]] double memo_bound_width(std::int64_t count, TimeSlot horizon);
+  /// The exact index at slot t of a bounded arm (its statistics are those
+  /// its bound was taken from: any change re-dirties it first).
+  [[nodiscard]] double resolve_bound(std::size_t k, TimeSlot t) {
+    ++index_refreshes_;
+    const BoundedArm& arm = bounded_arm_[k];
+    return arm.estimate + arm.eta * memo_width(arm.count, t);
+  }
 
   std::vector<double> cached_indices_;
   std::vector<std::uint8_t> dirty_flag_;  // per-arm "already in dirty_list_"
@@ -213,11 +262,6 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   // heap traffic instead of one push per slot.
   std::vector<std::pair<TimeSlot, ArmId>> expiry_heap_;
   std::vector<TimeSlot> sched_vu_;
-  // Arms whose refresh expires at the refresh slot itself (the "hot"
-  // regime, valid_until <= t): they would pop from the heap on the very
-  // next select anyway, so they bypass it and re-dirty directly —
-  // bounded at one entry per arm per refresh.
-  std::vector<ArmId> hot_list_;
   bool all_dirty_ = true;
   TimeSlot last_select_t_ = std::numeric_limits<TimeSlot>::min();
   std::uint64_t tie_break_draws_ = 0;
@@ -228,7 +272,21 @@ class SingleIndexPolicy : public SinglePlayPolicy {
     double width;
   };
   std::vector<WidthMemo> width_memo_;
+  // memo_bound_width's memo: entry O holds width_at(O, T)·(1 + 1e-9) for
+  // the bound horizon T it was computed at.
+  std::vector<WidthMemo> bound_memo_;
+  // Per arm: whether cached_indices_ holds an upper bound (1) or the exact
+  // value (0), and the plateau_refresh() inputs the bound was taken from.
+  struct BoundedArm {
+    double estimate;
+    std::int64_t count;
+    double eta;
+  };
+  std::vector<std::uint8_t> bounded_;
+  std::vector<BoundedArm> bounded_arm_;
   std::uint64_t width_evaluations_ = 0;
+  std::uint64_t index_refreshes_ = 0;
+  std::uint64_t bound_evaluations_ = 0;
   std::uint64_t seed_;
 };
 
@@ -259,7 +317,7 @@ class ArmStatIndexPolicy : public SingleIndexPolicy {
   }
 
   /// refresh_indices() of a plateau index over the stats table:
-  /// plateau_refresh(X̄_i, O_i, t, eta) for each arm, read straight from
+  /// plateau_refresh(i, X̄_i, O_i, t, eta) for each arm, read straight from
   /// the SoA arrays.
   void refresh_plateau_indices(TimeSlot t, Span<ArmId> arms, double* values,
                                TimeSlot* valid_until, double eta);

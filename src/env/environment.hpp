@@ -2,8 +2,18 @@
 // time slot. Policies never see this object directly — the simulation runner
 // mediates feedback per scenario semantics, so a policy can only learn what
 // its scenario legitimately observes.
+//
+// The row draw has two paths with one draw stream. When every arm is
+// BernoulliDist with 0 < p < 1 (every instance build_instance makes), the
+// environment precomputes each arm's integer threshold ceil(p·2^53) at
+// construction and advance() draws the whole row in one loop over a local
+// copy of the RNG, written back once per slot: arm i pays 1 iff
+// (x >> 11) < ceil(p_i·2^53), which is exactly uniform() < p_i. Any other
+// instance runs the per-arm virtual Distribution::sample loop, where arms
+// with p ∈ {0, 1} consume no draw.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -35,6 +45,10 @@ class Environment {
     return rewards_;
   }
 
+  /// The reward stream's generator as the last `advance()` left it (tests
+  /// compare it against a reference stream).
+  [[nodiscard]] const Xoshiro256& rng() const noexcept { return rng_; }
+
   /// Number of completed `advance()` calls.
   [[nodiscard]] TimeSlot slots_drawn() const noexcept { return slot_; }
 
@@ -59,6 +73,9 @@ class Environment {
  private:
   std::shared_ptr<const BanditInstance> instance_;
   Xoshiro256 rng_;
+  // Per-arm ceil(p·2^53) when every arm is Bernoulli(p), 0 < p < 1; empty
+  // otherwise (the per-arm sample() loop).
+  std::vector<std::uint64_t> bernoulli_thresholds_;
   std::vector<double> rewards_;
   TimeSlot slot_ = 0;
 };

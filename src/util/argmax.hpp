@@ -23,6 +23,14 @@
 // along the array (DFL-CSO's com-arm indices) rescans a few sub-blocks of
 // each block instead of the whole block. NaN scores never win and never
 // tie, same as the historical loop.
+//
+// The array may hold certified upper bounds instead of exact scores (the
+// index policies' lazily refreshed off-plateau arms). The skips run on the
+// bounds, and a resolver, a template parameter whose default keeps every
+// score, turns a bound into its exact score only when the bound reaches
+// the running maximum at the point the scan gets to it. Below that the
+// exact score could neither win nor tie, so it takes part in no
+// comparison and no draw, and the result is that of the exact array.
 #pragma once
 
 #include <cstddef>
@@ -43,13 +51,25 @@ struct ArgmaxState {
   std::uint64_t draws = 0;  ///< uniform_int calls consumed by tie-breaking.
 };
 
+/// The default resolver: every score is already exact.
+struct ExactScores {
+  double operator()(std::size_t /*i*/, double score) const noexcept {
+    return score;
+  }
+};
+
 /// Folds scores[first, last) into `state` with the exact historical
-/// reservoir loop (one uniform_int(ties) draw per running-max tie).
+/// reservoir loop (one uniform_int(ties) draw per running-max tie). A score
+/// that reaches the running maximum is first passed through
+/// resolve(i, score), which must return a value ≤ score that is the exact
+/// score of element i; a score below the running maximum is left as is.
+template <typename Resolve = ExactScores>
 inline void reservoir_scan(const double* scores, std::size_t first,
                            std::size_t last, ArgmaxState& state,
-                           Xoshiro256& rng) {
+                           Xoshiro256& rng, Resolve resolve = {}) {
   for (std::size_t i = first; i < last; ++i) {
-    const double s = scores[i];
+    double s = scores[i];
+    if (s >= state.best_score) s = resolve(i, s);
     if (s > state.best_score) {
       state.best_score = s;
       state.best = i;
@@ -92,9 +112,19 @@ inline double block_max(const double* scores, std::size_t first,
 /// sub-blocks that provably cannot update or tie the running maximum.
 /// Returns the selected position; `draws_out` (optional) receives the
 /// number of uniform_int draws consumed. Requires n > 0.
+///
+/// `scores` may hold upper bounds in place of exact scores: `resolve`
+/// (see reservoir_scan) maps a bound to its exact score, and is called only
+/// for an element whose bound reaches the running maximum when the scan
+/// gets to it. An element below the running maximum can neither win nor
+/// tie (its exact score is no larger), so block maxima over bounds skip
+/// exactly what the historical loop ignores, and the result and draw
+/// sequence are those of the loop over the exact scores.
+template <typename Resolve = ExactScores>
 inline std::size_t reservoir_argmax(const double* scores, std::size_t n,
                                     Xoshiro256& rng,
-                                    std::uint64_t* draws_out = nullptr) {
+                                    std::uint64_t* draws_out = nullptr,
+                                    Resolve resolve = {}) {
   constexpr std::size_t kSub = 32;
   constexpr std::size_t kSubsPerBlock = 8;
   constexpr std::size_t kBlock = kSub * kSubsPerBlock;
@@ -121,7 +151,7 @@ inline std::size_t reservoir_argmax(const double* scores, std::size_t n,
       if (sub_max[s] >= state.best_score) {
         const std::size_t first = begin + s * kSub;
         const std::size_t last = first + kSub < end ? first + kSub : end;
-        reservoir_scan(scores, first, last, state, rng);
+        reservoir_scan(scores, first, last, state, rng, resolve);
       }
     }
   }

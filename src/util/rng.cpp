@@ -3,13 +3,6 @@
 #include <cmath>
 
 namespace ncb {
-namespace {
-
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t SplitMix64::next() noexcept {
   std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
@@ -21,27 +14,6 @@ std::uint64_t SplitMix64::next() noexcept {
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   SplitMix64 mixer(seed);
   for (auto& word : state_) word = mixer.next();
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Xoshiro256::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Xoshiro256::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t Xoshiro256::uniform_int(std::uint64_t n) noexcept {
@@ -58,12 +30,6 @@ std::uint64_t Xoshiro256::uniform_int(std::uint64_t n) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool Xoshiro256::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Xoshiro256::gaussian() noexcept {

@@ -2,7 +2,9 @@
 //
 // The simulation engine runs many replications in parallel; each replication
 // derives an independent stream from a master seed via SplitMix64 so results
-// are reproducible regardless of thread scheduling.
+// are reproducible regardless of thread scheduling. The per-draw members
+// (operator(), uniform, bernoulli) are inline so a caller's loop can keep
+// the 256-bit state in registers across draws.
 #pragma once
 
 #include <array>
@@ -36,19 +38,38 @@ class Xoshiro256 {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the 53 high bits of one draw, times 2^-53.
+  double uniform() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_int(std::uint64_t n) noexcept;
 
-  /// Bernoulli draw with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  /// Bernoulli draw with success probability p (clamped to [0,1]); p ≤ 0
+  /// and p ≥ 1 consume no draw.
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Standard normal via Marsaglia polar method.
   double gaussian() noexcept;
@@ -67,6 +88,10 @@ class Xoshiro256 {
   void long_jump() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

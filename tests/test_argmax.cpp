@@ -7,7 +7,9 @@
 // the index cache), with a draw counter added. Inputs cover random scores,
 // rising staircases (DFL-CSO's com-arm indices rise along the array),
 // tie plateaus straddling block (256) and sub-block (32) edges, ±inf, NaN
-// runs and ±0.0, at sizes around both edges.
+// runs and ±0.0, at sizes around both edges — and, for the resolver path,
+// arrays of upper bounds resolved to exact scores on demand.
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -163,6 +165,125 @@ TEST(ReservoirArgmax, InfinitiesNaNsAndSignedZerosMatchHistoricalLoop) {
     expect_matches_historical(zeros, 1200, "signed zeros");
     zeros[n - 1] = kInf;
     expect_matches_historical(zeros, 1201, "signed zeros, +inf last");
+  }
+}
+
+// The resolver path: `bounds` holds upper bounds of `exact` (bounds[i] ≥
+// exact[i]; any bound over a NaN), and the resolver maps a bound to its
+// exact score. The result must be the historical loop's over `exact`, and
+// the resolver must run exactly on the elements whose bound reaches the
+// historical running maximum at that element — never on one below it.
+void expect_resolved_matches_historical(const std::vector<double>& exact,
+                                        const std::vector<double>& bounds,
+                                        std::uint64_t seed,
+                                        const std::string& what) {
+  SCOPED_TRACE(what + ", n=" + std::to_string(exact.size()) +
+               ", seed=" + std::to_string(seed));
+  ASSERT_EQ(exact.size(), bounds.size());
+  Xoshiro256 ref_rng(seed);
+  Xoshiro256 rng(seed);
+  std::uint64_t ref_draws = 0;
+  std::uint64_t draws = 0;
+  const std::size_t expected = historical_argmax(exact, ref_rng, ref_draws);
+  std::vector<std::size_t> resolved;
+  const std::size_t got = reservoir_argmax(
+      bounds.data(), bounds.size(), rng, &draws,
+      [&](std::size_t i, double bound) {
+        EXPECT_FALSE(bound < bounds[i] || bound > bounds[i]) << "element " << i;
+        resolved.push_back(i);
+        return exact[i];
+      });
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(draws, ref_draws);
+  EXPECT_EQ(rng(), ref_rng());
+  std::vector<std::size_t> reaching;
+  double running = -kInf;
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    if (bounds[i] >= running) reaching.push_back(i);
+    if (exact[i] > running) running = exact[i];
+  }
+  EXPECT_EQ(resolved, reaching);
+}
+
+// A bound over `exact` of a random kind: exact itself, one ulp above,
+// a random margin, or +inf (a NaN gets a NaN or a finite bound).
+double random_bound(double exact, Xoshiro256& gen) {
+  if (exact != exact) return gen.bernoulli(0.5) ? kNaN : gen.uniform();
+  switch (gen.uniform_int(4)) {
+    case 0: return exact;
+    case 1: return std::nextafter(exact, kInf);
+    case 2: return exact + gen.uniform();
+    default: return kInf;
+  }
+}
+
+TEST(ReservoirArgmax, ResolverOnRandomBoundsMatchesHistoricalLoop) {
+  Xoshiro256 gen(19);
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<double> exact(n), bounds(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        exact[i] = trial % 2 ? gen.uniform() : palette_value(gen);
+        bounds[i] = random_bound(exact[i], gen);
+      }
+      expect_resolved_matches_historical(exact, bounds, 1300 + trial,
+                                         "random bounds");
+      // Bounds equal to the exact scores: every element that reaches the
+      // running maximum is resolved to itself.
+      expect_resolved_matches_historical(exact, exact, 1400 + trial,
+                                         "exact bounds");
+    }
+  }
+}
+
+TEST(ReservoirArgmax, ResolverAtRunningMaximumAndTiesBehindBounds) {
+  Xoshiro256 gen(23);
+  for (const std::size_t n : kSizes) {
+    // Bounds equal to the running maximum itself: each such element is
+    // resolved (the bound reaches it) and then falls below it.
+    std::vector<double> exact(n), bounds(n);
+    double running = -kInf;
+    for (std::size_t i = 0; i < n; ++i) {
+      exact[i] = palette_value(gen);
+      bounds[i] = exact[i] < running ? running : exact[i];
+      if (exact[i] > running) running = exact[i];
+    }
+    expect_resolved_matches_historical(exact, bounds, 1500, "bound = max");
+    // Exact ties behind loose bounds: every exact score equals the
+    // maximum, every other bound sits far above it, so each resolution
+    // is a tie that draws.
+    std::vector<double> flat(n, 0.5), loose(n, 0.5);
+    for (std::size_t i = 1; i < n; i += 2) loose[i] = 0.5 + gen.uniform();
+    expect_resolved_matches_historical(flat, loose, 1600, "ties behind bounds");
+    // One high bound early whose exact score ties a later element.
+    if (n > 40) {
+      std::vector<double> tie(n, 0.25), tie_bounds(n, 0.25);
+      tie[3] = 0.75;
+      tie_bounds[3] = 5.0;
+      tie[n - 2] = 0.75;
+      tie_bounds[n - 2] = 0.75;
+      expect_resolved_matches_historical(tie, tie_bounds, 1700, "late tie");
+    }
+  }
+}
+
+TEST(ReservoirArgmax, ResolverWithInfinitiesAndNaNsMatchesHistoricalLoop) {
+  Xoshiro256 gen(29);
+  const double specials[] = {kInf, -kInf, kNaN, 0.0, -0.0, 1.0};
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<double> exact(n), bounds(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        exact[i] = specials[gen.uniform_int(6)];
+        bounds[i] = random_bound(exact[i], gen);
+      }
+      expect_resolved_matches_historical(exact, bounds, 1800 + trial,
+                                         "special mix");
+    }
+    // -inf scores under finite bounds tie the initial running maximum
+    // only once resolved.
+    std::vector<double> neg(n, -kInf), neg_bounds(n, 0.5);
+    expect_resolved_matches_historical(neg, neg_bounds, 1900, "-inf");
   }
 }
 

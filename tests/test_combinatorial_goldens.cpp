@@ -149,13 +149,14 @@ TEST(CombinatorialGoldens, TraceMatchesFullRescanCapture) {
 }
 
 // The grid above (|F| = 696, 400 slots) never leaves the O_x = 1 plateau
-// at t ≤ |F|, so it pins neither hot com-arms (off-plateau refreshes every
-// slot) nor a long steady state. This case runs the benchmark instance —
-// K = 20, ER(0.3), all subsets of size <= 3 (|F| = 1,350), seed 1 — for
-// 3,000 slots, past t = 2|F|, with Bernoulli(μ_j) rewards over Y_x. The
-// expectations were captured from the implementation before the batched
-// per-count refresh, the two-level argmax skip, the branch-free oracle leaf
-// scan and DFL-CSO's flat com-arm rows, and must never change.
+// at t ≤ |F|, so it pins neither hot (off-plateau) com-arms nor a long
+// steady state. This case runs the benchmark instance — K = 20, ER(0.3),
+// all subsets of size <= 3 (|F| = 1,350), seed 1 — for 3,000 slots, past
+// t = 2|F|, with Bernoulli(μ_j) rewards over Y_x. The expectations were
+// captured from the implementation before the batched per-count refresh,
+// the two-level argmax skip, the branch-free oracle leaf scan, DFL-CSO's
+// presized staging buffer and the bound-gated lazy refresh of hot
+// com-arms, and must never change.
 struct LongRunGolden {
   const char* policy;
   std::uint64_t selection_hash;  // FNV-1a over all 3,000 selections

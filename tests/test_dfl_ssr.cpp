@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.hpp"
 
@@ -129,6 +131,60 @@ TEST(DflSsr, ResetClearsHistories) {
   EXPECT_EQ(policy.observation_count(0), 0);
   EXPECT_EQ(policy.side_observation_count(0), 0);
   EXPECT_DOUBLE_EQ(policy.side_reward_estimate(0), 0.0);
+}
+
+// The Ob_i and B̄_i that observe() tracks (and refresh_indices() reads)
+// must equal a from-scratch recount after every observe, for both
+// estimators, on sparse, hub and clique graphs, under whole closed
+// neighborhoods, partial ones, and spans that repeat an arm.
+TEST(DflSsr, TrackedObAndEstimateEqualRecountAfterEveryObserve) {
+  Xoshiro256 gen(41);
+  const Graph graphs[] = {erdos_renyi(30, 0.2, gen), star_graph(30),
+                          disjoint_cliques(5, 6)};
+  for (const SsrEstimator estimator :
+       {SsrEstimator::kPaired, SsrEstimator::kMeanSum}) {
+    for (const Graph& g : graphs) {
+      DflSsr policy(DflSsrOptions{.estimator = estimator, .seed = 3});
+      SCOPED_TRACE(policy.describe());
+      policy.reset(g);
+      const auto n = static_cast<std::uint64_t>(g.num_vertices());
+      Xoshiro256 rng(43);
+      std::vector<Observation> span;
+      for (TimeSlot t = 1; t <= 1500; ++t) {
+        const auto played = static_cast<ArmId>(rng.uniform_int(n));
+        span.clear();
+        switch (rng.uniform_int(3)) {
+          case 0:  // the whole closed neighborhood
+            for (const ArmId j : g.closed_neighborhood(played)) {
+              span.push_back({j, rng.bernoulli(0.6) ? 1.0 : 0.0});
+            }
+            break;
+          case 1:  // part of it
+            for (const ArmId j : g.closed_neighborhood(played)) {
+              if (rng.bernoulli(0.5)) span.push_back({j, rng.uniform()});
+            }
+            break;
+          default:  // arbitrary arms, repeats included
+            for (std::uint64_t m = 1 + rng.uniform_int(6); m > 0; --m) {
+              const auto arm = static_cast<ArmId>(
+                  rng.uniform_int(rng.bernoulli(0.5) ? 3 : n));
+              span.push_back({arm, rng.uniform()});
+            }
+        }
+        policy.observe(played, t, span);
+        for (ArmId i = 0; i < static_cast<ArmId>(n); ++i) {
+          ASSERT_EQ(policy.tracked_side_observation_count(i),
+                    policy.side_observation_count(i))
+              << "arm " << i << " slot " << t;
+          ASSERT_EQ(policy.tracked_side_reward_estimate(i),
+                    policy.side_reward_estimate(i))
+              << "arm " << i << " slot " << t;
+        }
+        if (t % 7 == 0) (void)policy.select(t);
+      }
+      EXPECT_GT(policy.side_observation_count(0), 0);
+    }
+  }
 }
 
 TEST(DflSsr, PairedAndMeanSumAgreeWhenSynchronized) {

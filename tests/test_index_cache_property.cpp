@@ -9,6 +9,8 @@
 // approximately, exactly. Any drift means a stale cache entry survived
 // (wrong valid_until, missed dirty marking, a stale per-count width memo,
 // or a hoisted expression that is not bit-identical to the reference).
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,10 +29,12 @@ namespace {
 constexpr TimeSlot kHorizon = 200;
 constexpr int kSteps = 400;
 
+// dfl-sso:eta=0 keeps exact one-slot values off the plateau (no bounds).
 const std::vector<std::string> kIndexPolicies = {
-    "dfl-sso",  "dfl-sso:eta=0.5", "dfl-sso-greedy", "dfl-ssr",
-    "dfl-ssr-meansum", "moss",     "moss-anytime",   "ucb1",
-    "ucb-n",    "ucb-maxn",        "kl-ucb",         "kl-ucb-n"};
+    "dfl-sso",  "dfl-sso:eta=0.5", "dfl-sso:eta=0",  "dfl-sso-greedy",
+    "dfl-ssr",  "dfl-ssr-meansum", "moss",           "moss-anytime",
+    "ucb1",     "ucb-n",           "ucb-maxn",       "kl-ucb",
+    "kl-ucb-n"};
 
 struct NamedGraph {
   std::string name;
@@ -200,6 +204,95 @@ TEST(IndexCacheProperty, StrategyGraphPastTwicePlateauEqualsRecompute) {
   // off-plateau refresh (at most one evaluation per count per slot).
   EXPECT_GT(policy.width_evaluations(), 0u);
   EXPECT_LT(policy.width_evaluations(), static_cast<std::uint64_t>(last));
+}
+
+// The lazy off-plateau regime over many bound horizons: slots advance by
+// 1 (bounds reused within a horizon) or by up to 16K (horizons and
+// plateaus expire between selects), so t outgrows the counts until
+// t > 4K·max O — every arm off its plateau by a factor of four, its
+// cached entry a bound resolved only when it reaches the argmax's running
+// maximum. cached_indices() must equal index() at every step.
+TEST(IndexCacheProperty, FarPastPlateauEqualsRecompute) {
+  Xoshiro256 gen(81);
+  const Graph g = erdos_renyi(30, 0.2, gen);
+  const std::size_t n = g.num_vertices();
+  for (const std::string spec : {"dfl-sso", "dfl-sso:eta=0.5", "dfl-ssr"}) {
+    SCOPED_TRACE(spec);
+    const auto policy =
+        PolicyRegistry::instance().make_single_play(spec, kHorizon, 9);
+    auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
+    ASSERT_NE(idx, nullptr);
+    policy->reset(g);
+    Xoshiro256 actions(83);
+    Xoshiro256 rewards(85);
+    std::vector<Observation> batch;
+    std::vector<std::int64_t> counts(n, 0);
+    std::int64_t max_count = 0;
+    TimeSlot t = 0;
+    int step = 0;
+    for (; step < 20000; ++step) {
+      t += actions.bernoulli(0.5)
+               ? 1
+               : 1 + static_cast<TimeSlot>(actions.uniform_int(16 * n));
+      const ArmId a = policy->select(t);
+      expect_cache_matches_recompute(*idx, t, n, step);
+      observe_neighborhood(*policy, g, a, t, rewards, batch);
+      for (const Observation& obs : batch) {
+        const auto k = static_cast<std::size_t>(obs.arm);
+        max_count = std::max(max_count, ++counts[k]);
+      }
+      if (step > 2000 && t > 4 * static_cast<TimeSlot>(n) * max_count) break;
+    }
+    ASSERT_LT(step, 20000) << "t never passed 4K·max O";
+    // Bounds were taken and resolved, and many selects skipped a refresh.
+    EXPECT_GT(idx->bound_evaluations(), 0u);
+    EXPECT_LT(idx->index_refreshes(), static_cast<std::uint64_t>(step) * n);
+  }
+}
+
+// reset() onto a graph with another K must leave nothing of the first
+// run: a bound memo entry is keyed by (count, horizon T) and its width
+// also depends on K, so a stale entry would bound the K = 25 arms with
+// K = 40 widths — too low, a skipped winner. Run to slot 300 on K = 40
+// (bounds for T = 512), reset onto K = 25 and run slots 300..900 beside a
+// policy that never saw K = 40: selections, draws and every work counter
+// must agree.
+TEST(IndexCacheProperty, ResetOntoOtherArmCountMatchesFreshPolicy) {
+  constexpr TimeSlot kT = 300;
+  Xoshiro256 gen(71);
+  const Graph first = erdos_renyi(40, 0.1, gen);
+  const Graph second = erdos_renyi(25, 0.1, gen);
+  for (const std::string spec :
+       {"dfl-sso", "dfl-sso:eta=0.5", "moss-anytime", "dfl-ssr"}) {
+    SCOPED_TRACE(spec);
+    const auto reused =
+        PolicyRegistry::instance().make_single_play(spec, kHorizon, 4);
+    const auto fresh =
+        PolicyRegistry::instance().make_single_play(spec, kHorizon, 4);
+    auto* a = dynamic_cast<SingleIndexPolicy*>(reused.get());
+    auto* b = dynamic_cast<SingleIndexPolicy*>(fresh.get());
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    reused->reset(first);
+    Xoshiro256 warm(23);
+    std::vector<Observation> batch;
+    for (TimeSlot t = 1; t < kT; ++t) {
+      observe_neighborhood(*reused, first, reused->select(t), t, warm, batch);
+    }
+    reused->reset(second);
+    fresh->reset(second);
+    Xoshiro256 ra(29), rb(29);
+    for (TimeSlot t = kT; t <= 3 * kT; ++t) {
+      const ArmId x = reused->select(t);
+      ASSERT_EQ(x, fresh->select(t)) << "slot " << t;
+      observe_neighborhood(*reused, second, x, t, ra, batch);
+      observe_neighborhood(*fresh, second, x, t, rb, batch);
+    }
+    EXPECT_EQ(a->tie_break_draws(), b->tie_break_draws());
+    EXPECT_EQ(a->index_refreshes(), b->index_refreshes());
+    EXPECT_EQ(a->width_evaluations(), b->width_evaluations());
+    EXPECT_EQ(a->bound_evaluations(), b->bound_evaluations());
+  }
 }
 
 // reset() onto a graph with another K must clear the width memo: a memo

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -85,6 +86,26 @@ TEST(Xoshiro256, BernoulliEdgeProbabilities) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
   }
+}
+
+// Exact outputs of uniform(), uniform(lo, hi) and bernoulli() for a fixed
+// seed, captured before those members moved inline into the header.
+TEST(Xoshiro256, UniformAndBernoulliOutputsArePinned) {
+  Xoshiro256 rng(2024);
+  const double uniforms[] = {0x1.0c824a7f1fdbp-1, 0x1.2dfbbb18abd9ap-2,
+                             0x1.f2caff4e7ba34p-3, 0x1.afc6a90c0d19p-2};
+  for (const double u : uniforms) EXPECT_EQ(rng.uniform(), u);
+  const double ranged[] = {0x1.3f8964d6922c1p-1, 0x1.4eecac21bb20cp-1,
+                           0x1.7a80bc903817ap-1, 0x1.29b7d31dc2646p-1};
+  for (const double u : ranged) EXPECT_EQ(rng.uniform(0.25, 0.75), u);
+  // p = 0 and p = 1 consume no draw; the others one each.
+  const double ps[] = {0.3, 0.0, 1.0, 0.7, 1e-300, 0.5};
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 64; ++i) {
+    bits |= std::uint64_t{rng.bernoulli(ps[i % 6])} << i;
+  }
+  EXPECT_EQ(bits, 15081909468368257805ULL);
+  EXPECT_EQ(rng(), 10046730770019689341ULL);
 }
 
 TEST(Xoshiro256, BernoulliFrequencyMatchesP) {

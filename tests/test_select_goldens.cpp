@@ -16,7 +16,9 @@
 
 #include "core/index_policy.hpp"
 #include "core/policy_registry.hpp"
+#include "env/environment.hpp"
 #include "graph/generators.hpp"
+#include "sim/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace ncb {
@@ -200,6 +202,125 @@ TEST(SelectGoldens, TraceMatchesPreRefactorCapture) {
     EXPECT_EQ(fnv1a(selections), golden.selection_hash);
     EXPECT_EQ(idx->tie_break_draws(), golden.draws)
         << "tie-break RNG call count diverged from the full-recompute scan";
+  }
+}
+
+// The grid above (K = 25, 300 slots) barely leaves the O_i = 1 plateau at
+// t = K, so it pins neither the long off-plateau ("hot") regime nor
+// DFL-SSR's tracked Ob_i away from its first few values. This case runs
+// the sweep-single benchmark instance — K = 20, ER(0.3), Bernoulli μ from
+// build_instance, seed 1 — for 20,000 slots, with the rewards drawn by an
+// Environment and the played arm's closed neighborhood observed. The
+// expectations were captured from the implementation before the
+// register-resident reward row, the tracked Ob_i and the bound-gated lazy
+// refresh, and must never change.
+struct LongRunGolden {
+  const char* policy;
+  std::uint64_t draws;           // total uniform_int tie-break calls
+  std::uint64_t selection_hash;  // FNV-1a over all 20,000 selections
+  std::vector<ArmId> tail;       // last 16 selections
+};
+
+const LongRunGolden kLongRunGoldens[] = {
+    {"dfl-sso", 466, 6719525923534819348ULL,
+     {13, 13, 13, 13, 13, 13, 13, 16, 13, 13, 13, 13, 13, 13, 13, 13}},
+    {"dfl-sso-greedy", 81, 17641961022826921947ULL,
+     {13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13}},
+    {"dfl-ssr", 115, 11550671771497589073ULL,
+     {10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10}},
+    {"dfl-ssr-meansum", 93, 8362515512670334612ULL,
+     {10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10}},
+    {"moss", 1112, 3083581912319800011ULL,
+     {13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13}},
+    {"ucb1", 4036, 11148789542633076709ULL,
+     {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16}},
+};
+
+constexpr TimeSlot kLongRunSlots = 20000;
+
+BanditInstance benchmark_instance() {
+  ExperimentConfig config;
+  config.num_arms = 20;
+  config.edge_probability = 0.3;
+  config.seed = 1;
+  return build_instance(config);
+}
+
+// Resets `policy` onto the instance's graph and runs it for kLongRunSlots
+// slots against an Environment seeded `reward_seed`; returns the
+// selections.
+std::vector<ArmId> run_long(SinglePlayPolicy& policy,
+                            const BanditInstance& instance,
+                            std::uint64_t reward_seed) {
+  const Graph& g = instance.graph();
+  policy.reset(g);
+  Environment env(instance, reward_seed);
+  std::vector<Observation> batch;
+  std::vector<ArmId> selections;
+  selections.reserve(static_cast<std::size_t>(kLongRunSlots));
+  for (TimeSlot t = 1; t <= kLongRunSlots; ++t) {
+    const ArmId a = policy.select(t);
+    selections.push_back(a);
+    const std::vector<double>& rewards = env.advance();
+    batch.clear();
+    for (const ArmId j : g.closed_neighborhood(a)) {
+      batch.push_back({j, rewards[static_cast<std::size_t>(j)]});
+    }
+    policy.observe(a, t, ObservationSpan(batch.data(), batch.size()));
+  }
+  return selections;
+}
+
+TEST(SelectGoldens, LongRunOnBenchmarkInstanceMatchesCapture) {
+  const BanditInstance instance = benchmark_instance();
+  for (std::size_t pi = 0; pi < std::size(kLongRunGoldens); ++pi) {
+    const LongRunGolden& golden = kLongRunGoldens[pi];
+    SCOPED_TRACE(golden.policy);
+    const auto policy = PolicyRegistry::instance().make_single_play(
+        golden.policy, kLongRunSlots, 123);
+    auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
+    ASSERT_NE(idx, nullptr);
+    const std::vector<ArmId> selections =
+        run_long(*policy, instance, 4000 + pi);
+    ASSERT_EQ(golden.tail.size(), 16u);
+    for (std::size_t i = 0; i < golden.tail.size(); ++i) {
+      const std::size_t slot = selections.size() - golden.tail.size() + i;
+      EXPECT_EQ(selections[slot], golden.tail[i]) << "slot " << (slot + 1);
+    }
+    EXPECT_EQ(fnv1a(selections), golden.selection_hash);
+    EXPECT_EQ(idx->tie_break_draws(), golden.draws);
+  }
+}
+
+// Work counters of the same runs (reward streams 4000 and 4002). Before
+// the tracked Ob_i and the lazy refresh the implementation refreshed
+// 330,360 (DFL-SSO) and 400,000 (DFL-SSR: every observe flooded the cache)
+// arm indices and evaluated the width 170,167 and 79,230 times, with no
+// bounds. The counters are reset-scoped.
+TEST(SelectGoldens, WorkCountersOnBenchmarkInstance) {
+  const BanditInstance instance = benchmark_instance();
+  struct Expected {
+    const char* policy;
+    std::uint64_t reward_seed;
+    std::uint64_t index_refreshes;
+    std::uint64_t width_evaluations;
+    std::uint64_t bound_evaluations;
+  };
+  for (const Expected& e : {Expected{"dfl-sso", 4000, 229837, 83532, 812},
+                            Expected{"dfl-ssr", 4002, 41812, 20233, 357}}) {
+    SCOPED_TRACE(e.policy);
+    const auto policy = PolicyRegistry::instance().make_single_play(
+        e.policy, kLongRunSlots, 123);
+    auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
+    ASSERT_NE(idx, nullptr);
+    (void)run_long(*policy, instance, e.reward_seed);
+    EXPECT_EQ(idx->index_refreshes(), e.index_refreshes);
+    EXPECT_EQ(idx->width_evaluations(), e.width_evaluations);
+    EXPECT_EQ(idx->bound_evaluations(), e.bound_evaluations);
+    policy->reset(instance.graph());
+    EXPECT_EQ(idx->index_refreshes(), 0u);
+    EXPECT_EQ(idx->width_evaluations(), 0u);
+    EXPECT_EQ(idx->bound_evaluations(), 0u);
   }
 }
 
