@@ -16,7 +16,8 @@
 #                             + sharded 2-worker panel, with and without a
 #                             SIGKILLed worker), metrics identity
 #                             (event logs and decision dumps byte-identical
-#                             with metrics enabled, polled, and compiled out).
+#                             with a plain server, a polled one, and one
+#                             writing registry snapshots every 1 ms).
 #        ./ci.sh asan       — ASan/UBSan build + test suite only. The release
 #                             and asan lanes are disjoint so CI runs them as
 #                             parallel jobs; the no-argument form is their
@@ -352,26 +353,25 @@ serve_smoke() {
   echo "serve smoke: 10k decisions / 2 connections, 10000/10000 joined, live stats polled, clean SIGTERM drain"
 }
 
-# Metrics must observe, never steer: one lockstep workload against (a) a
-# metrics-enabled server, (b) the same server hammered by ncb_stats --watch
-# mid-run, and (c) an NCB_NO_METRICS cross-build. Event logs and decision
-# dumps must be byte-identical across all three.
+# Metrics must observe, never steer: one lockstep workload against the
+# same build/ binary as (a) a plain server, (b) that server hammered by
+# ncb_stats --watch mid-run, and (c) that server with --metrics-interval-ms 1,
+# so the snapshot writer walks the whole registry every reactor turn. Event
+# logs and decision dumps must be byte-identical across all three.
 metrics_identity() {
-  cmake -B build-nometrics -S . -DNCB_WERROR=ON -DNCB_NO_METRICS=ON \
-        -DNCB_BUILD_TESTS=OFF -DNCB_BUILD_BENCH=OFF > /dev/null
-  cmake --build build-nometrics -j "$JOBS" --target ncb_serve > /dev/null
-  local variant sock log dump server server_pid watcher_pid
-  for variant in on polled nometrics; do
+  local variant sock log dump server_pid watcher_pid
+  local -a interval
+  for variant in on polled snapshot; do
     sock="build/metrics_${variant}.sock"
     log="build/metrics_${variant}.ncbl"
     dump="build/metrics_${variant}.dump"
     rm -f "$sock" "$log" "$dump"
-    server=./build/examples/ncb_serve
-    [ "$variant" = nometrics ] && server=./build-nometrics/examples/ncb_serve
-    "$server" --socket "$sock" --policy 'eps-greedy:eps=0' \
+    interval=()
+    [ "$variant" = snapshot ] && interval=(--metrics-interval-ms 1)
+    ./build/examples/ncb_serve --socket "$sock" --policy 'eps-greedy:eps=0' \
         --epsilon 0.1 --arms 200 --graph er --edge-prob 0.1 --seed 7 \
         --log "$log" --metrics-out "build/metrics_${variant}.json" \
-        > "build/metrics_${variant}.out" 2>&1 &
+        "${interval[@]}" > "build/metrics_${variant}.out" 2>&1 &
     server_pid=$!
     for _ in $(seq 1 200); do [ -S "$sock" ] && break; sleep 0.05; done
     watcher_pid=""
@@ -391,10 +391,10 @@ metrics_identity() {
     wait "$server_pid"
   done
   cmp build/metrics_on.ncbl build/metrics_polled.ncbl
-  cmp build/metrics_on.ncbl build/metrics_nometrics.ncbl
+  cmp build/metrics_on.ncbl build/metrics_snapshot.ncbl
   cmp build/metrics_on.dump build/metrics_polled.dump
-  cmp build/metrics_on.dump build/metrics_nometrics.dump
-  echo "metrics identity: logs + dumps byte-identical (enabled / polled / NCB_NO_METRICS)"
+  cmp build/metrics_on.dump build/metrics_snapshot.dump
+  echo "metrics identity: logs + dumps byte-identical (plain / polled / 1 ms snapshots)"
 }
 
 # Replay smoke: the offline evaluator prices a candidate panel on the log
@@ -720,7 +720,7 @@ release_lane() {
         serve_smoke
   stage "replay" "replay smoke: offline panel + logging-identity pin" \
         replay_smoke
-  stage "metrics" "metrics identity: bytes unchanged with metrics on/polled/off" \
+  stage "metrics" "metrics identity: bytes unchanged plain/polled/1 ms snapshots" \
         metrics_identity
 }
 

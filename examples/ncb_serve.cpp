@@ -25,6 +25,7 @@
 
 #include "exp/emitters.hpp"
 #include "exp/sweep_spec.hpp"
+#include "obs/metrics.hpp"
 #include "serve/decision_engine.hpp"
 #include "serve/event_log.hpp"
 #include "serve/server.hpp"
@@ -224,20 +225,26 @@ int main(int argc, char** argv) {
     server_options.metrics_out = flags.metrics_out;
     server_options.metrics_interval_ms =
         static_cast<int>(flags.metrics_interval_ms);
-    const serve::ServerStats stats = serve::run_server(engine, server_options);
+    serve::run_server(engine, server_options);
 
     if (log) log->close();  // drains every buffered record before we report
-    std::cout << "ncb_serve: served " << stats.decide_requests
-              << " decisions, " << stats.feedback_frames << " feedbacks ("
-              << engine.unknown_feedbacks() << " unknown, "
-              << engine.duplicate_feedbacks() << " duplicate) over "
-              << stats.connections_accepted << " connections, "
-              << stats.protocol_errors << " protocol errors\n";
+    // The server, engine and log all count into the global registry; the
+    // summary reads their totals back from it.
+    const auto count = [](const char* name) {
+      return obs::MetricsRegistry::global().counter(name).value();
+    };
+    std::cout << "ncb_serve: served " << count("serve.decide.requests")
+              << " decisions, " << count("serve.feedback.frames")
+              << " feedbacks (" << count("serve.engine.unknown_feedbacks")
+              << " unknown, " << count("serve.engine.duplicate_feedbacks")
+              << " duplicate) over " << count("serve.connections.accepted")
+              << " connections, " << count("serve.protocol.errors")
+              << " protocol errors\n";
     if (log) {
       std::cout << "ncb_serve: event log " << log->path() << ": "
-                << log->records_appended() << " records, "
-                << log->bytes_written() << " bytes, " << log->flush_batches()
-                << " flush batches"
+                << count("serve.log.records") << " records, "
+                << log->bytes_written() << " bytes, "
+                << count("serve.log.flushes") << " flush batches"
                 << (log->write_failed() ? " (WRITE FAILURES — log truncated)"
                                         : "")
                 << '\n';

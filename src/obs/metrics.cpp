@@ -69,13 +69,6 @@ std::string json_string(const std::string& text) {
   return out;
 }
 
-/// Prometheus metric name: dots to underscores under the ncb_ namespace.
-std::string prometheus_name(const std::string& name) {
-  std::string out = "ncb_";
-  for (const char c : name) out += c == '.' ? '_' : c;
-  return out;
-}
-
 }  // namespace
 
 std::string MetricsSnapshot::render_json() const {
@@ -111,31 +104,6 @@ std::string MetricsSnapshot::render_json() const {
   }
   out += first ? "}\n" : "\n }\n";
   out += "}\n";
-  return out;
-}
-
-std::string MetricsSnapshot::render_prometheus() const {
-  std::string out;
-  for (const auto& [name, value] : counters) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " counter\n";
-    out += metric + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : gauges) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, stats] : histograms) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " summary\n";
-    out += metric + "{quantile=\"0.5\"} " + std::to_string(stats.p50) + "\n";
-    out += metric + "{quantile=\"0.99\"} " + std::to_string(stats.p99) + "\n";
-    out += metric + "{quantile=\"0.999\"} " + std::to_string(stats.p999) +
-           "\n";
-    out += metric + "_count " + std::to_string(stats.count) + "\n";
-    out += metric + "_max " + std::to_string(stats.max) + "\n";
-  }
   return out;
 }
 

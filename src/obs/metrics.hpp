@@ -14,11 +14,10 @@
 // relaxed atomics, so record() is lock-free and a snapshot never blocks a
 // recording thread.
 //
-// Telemetry observes, never perturbs: nothing here feeds back into any
-// decision, and under the NCB_NO_METRICS build option every mutation
-// (inc/set/add/record, ScopedTimer) compiles to a no-op while the types and
-// the snapshot API keep their shape — call sites build unchanged and the
-// serving/sweep/replay bytes are identical either way.
+// Telemetry observes, never perturbs: no instrument value is ever read back
+// into a decision, so the serving/sweep/replay bytes are the same whatever
+// a registry holds. Each event is counted once, here; components keep no
+// shadow copy of a count the registry already carries.
 #pragma once
 
 #include <atomic>
@@ -41,11 +40,7 @@ inline constexpr int kMetricsSchemaVersion = 1;
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-#ifndef NCB_NO_METRICS
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -60,18 +55,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#ifndef NCB_NO_METRICS
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t d) noexcept {
-#ifndef NCB_NO_METRICS
     value_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
   }
   [[nodiscard]] std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -96,7 +83,6 @@ struct HistogramStats {
 class Histogram {
  public:
   void record(std::uint64_t value) noexcept {
-#ifndef NCB_NO_METRICS
     buckets_[LatencyHistogram::bucket_index(value)].fetch_add(
         1, std::memory_order_relaxed);
     std::uint64_t seen = max_.load(std::memory_order_relaxed);
@@ -104,9 +90,6 @@ class Histogram {
            !max_.compare_exchange_weak(seen, value,
                                        std::memory_order_relaxed)) {
     }
-#else
-    (void)value;
-#endif
   }
 
   /// Consistent-enough view for monitoring: buckets are loaded relaxed, so
@@ -143,9 +126,6 @@ struct MetricsSnapshot {
   /// Schema-versioned JSON document (one metric per line, sorted names —
   /// byte-deterministic for equal values, following exp/emitters style).
   [[nodiscard]] std::string render_json() const;
-  /// Prometheus text exposition: dots become underscores under an "ncb_"
-  /// prefix; histograms render as summaries with quantile labels.
-  [[nodiscard]] std::string render_prometheus() const;
   /// Scalar entries in render order: counters, gauges, then histogram
   /// derivatives — what a StatsReply carries.
   [[nodiscard]] std::vector<StatEntry> flatten() const;

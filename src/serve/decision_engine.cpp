@@ -105,17 +105,14 @@ bool DecisionEngine::report(std::uint64_t decision_id, double reward) {
     // An id outside [1, clock] was never issued at all.
     if (decision_id >= 1 &&
         decision_id <= static_cast<std::uint64_t>(explorer_.clock())) {
-      ++duplicate_feedbacks_;
       m_duplicates_.inc();
     } else {
-      ++unknown_feedbacks_;
       m_unknown_.inc();
     }
     return false;
   }
   explorer_.learn(it->second, reward);
   pending_.erase(it);
-  ++feedbacks_;
   m_feedbacks_.inc();
   if (log_ != nullptr) log_->append_feedback(decision_id, reward);
   return true;
@@ -134,21 +131,6 @@ std::string DecisionEngine::describe() const {
 std::uint64_t DecisionEngine::decisions() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<std::uint64_t>(explorer_.clock());
-}
-
-std::uint64_t DecisionEngine::feedbacks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return feedbacks_;
-}
-
-std::uint64_t DecisionEngine::unknown_feedbacks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return unknown_feedbacks_;
-}
-
-std::uint64_t DecisionEngine::duplicate_feedbacks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return duplicate_feedbacks_;
 }
 
 std::size_t DecisionEngine::pending() const {

@@ -103,7 +103,7 @@ struct EngineOptions {
   std::uint64_t seed = 20170605;
   /// Horizon hint forwarded to the policy builder (0 = anytime).
   TimeSlot horizon = 0;
-  /// Registry mirroring the engine counters (serve.engine.*); nullptr →
+  /// Registry holding the engine counters (serve.engine.*); nullptr →
   /// obs::MetricsRegistry::global(). Observability only — never feeds back
   /// into a decision.
   obs::MetricsRegistry* metrics = nullptr;
@@ -144,13 +144,8 @@ class DecisionEngine {
   /// One-line summary for server startup logs.
   [[nodiscard]] std::string describe() const;
 
+  /// Decisions issued so far (the policy clock).
   [[nodiscard]] std::uint64_t decisions() const;
-  [[nodiscard]] std::uint64_t feedbacks() const;
-  /// report() calls naming a decision_id that was never issued.
-  [[nodiscard]] std::uint64_t unknown_feedbacks() const;
-  /// report() calls naming a decision that already received its reward —
-  /// the join-health signal a lossy or retrying feedback path produces.
-  [[nodiscard]] std::uint64_t duplicate_feedbacks() const;
   /// Decisions awaiting feedback.
   [[nodiscard]] std::size_t pending() const;
 
@@ -160,12 +155,12 @@ class DecisionEngine {
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, ArmId> pending_;
-  std::uint64_t feedbacks_ = 0;
-  std::uint64_t unknown_feedbacks_ = 0;
-  std::uint64_t duplicate_feedbacks_ = 0;
 
-  // Registry mirrors of the counters above (references resolved once in
-  // the constructor; increments are relaxed atomics on the hot path).
+  // The engine's only event counts (references resolved once in the
+  // constructor; increments are relaxed atomics on the hot path). report()
+  // splits a rejected feedback into unknown (a decision_id never issued)
+  // and duplicate (a decision already rewarded — the join-health signal a
+  // lossy or retrying feedback path produces).
   obs::Counter& m_decisions_;
   obs::Counter& m_feedbacks_;
   obs::Counter& m_unknown_;

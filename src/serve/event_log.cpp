@@ -112,7 +112,6 @@ void EventLog::append_record(EventType type, const std::string& payload) {
     }
     active_.push_back(static_cast<char>(type));
     active_.append(payload);
-    ++records_;
     signal = active_.size() >= options_.flush_bytes;
     // A full buffer while the previous batch is still being written means
     // appends are outpacing the disk — the stall signal a saturated log
@@ -151,19 +150,9 @@ void EventLog::close() {
   }
 }
 
-std::uint64_t EventLog::records_appended() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_;
-}
-
 std::uint64_t EventLog::bytes_written() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return bytes_written_;
-}
-
-std::uint64_t EventLog::flush_batches() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return flush_batches_;
 }
 
 bool EventLog::write_failed() const {
@@ -211,7 +200,6 @@ void EventLog::flusher_main() {
     write_in_progress_ = false;
     if (wrote) {
       bytes_written_ += writing_.size();
-      ++flush_batches_;
       m_flushes_.inc();
       m_flushed_bytes_.inc(writing_.size());
     } else {

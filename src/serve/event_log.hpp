@@ -69,8 +69,8 @@ class EventLog {
     std::size_t flush_bytes = 256 * 1024;
     /// ...or when appended data has been buffered this long.
     int flush_ms = 50;
-    /// Registry mirroring the flush-pipeline health metrics (serve.log.*);
-    /// nullptr → obs::MetricsRegistry::global().
+    /// Registry holding the record count and flush-pipeline health metrics
+    /// (serve.log.*); nullptr → obs::MetricsRegistry::global().
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -97,12 +97,8 @@ class EventLog {
   [[nodiscard]] const std::string& path() const noexcept {
     return options_.path;
   }
-  /// Records appended so far (buffered or written).
-  [[nodiscard]] std::uint64_t records_appended() const;
   /// Bytes written to the file so far (including the header).
   [[nodiscard]] std::uint64_t bytes_written() const;
-  /// Completed flusher write batches.
-  [[nodiscard]] std::uint64_t flush_batches() const;
   /// True after any flusher write failed (those records were dropped).
   [[nodiscard]] bool write_failed() const;
 
@@ -125,11 +121,12 @@ class EventLog {
   bool force_flush_ = false;
   bool write_in_progress_ = false;
   bool write_failed_ = false;
-  std::uint64_t records_ = 0;
   std::uint64_t bytes_written_ = 0;
-  std::uint64_t flush_batches_ = 0;
 
-  // Registry mirrors (resolved once in the constructor).
+  // Event counts (resolved once in the constructor): records appended
+  // (buffered or written), completed flusher batches, and their bytes live
+  // only here. bytes_written_ above is this instance's own file size, kept
+  // separately because a registry may be shared across logs.
   obs::Counter& m_records_;
   obs::Counter& m_flushes_;
   obs::Counter& m_flushed_bytes_;

@@ -104,7 +104,7 @@ class Reactor {
     }
   }
 
-  ServerStats run() {
+  void run() {
     bool draining = false;
     Clock::time_point drain_deadline{};
     const bool periodic_metrics =
@@ -139,7 +139,6 @@ class Reactor {
     // Final snapshot: the post-drain totals a dashboard scrapes after the
     // server is gone.
     if (!options_.metrics_out.empty()) write_metrics_snapshot();
-    return stats_;
   }
 
  private:
@@ -201,7 +200,6 @@ class Reactor {
       Conn conn;
       conn.fd = fd;
       conns_.push_back(std::move(conn));
-      ++stats_.connections_accepted;
       m_connections_.inc();
       m_active_conns_.add(1);
     }
@@ -272,7 +270,6 @@ class Reactor {
         reply.propensity = decision.propensity;
         dist::append_frame(conn.outbuf, dist::MsgType::kDecideReply,
                            dist::encode_decide_reply(reply));
-        ++stats_.decide_requests;
         m_decides_.inc();
         return;
       }
@@ -281,7 +278,6 @@ class Reactor {
         const dist::FeedbackMsg feedback =
             dist::decode_feedback(frame.payload);
         engine_.report(feedback.decision_id, feedback.reward);
-        ++stats_.feedback_frames;
         m_feedbacks_.inc();
         return;
       }
@@ -330,7 +326,6 @@ class Reactor {
   /// (counted and logged), null is a normal departure.
   void drop(Conn& conn, const char* reason) {
     if (reason != nullptr) {
-      ++stats_.protocol_errors;
       m_protocol_errors_.inc();
       std::fprintf(stderr, "serve: dropping client: %s\n", reason);
     }
@@ -380,19 +375,18 @@ class Reactor {
   std::vector<Conn> conns_;
   std::vector<pollfd> fds_;        ///< Reused across rounds (no allocation).
   std::vector<std::size_t> owners_;
-  ServerStats stats_;
   bool need_reap_ = false;
   bool metrics_write_warned_ = false;
 };
 
 }  // namespace
 
-ServerStats run_server(DecisionEngine& engine, const ServerOptions& options) {
+void run_server(DecisionEngine& engine, const ServerOptions& options) {
   if (options.socket_path.empty()) {
     throw std::invalid_argument("serve: empty socket path");
   }
   Reactor reactor(engine, options);
-  return reactor.run();
+  reactor.run();
 }
 
 }  // namespace ncb::serve

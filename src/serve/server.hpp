@@ -13,8 +13,8 @@
 //
 // A client closing its socket at a frame boundary is a clean departure; a
 // malformed frame, a handshake mismatch, or an unexpected type drops that
-// connection (counted in ServerStats::protocol_errors) without disturbing
-// the others. When `should_stop` trips (the SIGTERM flag), the server
+// connection (counted in the serve.protocol.errors registry counter)
+// without disturbing the others. When `should_stop` trips (the SIGTERM flag), the server
 // closes the listening socket, keeps serving already-connected clients for
 // at most drain_ms, flushes what it can, and returns — so feedback already
 // in flight still reaches the engine and the event log.
@@ -37,7 +37,7 @@ struct ServerOptions {
   std::function<bool()> should_stop;
   /// Grace window after should_stop for in-flight client traffic.
   int drain_ms = 500;
-  /// Registry mirroring the serve.* counters/histograms and answering
+  /// Registry holding the serve.* counters/histograms and answering
   /// StatsRequest frames; nullptr → obs::MetricsRegistry::global().
   obs::MetricsRegistry* metrics = nullptr;
   /// When non-empty, the registry snapshot is written here as JSON: once at
@@ -48,19 +48,12 @@ struct ServerOptions {
   int metrics_interval_ms = 0;
 };
 
-struct ServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t decide_requests = 0;
-  std::uint64_t feedback_frames = 0;
-  /// Connections dropped for handshake/framing/type violations.
-  std::uint64_t protocol_errors = 0;
-};
-
 /// Runs the reactor until should_stop trips. Binds and listens inside the
 /// call; throws std::runtime_error when the socket cannot be set up (path
 /// too long for sun_path, bind/listen failure). The socket file is
-/// unlinked on return.
-[[nodiscard]] ServerStats run_server(DecisionEngine& engine,
-                                     const ServerOptions& options);
+/// unlinked on return. Every serve event is counted in the options'
+/// registry (serve.connections.accepted, serve.decide.requests,
+/// serve.feedback.frames, serve.protocol.errors, ...) and nowhere else.
+void run_server(DecisionEngine& engine, const ServerOptions& options);
 
 }  // namespace ncb::serve

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "dist/protocol.hpp"
+#include "obs/metrics.hpp"
 
 namespace fs = std::filesystem;
 
@@ -86,13 +87,16 @@ TEST(EventLog, RoundTripPreservesOrderAndFields) {
   TempDir dir;
   const std::string path = dir.file("log.ncbl");
   {
-    EventLog log({path});
+    obs::MetricsRegistry registry;
+    EventLog::Options options{path};
+    options.metrics = &registry;
+    EventLog log(options);
     log.append_decision(1, "alice", 7, 0.95);
     log.append_decision(2, "bob", 0, 0.05);
     log.append_feedback(1, 0.5);
     log.append_decision(3, "", 42, 1.0);  // empty key is legal
     log.append_feedback(999, 1.0);        // never decided: counts, not joined
-    EXPECT_EQ(log.records_appended(), 5u);
+    EXPECT_EQ(registry.counter("serve.log.records").value(), 5u);
     log.close();
     EXPECT_FALSE(log.write_failed());
     EXPECT_EQ(log.bytes_written(), fs::file_size(path));
@@ -124,7 +128,9 @@ TEST(EventLog, RoundTripPreservesOrderAndFields) {
 TEST(EventLog, FlushBySizeFiresBeforeClose) {
   TempDir dir;
   const std::string path = dir.file("size.ncbl");
+  obs::MetricsRegistry registry;
   EventLog::Options options{path};
+  options.metrics = &registry;
   options.flush_bytes = 64;        // a couple of records
   options.flush_ms = 60 * 1000;    // the age path must not be the trigger
   EventLog log(options);
@@ -133,7 +139,7 @@ TEST(EventLog, FlushBySizeFiresBeforeClose) {
   }
   EXPECT_TRUE(eventually([&] { return log.bytes_written() > 8; }))
       << "size-triggered flush never fired";
-  EXPECT_GE(log.flush_batches(), 1u);
+  EXPECT_GE(registry.counter("serve.log.flushes").value(), 1u);
   log.close();
   EXPECT_EQ(read_event_log(path).records.size(), 50u);
 }

@@ -1,9 +1,8 @@
 // Unit tests for the src/obs/ metrics layer: instrument semantics, stable
-// registry references, snapshot rendering (JSON / Prometheus / flattened
-// wire entries), agreement between obs::Histogram and the LatencyHistogram
-// bucket math it reuses, ScopedTimer, concurrent counter exactness, and
-// the StatsReply wire round trip. Mutation-observing tests GTEST_SKIP
-// under NCB_NO_METRICS, where every increment compiles to a no-op.
+// registry references, snapshot rendering (JSON / flattened wire entries),
+// agreement between obs::Histogram and the LatencyHistogram bucket math it
+// reuses, ScopedTimer, concurrent counter exactness, and the StatsReply
+// wire round trip.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,17 +17,7 @@
 namespace ncb::obs {
 namespace {
 
-#ifdef NCB_NO_METRICS
-#define REQUIRE_METRICS() \
-  GTEST_SKIP() << "mutations are no-ops under NCB_NO_METRICS"
-#else
-#define REQUIRE_METRICS() \
-  do {                    \
-  } while (0)
-#endif
-
 TEST(Counter, StartsAtZeroAndAccumulates) {
-  REQUIRE_METRICS();
   Counter counter;
   EXPECT_EQ(counter.value(), 0u);
   counter.inc();
@@ -37,7 +26,6 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
 }
 
 TEST(Gauge, SetAddAndNegativeValues) {
-  REQUIRE_METRICS();
   Gauge gauge;
   EXPECT_EQ(gauge.value(), 0);
   gauge.set(10);
@@ -56,7 +44,6 @@ TEST(Histogram, EmptyStatsAreAllZero) {
 }
 
 TEST(Histogram, AgreesWithLatencyHistogramQuantiles) {
-  REQUIRE_METRICS();
   // Same stream into both implementations: the obs histogram borrows the
   // LatencyHistogram bucket layout, so the quantiles must match exactly.
   Histogram ours;
@@ -75,7 +62,6 @@ TEST(Histogram, AgreesWithLatencyHistogramQuantiles) {
 }
 
 TEST(Histogram, MaxIsExactNotBucketRounded) {
-  REQUIRE_METRICS();
   Histogram histogram;
   histogram.record(1000003);  // not a bucket boundary
   EXPECT_EQ(histogram.stats().max, 1000003u);
@@ -96,7 +82,6 @@ TEST(MetricsRegistry, ReferencesAreStableAndDeduplicated) {
 }
 
 TEST(MetricsRegistry, SnapshotIsSortedByName) {
-  REQUIRE_METRICS();
   MetricsRegistry registry;
   registry.counter("z.last").inc(3);
   registry.counter("a.first").inc(1);
@@ -110,7 +95,6 @@ TEST(MetricsRegistry, SnapshotIsSortedByName) {
 }
 
 TEST(MetricsSnapshot, RenderJsonCarriesSchemaAndValues) {
-  REQUIRE_METRICS();
   MetricsRegistry registry;
   registry.counter("serve.decide.requests").inc(7);
   registry.gauge("serve.connections.active").set(-2);
@@ -125,22 +109,7 @@ TEST(MetricsSnapshot, RenderJsonCarriesSchemaAndValues) {
   EXPECT_EQ(json, registry.snapshot().render_json());
 }
 
-TEST(MetricsSnapshot, RenderPrometheusUsesNcbPrefix) {
-  REQUIRE_METRICS();
-  MetricsRegistry registry;
-  registry.counter("dist.jobs.completed").inc(5);
-  registry.histogram("serve.decide.latency_us").record(50);
-  const std::string text = registry.snapshot().render_prometheus();
-  EXPECT_NE(text.find("# TYPE ncb_dist_jobs_completed counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("ncb_dist_jobs_completed 5"), std::string::npos);
-  EXPECT_NE(text.find("ncb_serve_decide_latency_us_count 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("quantile=\"0.5\""), std::string::npos);
-}
-
 TEST(MetricsSnapshot, FlattenKindsAndHistogramSuffixes) {
-  REQUIRE_METRICS();
   MetricsRegistry registry;
   registry.counter("c").inc(1);
   registry.gauge("g").set(-4);
@@ -162,7 +131,6 @@ TEST(MetricsSnapshot, FlattenKindsAndHistogramSuffixes) {
 }
 
 TEST(MetricsSnapshot, StatsReplyWireRoundTrip) {
-  REQUIRE_METRICS();
   MetricsRegistry registry;
   registry.counter("c").inc(3);
   registry.gauge("g").set(-1);
@@ -182,7 +150,6 @@ TEST(MetricsSnapshot, StatsReplyWireRoundTrip) {
 }
 
 TEST(ScopedTimer, RecordsOneSampleOnDestruction) {
-  REQUIRE_METRICS();
   Histogram histogram;
   {
     const ScopedTimer timer(histogram);
@@ -191,7 +158,6 @@ TEST(ScopedTimer, RecordsOneSampleOnDestruction) {
 }
 
 TEST(Counter, ConcurrentIncrementsAreExact) {
-  REQUIRE_METRICS();
   Counter counter;
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;

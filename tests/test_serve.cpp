@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -180,9 +181,11 @@ TEST(DecisionEngine, RejectsBadConfiguration) {
 }
 
 TEST(DecisionEngine, DecisionIdsCountUpAndSlotIsEchoed) {
+  obs::MetricsRegistry registry;
   EngineOptions options;
   options.policy_spec = "eps-greedy:eps=0";
   options.epsilon = 0.0;
+  options.metrics = &registry;
   DecisionEngine engine(ring_graph(4), options);
   EXPECT_EQ(engine.num_arms(), 4u);
   for (std::uint64_t i = 1; i <= 5; ++i) {
@@ -192,7 +195,8 @@ TEST(DecisionEngine, DecisionIdsCountUpAndSlotIsEchoed) {
     EXPECT_TRUE(engine.report(d.decision_id, 0.5));
   }
   EXPECT_EQ(engine.decisions(), 5u);
-  EXPECT_EQ(engine.feedbacks(), 5u);
+  EXPECT_EQ(registry.counter("serve.engine.decisions").value(), 5u);
+  EXPECT_EQ(registry.counter("serve.engine.feedbacks").value(), 5u);
   EXPECT_EQ(engine.pending(), 0u);
 }
 
@@ -249,17 +253,20 @@ TEST(DecisionEngine, EpsilonOneIsUniformWithPropensityOneOverK) {
 }
 
 TEST(DecisionEngine, UnknownAndDuplicateFeedbackAreRejected) {
+  obs::MetricsRegistry registry;
   EngineOptions options;
   options.policy_spec = "eps-greedy:eps=0";
   options.epsilon = 0.0;
+  options.metrics = &registry;
   DecisionEngine engine(ring_graph(4), options);
   EXPECT_FALSE(engine.report(7, 1.0));  // never decided
   const Decision d = engine.decide("k");
   EXPECT_TRUE(engine.report(d.decision_id, 1.0));
   EXPECT_FALSE(engine.report(d.decision_id, 1.0));  // already joined
-  EXPECT_EQ(engine.unknown_feedbacks(), 1u);   // the never-issued id
-  EXPECT_EQ(engine.duplicate_feedbacks(), 1u); // the re-reported one
-  EXPECT_EQ(engine.feedbacks(), 1u);
+  // The never-issued id, then the re-reported one.
+  EXPECT_EQ(registry.counter("serve.engine.unknown_feedbacks").value(), 1u);
+  EXPECT_EQ(registry.counter("serve.engine.duplicate_feedbacks").value(), 1u);
+  EXPECT_EQ(registry.counter("serve.engine.feedbacks").value(), 1u);
 }
 
 TEST(DecisionEngine, IdenticalCallSequencesAreBitIdentical) {
@@ -397,10 +404,9 @@ dist::StatsReplyMsg poll_stats_once(int fd) {
   return dist::decode_stats_reply(frame->payload);
 }
 
-/// Value of the named entry in a StatsReply; -1 when absent. Unused in
-/// the NCB_NO_METRICS configuration (its tests compile out).
-[[maybe_unused]] std::int64_t stat_value(const dist::StatsReplyMsg& reply,
-                                         const std::string& name) {
+/// Value of the named entry in a StatsReply; -1 when absent.
+std::int64_t stat_value(const dist::StatsReplyMsg& reply,
+                        const std::string& name) {
   for (const dist::StatsEntry& entry : reply.entries) {
     if (entry.name == name) return static_cast<std::int64_t>(entry.value);
   }
@@ -410,7 +416,6 @@ dist::StatsReplyMsg poll_stats_once(int fd) {
 struct ScenarioResult {
   std::vector<ServedDecision> decisions;
   std::string log_bytes;
-  ServerStats stats;
   dist::StatsReplyMsg final_stats;  ///< Only filled when polling.
   std::uint64_t background_polls = 0;
 };
@@ -420,9 +425,9 @@ struct ScenarioResult {
 /// travels in the same send() as request i+1 (on whatever connection
 /// carries i+1), so the server's processing order is globally sequential —
 /// the engine sees an identical call sequence for ANY connection count.
+/// Server, engine and log all count into `metrics`, a caller-owned registry.
 ScenarioResult run_scenario(int connections, int n,
-                            obs::MetricsRegistry* metrics = nullptr,
-                            bool poll = false) {
+                            obs::MetricsRegistry* metrics, bool poll = false) {
   TempDir dir;
   const std::string socket_path = dir.file("serve.sock");
   const std::string log_path = dir.file("serve.ncbl");
@@ -439,13 +444,17 @@ ScenarioResult run_scenario(int connections, int n,
     engine_options.seed = 20170605;
     engine_options.metrics = metrics;
     DecisionEngine engine(ring_graph(16), engine_options, &log);
+    // Relative to the starting value: a caller may hand in a registry that
+    // already holds counts.
+    const obs::Counter& feedbacks = metrics->counter("serve.engine.feedbacks");
+    const std::uint64_t feedbacks_before = feedbacks.value();
 
     std::atomic<bool> stop{false};
     ServerOptions server_options;
     server_options.socket_path = socket_path;
     server_options.should_stop = [&stop] { return stop.load(); };
     server_options.metrics = metrics;
-    std::thread server([&] { result.stats = run_server(engine, server_options); });
+    std::thread server([&] { run_server(engine, server_options); });
 
     // Concurrent poller: hammers StatsRequest on its own connection while
     // decide/feedback traffic flows — the "telemetry observes, never
@@ -530,11 +539,13 @@ ScenarioResult run_scenario(int connections, int n,
       // Let the trailing feedback reach the engine before shutting down.
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      while (engine.feedbacks() < static_cast<std::uint64_t>(n) &&
+      while (feedbacks.value() - feedbacks_before <
+                 static_cast<std::uint64_t>(n) &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      EXPECT_EQ(engine.feedbacks(), static_cast<std::uint64_t>(n));
+      EXPECT_EQ(feedbacks.value() - feedbacks_before,
+                static_cast<std::uint64_t>(n));
       // Quiesce the poller first so background_polls is final, then take
       // one synchronous poll: every feedback has landed, counters exact.
       poller_stop.store(true);
@@ -568,8 +579,10 @@ constexpr std::uint64_t kGoldenLogHash = 0xf0e9b155039c97b0ULL;
 
 TEST(ServeServer, ConnectionCountDoesNotChangeDecisionsOrLog) {
   const int kRequests = 96;
-  ScenarioResult one = run_scenario(1, kRequests);
-  ScenarioResult four = run_scenario(4, kRequests);
+  obs::MetricsRegistry one_metrics;
+  obs::MetricsRegistry four_metrics;
+  ScenarioResult one = run_scenario(1, kRequests, &one_metrics);
+  ScenarioResult four = run_scenario(4, kRequests, &four_metrics);
 
   ASSERT_EQ(one.decisions.size(), static_cast<std::size_t>(kRequests));
   ASSERT_EQ(four.decisions.size(), static_cast<std::size_t>(kRequests));
@@ -585,11 +598,13 @@ TEST(ServeServer, ConnectionCountDoesNotChangeDecisionsOrLog) {
   EXPECT_EQ(fnv1a(one.log_bytes), kGoldenLogHash)
       << "actual hash 0x" << std::hex << fnv1a(one.log_bytes);
 
-  EXPECT_EQ(one.stats.connections_accepted, 1u);
-  EXPECT_EQ(four.stats.connections_accepted, 4u);
-  EXPECT_EQ(one.stats.decide_requests, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(one.stats.feedback_frames, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(one.stats.protocol_errors, 0u);
+  EXPECT_EQ(one_metrics.counter("serve.connections.accepted").value(), 1u);
+  EXPECT_EQ(four_metrics.counter("serve.connections.accepted").value(), 4u);
+  EXPECT_EQ(one_metrics.counter("serve.decide.requests").value(),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(one_metrics.counter("serve.feedback.frames").value(),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(one_metrics.counter("serve.protocol.errors").value(), 0u);
 
   // The log is the canonical D1 F1 D2 F2 ... interleaving.
   TempDir dir;
@@ -609,20 +624,90 @@ TEST(ServeServer, ConnectionCountDoesNotChangeDecisionsOrLog) {
   }
 }
 
+TEST(ServeServer, PreloadedMetricsCannotSteerDecisions) {
+  // The registry is write-only from serving's point of view: a registry
+  // whose every counter and gauge already holds a large value must yield
+  // the same decisions and log bytes as a fresh one, and each counter must
+  // rise by exactly this scenario's event count.
+  const int kRequests = 96;
+  const auto n = static_cast<std::uint64_t>(kRequests);
+  obs::MetricsRegistry fresh_metrics;
+  const ScenarioResult fresh = run_scenario(1, kRequests, &fresh_metrics);
+
+  // Pre-load every instrument the scenario registers (all serve.*).
+  constexpr std::uint64_t kPreload = 1ULL << 40;
+  const obs::MetricsSnapshot registered = fresh_metrics.snapshot();
+  obs::MetricsRegistry preloaded;
+  for (const auto& [name, value] : registered.counters) {
+    ASSERT_EQ(name.rfind("serve.", 0), 0u) << name;
+    preloaded.counter(name).inc(kPreload);
+  }
+  for (const auto& [name, value] : registered.gauges) {
+    ASSERT_EQ(name.rfind("serve.", 0), 0u) << name;
+    preloaded.gauge(name).set(-1);
+  }
+  const ScenarioResult steered = run_scenario(1, kRequests, &preloaded);
+
+  ASSERT_EQ(steered.decisions.size(), fresh.decisions.size());
+  for (std::size_t i = 0; i < fresh.decisions.size(); ++i) {
+    ASSERT_EQ(steered.decisions[i].decision_id, fresh.decisions[i].decision_id)
+        << i;
+    ASSERT_EQ(steered.decisions[i].action, fresh.decisions[i].action) << i;
+    ASSERT_EQ(steered.decisions[i].propensity, fresh.decisions[i].propensity)
+        << i;
+  }
+  EXPECT_EQ(steered.log_bytes, fresh.log_bytes);
+  EXPECT_EQ(fnv1a(steered.log_bytes), kGoldenLogHash)
+      << "actual hash 0x" << std::hex << fnv1a(steered.log_bytes);
+
+  // Every event count of one lockstep connection: n decide/feedback pairs,
+  // 2n log records, the log bytes past its 8-byte header.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"serve.connections.accepted", 1},
+      {"serve.decide.requests", n},
+      {"serve.engine.decisions", n},
+      {"serve.engine.duplicate_feedbacks", 0},
+      {"serve.engine.feedbacks", n},
+      {"serve.engine.unknown_feedbacks", 0},
+      {"serve.feedback.frames", n},
+      {"serve.log.flush_stalls", 0},
+      {"serve.log.flushed_bytes", fresh.log_bytes.size() - 8},
+      {"serve.log.records", 2 * n},
+      {"serve.log.write_failures", 0},
+      {"serve.protocol.errors", 0},
+      {"serve.stats.requests", 0},
+  };
+  for (const auto& [name, value] : registered.counters) {
+    const std::uint64_t rose = preloaded.counter(name).value() - kPreload;
+    if (name == "serve.log.flushes") {
+      // Batching follows the flusher's clock; at least the final drain.
+      EXPECT_GE(value, 1u);
+      EXPECT_GE(rose, 1u);
+      continue;
+    }
+    ASSERT_EQ(expected.count(name), 1u) << "unexpected counter " << name;
+    EXPECT_EQ(value, expected.at(name)) << name;
+    EXPECT_EQ(rose, expected.at(name)) << name;
+  }
+  EXPECT_EQ(registered.counters.size(), expected.size() + 1);
+}
+
 TEST(ServeServer, RejectsBadHandshakeAndUnexpectedFrames) {
+  obs::MetricsRegistry registry;
   TempDir dir;
   const std::string socket_path = dir.file("serve.sock");
   EngineOptions engine_options;
   engine_options.policy_spec = "eps-greedy:eps=0";
   engine_options.epsilon = 0.0;
+  engine_options.metrics = &registry;
   DecisionEngine engine(ring_graph(4), engine_options);
 
   std::atomic<bool> stop{false};
   ServerOptions server_options;
   server_options.socket_path = socket_path;
   server_options.should_stop = [&stop] { return stop.load(); };
-  ServerStats stats;
-  std::thread server([&] { stats = run_server(engine, server_options); });
+  server_options.metrics = &registry;
+  std::thread server([&] { run_server(engine, server_options); });
 
   {  // Wrong schema word in the Hello: dropped before any ack.
     const int fd = connect_retry(socket_path);
@@ -657,12 +742,11 @@ TEST(ServeServer, RejectsBadHandshakeAndUnexpectedFrames) {
 
   stop.store(true);
   server.join();
-  EXPECT_EQ(stats.protocol_errors, 2u);
-  EXPECT_EQ(stats.decide_requests, 1u);
-  EXPECT_EQ(stats.connections_accepted, 3u);
+  EXPECT_EQ(registry.counter("serve.protocol.errors").value(), 2u);
+  EXPECT_EQ(registry.counter("serve.decide.requests").value(), 1u);
+  EXPECT_EQ(registry.counter("serve.connections.accepted").value(), 3u);
 }
 
-#ifndef NCB_NO_METRICS
 TEST(ServeServer, StatsPollingObservesExactCountersWithoutPerturbing) {
   obs::MetricsRegistry registry;
   const int kRequests = 96;
@@ -707,8 +791,7 @@ TEST(ServeServer, StatsRequestReportsProtocolAndDuplicateErrors) {
   server_options.socket_path = socket_path;
   server_options.should_stop = [&stop] { return stop.load(); };
   server_options.metrics = &registry;
-  ServerStats stats;
-  std::thread server([&] { stats = run_server(engine, server_options); });
+  std::thread server([&] { run_server(engine, server_options); });
 
   {  // Sweep-only frame type: dropped, counted by name.
     const int fd = handshake_client(socket_path);
@@ -746,7 +829,7 @@ TEST(ServeServer, StatsRequestReportsProtocolAndDuplicateErrors) {
   dist::write_frame(fd, MsgType::kFeedback, dist::encode_feedback(feedback));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (engine.duplicate_feedbacks() < 1 &&
+  while (registry.counter("serve.engine.duplicate_feedbacks").value() < 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -762,9 +845,8 @@ TEST(ServeServer, StatsRequestReportsProtocolAndDuplicateErrors) {
 
   stop.store(true);
   server.join();
-  EXPECT_EQ(stats.protocol_errors, 2u);
+  EXPECT_EQ(registry.counter("serve.protocol.errors").value(), 2u);
 }
-#endif  // NCB_NO_METRICS
 
 }  // namespace
 }  // namespace ncb::serve

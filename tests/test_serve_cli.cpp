@@ -1,8 +1,10 @@
 // Process-level tests of the ncb_serve CLI (path injected as
-// NCB_SERVE_BIN), covering the parts that never need a live socket:
+// NCB_SERVE_BIN):
 //   - field-named validation of the numeric flags (--flush-bytes,
 //     --flush-ms, --backlog, --drain-ms, --metrics-interval-ms) with exit
 //     code 2 and the offending flag named on stderr,
+//   - the exit summary after a lockstep load over a live socket: both
+//     lines whole, as read back from the metrics registry,
 //   - --inspect-log's machine-readable join-health JSON block (duplicate
 //     feedbacks, unjoined decisions, orphan feedbacks, truncated tail)
 //     over logs written in-process with the real EventLog.
@@ -11,12 +13,16 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/protocol.hpp"
 #include "serve/event_log.hpp"
 
 #ifndef NCB_SERVE_BIN
@@ -174,6 +181,92 @@ TEST(ServeCliValidation, AcceptedFlagsServeAndWriteFinalSnapshot) {
   EXPECT_NE(read_text(metrics_path).find("\"schema\": 1"),
             std::string::npos);
   EXPECT_NE(read_text(out).find("served 0 decisions"), std::string::npos);
+}
+
+/// Connects to a starting ncb_serve (retrying for up to 10 s while the
+/// socket comes up) and completes the serve handshake; -1 on failure.
+int serve_client(const std::string& socket_path) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  socket_path.c_str());
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      dist::HelloMsg hello;
+      hello.schema = dist::kServeWireSchema;
+      dist::write_frame(fd, dist::MsgType::kHello, dist::encode_hello(hello));
+      const auto ack = dist::read_frame(fd);
+      if (ack && ack->type == dist::MsgType::kHelloAck) return fd;
+      ::close(fd);
+      return -1;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return -1;
+}
+
+/// `n` lockstep decide/feedback rounds on `fd`, then a StatsRequest round
+/// trip: its reply proves the server has processed every feedback.
+bool drive_lockstep(int fd, int n) {
+  for (int i = 0; i < n; ++i) {
+    dist::DecideRequestMsg request;
+    request.request_id = static_cast<std::uint64_t>(i);
+    request.user_key = "user-" + std::to_string(i % 3);
+    dist::write_frame(fd, dist::MsgType::kDecideRequest,
+                      dist::encode_decide_request(request));
+    const auto frame = dist::read_frame(fd);
+    if (!frame || frame->type != dist::MsgType::kDecideReply) return false;
+    dist::FeedbackMsg feedback;
+    feedback.decision_id = dist::decode_decide_reply(frame->payload).decision_id;
+    feedback.reward = static_cast<double>(i % 2);
+    dist::write_frame(fd, dist::MsgType::kFeedback,
+                      dist::encode_feedback(feedback));
+  }
+  dist::write_frame(fd, dist::MsgType::kStatsRequest, "");
+  const auto frame = dist::read_frame(fd);
+  return frame && frame->type == dist::MsgType::kStatsReply;
+}
+
+TEST(ServeCliServe, ExitSummaryCountsEveryServedEvent) {
+  REQUIRE_BINARY();
+  TempDir dir;
+  const std::string socket_path = dir.file("s.sock");
+  const std::string log_path = dir.file("serve.ncbl");
+  const std::string out = dir.file("out");
+  const pid_t pid = spawn_serve(
+      {"--socket", socket_path, "--arms", "8", "--log", log_path}, out);
+  const int kRequests = 25;
+  int fd = -1;
+  bool drove = false;
+  try {  // any wire failure must still reach the SIGTERM below
+    fd = serve_client(socket_path);
+    drove = fd >= 0 && drive_lockstep(fd, kRequests);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  if (fd >= 0) ::close(fd);
+  ::kill(pid, SIGTERM);
+  EXPECT_EQ(wait_exit(pid), 0);
+  ASSERT_TRUE(drove) << read_text(out);
+
+  const std::string n = std::to_string(kRequests);
+  const std::string text = read_text(out);
+  EXPECT_NE(text.find("ncb_serve: served " + n + " decisions, " + n +
+                      " feedbacks (0 unknown, 0 duplicate) over 1 "
+                      "connections, 0 protocol errors\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ncb_serve: event log " + log_path + ": " +
+                      std::to_string(2 * kRequests) + " records, " +
+                      std::to_string(fs::file_size(log_path)) + " bytes, "),
+            std::string::npos)
+      << text;
 }
 
 /// Writes a log whose join health is fully known: decisions 1..4, where
