@@ -10,7 +10,8 @@
 #                             thread determinism, distributed dispatch incl.
 #                             localhost-TCP workers, a combinatorial CSO+CSR
 #                             grid and benchmark-shaped SSO+SSR and CSO+CSR
-#                             runs md5-pinned), serve smoke (real server
+#                             runs md5-pinned, uneven replication shards
+#                             over 3 workers), serve smoke (real server
 #                             + driver + SIGTERM drain), replay smoke (offline
 #                             panel over the serve log + logging-identity pin
 #                             + sharded 2-worker panel, with and without a
@@ -310,6 +311,40 @@ EOF
     echo "$expected  build/comb_bench_$scenario.json" | md5sum -c --quiet -
   done
   echo "sweep smoke: benchmark-shaped CSO+CSR runs byte-identical (2 workers) and md5-pinned"
+
+  # Uneven shards: the benchmark's own CSO+CSR spec (8 replications) on
+  # three single-thread workers is cut into 3 + 3 + 2 replication shards
+  # per job, spread over workers that do not divide them; the coordinator's
+  # in-order fold must still land on the in-process bytes.
+  for scenario in cso csr; do
+    if [ "$scenario" = cso ]; then
+      policies='dfl-cso, cucb'
+    else
+      policies='dfl-csr, cucb'
+    fi
+    spec="build/comb_uneven_$scenario.sweep"
+    cat > "$spec" <<EOF
+name = ci-uneven-$scenario
+scenario = $scenario
+policies = $policies
+graphs = er
+arms = 20
+p = 0.3
+horizons = 5000
+replications = 8
+checkpoints = 30
+strategy-size = 3
+seed = 1
+EOF
+    ./build/examples/ncb_sweep --spec "$spec" \
+        --out "build/comb_uneven_$scenario.json" > /dev/null
+    ./build/examples/ncb_sweep --spec "$spec" \
+        --out "build/comb_uneven_$scenario.w3.json" --workers 3 --threads 1 \
+        | tee "build/comb_uneven_$scenario.w3.log"
+    grep -q 'shards=3x3' "build/comb_uneven_$scenario.w3.log"
+    cmp "build/comb_uneven_$scenario.json" "build/comb_uneven_$scenario.w3.json"
+  done
+  echo "sweep smoke: benchmark-shaped CSO+CSR over 3 workers (uneven 3+3+2 shards) byte-identical"
 }
 
 # Serve smoke: a real ncb_serve process (engine + event log + reactor)

@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
         if (!w.host.empty()) {
           std::cout << ", " << w.host << "/" << w.remote_pid;
         }
-        std::cout << "): " << w.jobs_done << " candidates, "
+        std::cout << "): " << w.tasks_done << " candidates, "
                   << exp::json_number(w.seconds) << "s, " << w.bytes_out
                   << "B out / " << w.bytes_in << "B in"
                   << (w.lost_in_flight ? "  [lost mid-candidate]"

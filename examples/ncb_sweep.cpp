@@ -2,9 +2,10 @@
 //
 // Loads a declarative sweep spec (see specs/*.sweep and README "Running
 // sweeps"), expands the grid, runs every job, and writes schema-versioned
-// JSON (and optionally CSV). Jobs run either as fine-grained shards on an
-// in-process thread pool, or — with --workers N — across N worker processes
-// coordinated over the src/dist/ protocol. The JSON output is bit-identical
+// JSON (and optionally CSV). Jobs run as fine-grained replication shards,
+// either on an in-process thread pool or — with --workers N — across N
+// worker processes coordinated over the src/dist/ protocol, every worker on
+// the head job first. The JSON output is bit-identical
 // for any --threads / --shard-size / --workers choice (even when a worker
 // is killed mid-sweep), and --resume re-runs only the grid points missing
 // from a partial output file. SIGINT/SIGTERM stop gracefully: completed
@@ -64,7 +65,7 @@ int usage(const char* program) {
          "                    (0 = auto, default)\n"
          "  --shard-size N    fixed replications per shard (0 = auto)\n"
          "  --max-jobs N      run at most N pending jobs, then stop\n"
-         "  --workers N       dispatch jobs to N worker processes (0 = run\n"
+         "  --workers N       dispatch job shards to N worker processes (0 = run\n"
          "                    in-process, default); output is byte-identical\n"
          "                    either way\n"
          "  --listen H:P      coordinate over TCP instead of spawning: bind\n"
@@ -329,6 +330,7 @@ int main(int argc, char** argv) {
                 : std::max<std::size_t>(
                       1, hardware / static_cast<std::size_t>(workers));
         dist_options.workers = static_cast<std::size_t>(workers);
+        dist_options.worker_threads = per_worker;
         dist_options.worker_command = {dist::self_exe_path(args.program()),
                                        "--threads",
                                        std::to_string(per_worker)};
@@ -344,11 +346,15 @@ int main(int argc, char** argv) {
       dist_options.should_stop = [] { return g_stop != 0; };
       dist_options.on_result = [&](const dist::DistJobResult& result) {
         JobRecord record = parse_job_json(result.record_line);
+        std::string ran_on;
+        for (const std::size_t id : result.workers) {
+          ran_on += (ran_on.empty() ? "" : ",") + std::to_string(id);
+        }
         std::cout << "  [" << result.job->index + 1 << "/" << jobs.size()
                   << "] " << result.job->key << "  reps="
                   << record.replications << " shards=" << result.shards << "x"
                   << result.shard_size << "  final=" << record.final_mean
-                  << "  " << result.seconds << "s  (worker " << result.worker
+                  << "  " << result.seconds << "s  (worker " << ran_on
                   << (result.attempts > 1
                           ? ", attempt " + std::to_string(result.attempts)
                           : "")
@@ -368,10 +374,10 @@ int main(int argc, char** argv) {
       for (const net::WorkerSummary& w : summary.workers) {
         std::cout << "  worker " << w.id << " (" << w.where;
         if (!w.host.empty()) std::cout << ", " << w.host << "/" << w.remote_pid;
-        std::cout << "): " << w.jobs_done << " jobs, " << std::fixed
+        std::cout << "): " << w.tasks_done << " shards, " << std::fixed
                   << std::setprecision(1) << w.seconds << "s, "
                   << w.bytes_out << "B out / " << w.bytes_in << "B in"
-                  << (w.lost_in_flight ? "  [lost mid-job]"
+                  << (w.lost_in_flight ? "  [lost mid-shard]"
                                        : (w.lost ? "  [lost]" : ""))
                   << "\n";
         std::cout.unsetf(std::ios::fixed);

@@ -215,7 +215,8 @@ std::string encode_job_assign(const JobAssignMsg& msg) {
   WireWriter out;
   out.put_u32(msg.attempt);
   out.put_u64(msg.checkpoints);
-  out.put_u64(msg.shard_size);
+  out.put_u64(msg.rep_begin);
+  out.put_u64(msg.rep_end);
   out.put_u64(msg.job.index);
   out.put_string(msg.job.key);
   out.put_string(msg.job.policy);
@@ -238,7 +239,8 @@ JobAssignMsg decode_job_assign(const std::string& payload) {
   JobAssignMsg msg;
   msg.attempt = in.get_u32();
   msg.checkpoints = in.get_u64();
-  msg.shard_size = in.get_u64();
+  msg.rep_begin = in.get_u64();
+  msg.rep_end = in.get_u64();
   msg.job.index = static_cast<std::size_t>(in.get_u64());
   msg.job.key = in.get_string();
   msg.job.policy = in.get_string();
@@ -258,13 +260,33 @@ JobAssignMsg decode_job_assign(const std::string& payload) {
   return msg;
 }
 
+namespace {
+
+void put_doubles(WireWriter& out, const std::vector<double>& values) {
+  out.put_u64(values.size());
+  for (const double v : values) out.put_double(v);
+}
+
+std::vector<double> get_doubles(WireReader& in) {
+  std::vector<double> values(in.get_count<std::uint64_t>(8));
+  for (double& v : values) v = in.get_double();
+  return values;
+}
+
+}  // namespace
+
 std::string encode_job_result(const JobResultMsg& msg) {
   WireWriter out;
   out.put_string(msg.key);
-  out.put_string(msg.record_line);
-  out.put_double(msg.seconds);
-  out.put_u64(msg.shards);
-  out.put_u64(msg.shard_size);
+  out.put_u64(msg.rep_begin);
+  out.put_u64(msg.rep_end);
+  out.put_u64(msg.samples.size());
+  for (const exp::RepSample& sample : msg.samples) {
+    put_doubles(out, sample.per_slot);
+    put_doubles(out, sample.cumulative);
+    out.put_double(sample.final_cumulative);
+    out.put_double(sample.optimal_per_slot);
+  }
   return out.take();
 }
 
@@ -272,10 +294,16 @@ JobResultMsg decode_job_result(const std::string& payload) {
   WireReader in(payload);
   JobResultMsg msg;
   msg.key = in.get_string();
-  msg.record_line = in.get_string();
-  msg.seconds = in.get_double();
-  msg.shards = in.get_u64();
-  msg.shard_size = in.get_u64();
+  msg.rep_begin = in.get_u64();
+  msg.rep_end = in.get_u64();
+  // Smallest sample: two empty u64-counted series + final + optimum.
+  msg.samples.resize(in.get_count<std::uint64_t>(8 + 8 + 8 + 8));
+  for (exp::RepSample& sample : msg.samples) {
+    sample.per_slot = get_doubles(in);
+    sample.cumulative = get_doubles(in);
+    sample.final_cumulative = in.get_double();
+    sample.optimal_per_slot = in.get_double();
+  }
   in.finish();
   return msg;
 }

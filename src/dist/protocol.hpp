@@ -18,9 +18,10 @@
 // truncated or oversized frames are rejected, never trusted.
 //
 // Determinism note: a JobAssign carries the job's original spec coordinates
-// (including its seed), and replications derive counter-based seeds from
-// those — so a job produces bit-identical results on any worker, on any
-// attempt, which is what lets a crash-requeued job merge byte-identically.
+// (including its seed) and one contiguous replication range of it, and
+// replications derive counter-based seeds from those — so a shard produces
+// bit-identical samples on any worker, on any attempt, which is what lets a
+// crash-requeued shard merge byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/aggregate.hpp"
 #include "exp/sweep_spec.hpp"
 
 namespace ncb::dist {
@@ -48,7 +50,9 @@ inline constexpr std::uint32_t kProtocolMagic = 0x4e434250;  // "NCBP"
 /// v2: serve frame types (DecideRequest / DecideReply / Feedback).
 /// v3: WorkerInfo admission frame + distributed-replay frame types.
 /// v4: StatsRequest / StatsReply live-metrics frames.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// v5: JobAssign/JobResult carry one replication range of a job (a shard);
+///     the result ships per-replication samples, not a rendered record.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 /// Upper bound on a frame payload; a corrupted length prefix fails fast
 /// instead of attempting a multi-gigabyte allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
@@ -56,8 +60,8 @@ inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 enum class MsgType : std::uint8_t {
   kHello = 1,          ///< client/worker → server: magic + versions.
   kHelloAck = 2,       ///< server → client/worker: protocol version echo.
-  kJobAssign = 3,      ///< coordinator → worker: one SweepJob + run options.
-  kJobResult = 4,      ///< worker → coordinator: rendered job record.
+  kJobAssign = 3,      ///< coordinator → worker: one shard of a SweepJob.
+  kJobResult = 4,      ///< worker → coordinator: the shard's samples.
   kWorkerError = 5,    ///< worker → coordinator: fatal job/protocol error.
   kShutdown = 6,       ///< coordinator → worker: drain and exit 0.
   kDecideRequest = 7,  ///< serve client → server: one decision request.
@@ -143,19 +147,22 @@ struct HelloMsg {
   std::uint32_t schema = 0;
 };
 
+/// One shard: replications [rep_begin, rep_end) of `job`.
 struct JobAssignMsg {
   std::uint32_t attempt = 1;    ///< 1-based; > 1 means crash-requeued.
   std::uint64_t checkpoints = 0;
-  std::uint64_t shard_size = 0;
+  std::uint64_t rep_begin = 0;
+  std::uint64_t rep_end = 0;
   exp::SweepJob job;
 };
 
+/// A shard's result: one RepSample per replication, in replication order,
+/// each sampled on the job's checkpoint grid (doubles as bit patterns).
 struct JobResultMsg {
   std::string key;
-  std::string record_line;  ///< render_job_json output (deterministic bytes).
-  double seconds = 0.0;
-  std::uint64_t shards = 0;
-  std::uint64_t shard_size = 0;
+  std::uint64_t rep_begin = 0;
+  std::uint64_t rep_end = 0;
+  std::vector<exp::RepSample> samples;
 };
 
 struct WorkerErrorMsg {

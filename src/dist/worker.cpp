@@ -8,6 +8,8 @@
 #include <exception>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "exp/emitters.hpp"
@@ -53,10 +55,11 @@ int worker_handshake(const WorkerLoop& loop) {
 
 }  // namespace
 
-void Assignment::begin(std::string task_label, std::uint32_t attempt) {
+void Assignment::begin(std::string task_label, std::uint32_t attempt,
+                       bool injectable) {
   label = std::move(task_label);
   const char* kill_key = std::getenv("NCB_DIST_KILL_KEY");
-  if (kill_key != nullptr && attempt == 1 && label == kill_key) {
+  if (injectable && kill_key != nullptr && attempt == 1 && label == kill_key) {
     ::raise(SIGKILL);
   }
 }
@@ -130,22 +133,37 @@ int run_worker(const WorkerOptions& options) {
   loop.assign_type = MsgType::kJobAssign;
   loop.run_one = [&](const std::string& payload, Assignment& assignment) {
     const JobAssignMsg assign = decode_job_assign(payload);
-    assignment.begin(assign.job.key, assign.attempt);
+    assignment.begin(assign.job.key, assign.attempt, assign.rep_begin == 0);
+    if (assign.rep_begin >= assign.rep_end ||
+        assign.rep_end > assign.job.config.replications) {
+      throw std::invalid_argument("replication range [" +
+                                  std::to_string(assign.rep_begin) + ", " +
+                                  std::to_string(assign.rep_end) +
+                                  ") is not inside the job");
+    }
 
+    // One pool task per thread, equal replication counts.
+    exp::ShardPlan plan;
+    plan.first = static_cast<std::size_t>(assign.rep_begin);
+    plan.replications =
+        static_cast<std::size_t>(assign.rep_end - assign.rep_begin);
+    plan.shard_size =
+        (plan.replications + pool.num_threads() - 1) / pool.num_threads();
     exp::SweepRunOptions run_options;
     run_options.pool = &pool;
-    run_options.shard_size = static_cast<std::size_t>(assign.shard_size);
     run_options.instance_cache = &cache;
-    const exp::JobOutcome outcome = exp::run_sweep_job(
-        assign.job, static_cast<std::size_t>(assign.checkpoints), run_options);
-
     JobResultMsg result;
     result.key = assign.job.key;
-    result.record_line = exp::render_job_json(
-        exp::JobRecord::from(outcome.job, outcome.aggregate));
-    result.seconds = outcome.seconds;
-    result.shards = outcome.shards;
-    result.shard_size = outcome.shard_size;
+    result.rep_begin = assign.rep_begin;
+    result.rep_end = assign.rep_end;
+    result.samples.reserve(plan.replications);
+    exp::run_job_replications(
+        assign.job,
+        exp::checkpoint_grid(assign.job.config.horizon,
+                             static_cast<std::size_t>(assign.checkpoints)),
+        plan, run_options, [&result](exp::RepSample&& sample) {
+          result.samples.push_back(std::move(sample));
+        });
     return Frame{MsgType::kJobResult, encode_job_result(result)};
   };
   return run_worker_loop(loop);

@@ -21,10 +21,12 @@ struct Assignment {
 
   /// Records the task label and applies the crash injection: when the
   /// environment variable NCB_DIST_KILL_KEY equals `task_label` on attempt
-  /// 1, the worker raises SIGKILL instead of running the task — a
-  /// deterministic stand-in for a worker lost mid-task that exercises the
-  /// coordinator's requeue path (tests/CI only).
-  void begin(std::string task_label, std::uint32_t attempt);
+  /// 1 of a task that may carry it (`injectable`: a sweep job's first
+  /// shard, any replay candidate), the worker raises SIGKILL instead of
+  /// running the task — a deterministic stand-in for a worker lost
+  /// mid-task that exercises the coordinator's requeue path (tests/CI
+  /// only). One label thus kills exactly one worker.
+  void begin(std::string task_label, std::uint32_t attempt, bool injectable);
 };
 
 struct WorkerLoop {
@@ -57,8 +59,11 @@ struct WorkerOptions {
   std::size_t threads = 0;  ///< Shard pool size (0 = hardware concurrency).
 };
 
-/// The sweep worker: runs each assigned SweepJob through the in-process
-/// sweep engine and ships the rendered record back (run_worker_loop codes).
+/// The sweep worker: runs each assigned shard (a replication range of one
+/// SweepJob) across its thread pool, every thread taking an equal share,
+/// and ships the per-replication samples back in replication order; the
+/// coordinator folds and renders them (run_worker_loop codes). Instances
+/// are cached across consecutive shards of the same instance.
 [[nodiscard]] int run_worker(const WorkerOptions& options);
 
 }  // namespace ncb::dist

@@ -46,6 +46,7 @@ RepSample sample_run(const RunResult& run, const std::vector<TimeSlot>& grid) {
   }
   sample.final_cumulative =
       run.cumulative_regret.empty() ? 0.0 : run.cumulative_regret.back();
+  sample.optimal_per_slot = run.optimal_per_slot;
   return sample;
 }
 
@@ -57,6 +58,7 @@ void JobAggregate::add_rep(const RepSample& sample) {
   expected_.add_series(sample.per_slot);
   cumulative_.add_series(sample.cumulative);
   final_.add(sample.final_cumulative);
+  optimal_per_slot_ = sample.optimal_per_slot;
 }
 
 }  // namespace ncb::exp

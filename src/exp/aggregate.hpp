@@ -26,6 +26,7 @@ struct RepSample {
   std::vector<double> per_slot;    ///< Per-slot (expected) regret at grid[i].
   std::vector<double> cumulative;  ///< Accumulated regret at grid[i].
   double final_cumulative = 0.0;   ///< Accumulated regret at the horizon.
+  double optimal_per_slot = 0.0;   ///< The run's per-slot optimum.
 };
 
 /// Samples a finished run at the grid slots. The run must have recorded its
@@ -44,10 +45,8 @@ class JobAggregate {
         expected_(grid_.size()),
         cumulative_(grid_.size()) {}
 
+  /// Folds one replication; the aggregate's optimum is the latest one's.
   void add_rep(const RepSample& sample);
-  void set_optimal(double optimal_per_slot) noexcept {
-    optimal_per_slot_ = optimal_per_slot;
-  }
 
   [[nodiscard]] const std::vector<TimeSlot>& grid() const noexcept {
     return grid_;

@@ -25,4 +25,17 @@ ShardPlan plan_shards(std::size_t replications, TimeSlot horizon,
   return plan;
 }
 
+ShardPlan plan_dispatch_shards(std::size_t replications, TimeSlot horizon,
+                               std::size_t shard_size_override,
+                               std::size_t threads_per_worker) {
+  ShardPlan plan = plan_shards(replications, horizon, shard_size_override);
+  if (shard_size_override > 0 || threads_per_worker <= 1) return plan;
+  const std::size_t rounded =
+      (plan.shard_size + threads_per_worker - 1) / threads_per_worker *
+      threads_per_worker;
+  plan.shard_size = replications > 0 && rounded > replications ? replications
+                                                               : rounded;
+  return plan;
+}
+
 }  // namespace ncb::exp

@@ -47,33 +47,23 @@ const InstanceCache::Entry& InstanceCache::get(const ExperimentConfig& config,
   return entry_;
 }
 
-JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
-                         const SweepRunOptions& options) {
-  Timer timer;
+void run_job_replications(const SweepJob& job,
+                          const std::vector<TimeSlot>& grid,
+                          const ShardPlan& plan, const SweepRunOptions& options,
+                          const std::function<void(RepSample&&)>& fold) {
   const ExperimentConfig& config = job.config;
-  const std::vector<TimeSlot> grid =
-      checkpoint_grid(config.horizon, checkpoints);
   const bool combinatorial = is_combinatorial(job.scenario);
   InstanceCache local_cache;
   InstanceCache& cache =
       options.instance_cache ? *options.instance_cache : local_cache;
   const InstanceCache::Entry& built = cache.get(config, combinatorial);
-  const std::shared_ptr<const BanditInstance>& instance = built.instance;
   const std::shared_ptr<const FeasibleSet>& family = built.family;
 
   RunnerOptions runner;
   runner.horizon = config.horizon;
-
-  const ShardPlan plan =
-      plan_shards(config.replications, config.horizon, options.shard_size);
-  JobOutcome outcome;
-  outcome.job = job;
-  outcome.aggregate = JobAggregate(grid);
-  // Each run is sampled on its worker, so only RepSamples ever park. A
-  // cancelled shard leaves the job short; it is then reported incomplete
-  // and dropped, so partial aggregates never reach an emitter.
+  // Each run is sampled on its worker, so only RepSamples ever park.
   run_replications(
-      plan, instance, config.seed, options.pool, options.should_stop,
+      plan, built.instance, config.seed, options.pool, options.should_stop,
       [&](Environment& env, std::uint64_t policy_seed) {
         RunResult run;
         if (combinatorial) {
@@ -85,12 +75,27 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
               job.policy, config.horizon, policy_seed);
           run = run_single_play(*policy, env, job.scenario, runner);
         }
-        return std::pair{sample_run(run, grid), run.optimal_per_slot};
+        return sample_run(run, grid);
       },
-      [&outcome](std::pair<RepSample, double>&& sample) {
-        outcome.aggregate.add_rep(sample.first);
-        outcome.aggregate.set_optimal(sample.second);
-      });
+      fold);
+}
+
+JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
+                         const SweepRunOptions& options) {
+  Timer timer;
+  const ExperimentConfig& config = job.config;
+  const std::vector<TimeSlot> grid =
+      checkpoint_grid(config.horizon, checkpoints);
+  const ShardPlan plan =
+      plan_shards(config.replications, config.horizon, options.shard_size);
+  JobOutcome outcome;
+  outcome.job = job;
+  outcome.aggregate = JobAggregate(grid);
+  // A cancelled shard leaves the job short; it is then reported incomplete
+  // and dropped, so partial aggregates never reach an emitter.
+  run_job_replications(job, grid, plan, options, [&outcome](RepSample&& s) {
+    outcome.aggregate.add_rep(s);
+  });
 
   outcome.shards = plan.num_shards();
   outcome.shard_size = plan.shard_size;

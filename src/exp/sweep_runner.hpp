@@ -42,7 +42,7 @@ struct JobOutcome {
 /// coordinates match — family, K, p, family-param, seed, and the family
 /// fields. expand() puts the policy axis innermost, so a one-entry cache
 /// removes every duplicate graph build in a grid; a distributed worker
-/// keeps one across the jobs it is assigned. Not thread-safe: callers use
+/// keeps one across the shards it is assigned. Not thread-safe: callers use
 /// it from the job loop, never from shard tasks. Horizon and policy are
 /// deliberately not part of the key — they do not affect the instance.
 class InstanceCache {
@@ -98,6 +98,16 @@ struct SweepResult {
   /// Wall-clock seconds per policy spec across this run's jobs.
   std::map<std::string, RunningStat> policy_seconds;
 };
+
+/// Runs the replications `plan` covers of `job` over its instance (and
+/// family when combinatorial) from `options.instance_cache`, samples each
+/// run on `grid` on its worker thread, and hands every sample to `fold` in
+/// replication order. Uses options.pool and options.should_stop only. The
+/// in-process job below and a distributed worker's shard both run here.
+void run_job_replications(const SweepJob& job,
+                          const std::vector<TimeSlot>& grid,
+                          const ShardPlan& plan, const SweepRunOptions& options,
+                          const std::function<void(RepSample&&)>& fold);
 
 /// Runs one expanded job: builds the instance (and family when
 /// combinatorial), shards its replications, and aggregates at the job's

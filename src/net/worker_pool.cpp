@@ -150,8 +150,8 @@ void WorkerPool::spawn(std::size_t count) {
 }
 
 void WorkerPool::update_worker_gauges(Worker& worker) {
-  if (worker.g_jobs_done == nullptr) return;
-  worker.g_jobs_done->set(static_cast<std::int64_t>(worker.jobs_done));
+  if (worker.g_tasks_done == nullptr) return;
+  worker.g_tasks_done->set(static_cast<std::int64_t>(worker.tasks_done));
   worker.g_bytes_in->set(static_cast<std::int64_t>(worker.bytes_in));
   worker.g_bytes_out->set(static_cast<std::int64_t>(worker.bytes_out));
   const double end = worker.peer.fd >= 0 ? clock_.elapsed_seconds()
@@ -258,7 +258,7 @@ void WorkerPool::handle_handshake_frame(Worker& worker,
     m_admitted_.inc();
     m_active_.add(1);
     const std::string prefix = "dist.worker." + std::to_string(worker.id) + ".";
-    worker.g_jobs_done = &registry_.gauge(prefix + "jobs_done");
+    worker.g_tasks_done = &registry_.gauge(prefix + "jobs_done");
     worker.g_bytes_in = &registry_.gauge(prefix + "bytes_in");
     worker.g_bytes_out = &registry_.gauge(prefix + "bytes_out");
     worker.g_uptime_ms = &registry_.gauge(prefix + "uptime_ms");
@@ -299,7 +299,7 @@ void WorkerPool::handle_result_frame(Worker& worker,
                              "assignment");
   }
   worker.task = -1;
-  ++worker.jobs_done;
+  ++worker.tasks_done;
   dispatch(worker);
 }
 
@@ -385,7 +385,7 @@ std::vector<WorkerSummary> WorkerPool::summaries() const {
     summary.where = worker.peer.where;
     summary.host = worker.host;
     summary.remote_pid = worker.remote_pid;
-    summary.jobs_done = worker.jobs_done;
+    summary.tasks_done = worker.tasks_done;
     summary.lost = worker.lost;
     summary.lost_in_flight = worker.lost_in_flight;
     const double end = worker.peer.fd >= 0 ? clock_.elapsed_seconds()

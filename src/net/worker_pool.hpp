@@ -27,7 +27,7 @@
 // port-scanner or a stale worker build cannot take down the run, but an
 // endless stream of them cannot spin it forever either.
 //
-// Retried tasks must be pure functions of their encoding (sweep jobs carry
+// Retried tasks must be pure functions of their encoding (sweep shards carry
 // their seed coordinates, replay candidates the shipped stream), so which
 // worker ran a task, and how often it was retried, never shows in output.
 #pragma once
@@ -51,7 +51,7 @@ struct WorkerSummary {
   std::string where;
   std::string host;
   std::uint64_t remote_pid = 0;
-  std::size_t jobs_done = 0;
+  std::size_t tasks_done = 0;  ///< Sweep shards or replay candidates.
   bool lost = false;
   bool lost_in_flight = false;
   double seconds = 0.0;  ///< Admission → release (or → now if live).
@@ -135,7 +135,7 @@ class WorkerPool {
     bool admitted = false;
     bool shutdown_sent = false;
     std::ptrdiff_t task = -1;  ///< Task held, or -1 when idle.
-    std::size_t jobs_done = 0;
+    std::size_t tasks_done = 0;
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
     double admitted_seconds = 0.0;  ///< Pool clock at admission.
@@ -144,7 +144,7 @@ class WorkerPool {
     bool lost_in_flight = false;    ///< Lost while holding a task.
     // Per-worker registry gauges (dist.worker.<id>.*), resolved at
     // admission and refreshed every poll turn; null until admitted.
-    obs::Gauge* g_jobs_done = nullptr;
+    obs::Gauge* g_tasks_done = nullptr;
     obs::Gauge* g_bytes_in = nullptr;
     obs::Gauge* g_bytes_out = nullptr;
     obs::Gauge* g_uptime_ms = nullptr;

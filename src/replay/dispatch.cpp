@@ -303,7 +303,7 @@ int run_replay_worker(const ReplayWorkerOptions& options) {
   loop.run_one = [&](const std::string& payload,
                      dist::Assignment& assignment) {
     const ReplayAssignMsg assign = decode_replay_assign(payload);
-    assignment.begin(assign.spec, assign.attempt);
+    assignment.begin(assign.spec, assign.attempt, true);
     ReplayResultMsg result;
     result.index = assign.index;
     result.summary = score_candidate(*graph, records, assign.spec,

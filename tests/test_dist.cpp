@@ -2,22 +2,67 @@
 // against truncated/oversized/garbage input, versioned-handshake rejection,
 // and the worker loop driven in-process over a socketpair — including the
 // determinism contract that a job's record line is byte-identical whether
-// rendered by a worker or by the in-process engine, on any attempt — and
-// inflated wire counts rejected before they size an allocation.
+// folded from a worker's shards or run by the in-process engine, for any
+// shard cut and on any attempt — inflated wire counts rejected before they
+// size an allocation, and the coordinator refusing a shard result that
+// does not match its assignment.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <new>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "exp/emitters.hpp"
 #include "exp/sweep_runner.hpp"
+#include "net/tcp.hpp"
+#include "net/transport.hpp"
 #include "replay/dispatch.hpp"
+
+namespace {
+/// Largest single operator-new request since the last reset: lets the
+/// decoder tests check that an inflated count is refused before anything
+/// it sizes is allocated.
+std::atomic<std::size_t> g_largest_new{0};
+}  // namespace
+
+// The plain and nothrow forms are replaced together, with every delete
+// they pair with, so no block crosses between this malloc/free pair and
+// another allocator (e.g. a sanitizer's).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  std::size_t seen = g_largest_new.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_new.compare_exchange_weak(seen, size)) {
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* block = operator new(size, std::nothrow)) return block;
+  throw std::bad_alloc();
+}
+// GCC flags the free() below as a new/delete mismatch once the replaced
+// operators are inlined; they are a matched malloc/free pair.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace ncb::dist {
 namespace {
@@ -171,7 +216,8 @@ TEST(Messages, JobAssignRoundTripsEveryField) {
   JobAssignMsg msg;
   msg.attempt = 2;
   msg.checkpoints = 17;
-  msg.shard_size = 5;
+  msg.rep_begin = 1;
+  msg.rep_end = 3;
   msg.job = make_test_job();
   msg.job.scenario = Scenario::kCso;
   msg.job.config.exact_size_strategies = true;
@@ -180,7 +226,8 @@ TEST(Messages, JobAssignRoundTripsEveryField) {
   const JobAssignMsg decoded = decode_job_assign(encode_job_assign(msg));
   EXPECT_EQ(decoded.attempt, 2u);
   EXPECT_EQ(decoded.checkpoints, 17u);
-  EXPECT_EQ(decoded.shard_size, 5u);
+  EXPECT_EQ(decoded.rep_begin, 1u);
+  EXPECT_EQ(decoded.rep_end, 3u);
   EXPECT_EQ(decoded.job.index, msg.job.index);
   EXPECT_EQ(decoded.job.key, msg.job.key);
   EXPECT_EQ(decoded.job.policy, msg.job.policy);
@@ -197,19 +244,48 @@ TEST(Messages, JobAssignRoundTripsEveryField) {
   EXPECT_EQ(decoded.job.config.name, msg.job.key);
 }
 
-TEST(Messages, JobResultAndWorkerErrorRoundTrip) {
+/// Two replications on a three-point grid, with doubles whose bits a
+/// formatted round trip would lose.
+JobResultMsg make_test_result() {
   JobResultMsg result;
   result.key = "some:key";
-  result.record_line = "{\"key\":\"some:key\",...}";
-  result.seconds = 1.25;
-  result.shards = 7;
-  result.shard_size = 2;
+  result.rep_begin = 4;
+  result.rep_end = 6;
+  exp::RepSample first;
+  first.per_slot = {0.1 + 0.2, -0.0, 5e-324};
+  first.cumulative = {1.0 / 3.0, 2.0, 1e300};
+  first.final_cumulative = 7.25;
+  first.optimal_per_slot = 0.9;
+  exp::RepSample second = first;
+  second.per_slot[0] = -1.5;
+  second.final_cumulative = 0.1 + 0.7;
+  result.samples = {first, second};
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Messages, JobResultAndWorkerErrorRoundTrip) {
+  const JobResultMsg result = make_test_result();
   const JobResultMsg decoded = decode_job_result(encode_job_result(result));
   EXPECT_EQ(decoded.key, result.key);
-  EXPECT_EQ(decoded.record_line, result.record_line);
-  EXPECT_EQ(decoded.seconds, 1.25);
-  EXPECT_EQ(decoded.shards, 7u);
-  EXPECT_EQ(decoded.shard_size, 2u);
+  EXPECT_EQ(decoded.rep_begin, 4u);
+  EXPECT_EQ(decoded.rep_end, 6u);
+  ASSERT_EQ(decoded.samples.size(), 2u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const exp::RepSample& want = result.samples[r];
+    const exp::RepSample& got = decoded.samples[r];
+    ASSERT_EQ(got.per_slot.size(), want.per_slot.size());
+    ASSERT_EQ(got.cumulative.size(), want.cumulative.size());
+    for (std::size_t i = 0; i < want.per_slot.size(); ++i) {
+      EXPECT_TRUE(same_bits(got.per_slot[i], want.per_slot[i])) << r << i;
+      EXPECT_TRUE(same_bits(got.cumulative[i], want.cumulative[i])) << r << i;
+    }
+    EXPECT_TRUE(same_bits(got.final_cumulative, want.final_cumulative));
+    EXPECT_TRUE(same_bits(got.optimal_per_slot, want.optimal_per_slot));
+  }
 
   WorkerErrorMsg error;
   error.key = "k";
@@ -218,6 +294,46 @@ TEST(Messages, JobResultAndWorkerErrorRoundTrip) {
       decode_worker_error(encode_worker_error(error));
   EXPECT_EQ(decoded_error.key, "k");
   EXPECT_EQ(decoded_error.message, "unknown policy 'nope'");
+}
+
+TEST(Messages, JobResultDecoderRejectsTruncation) {
+  const std::string payload = encode_job_result(make_test_result());
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    const std::string partial = payload.substr(0, cut);
+    g_largest_new = 0;
+    EXPECT_THROW((void)decode_job_result(partial), std::invalid_argument)
+        << "cut at " << cut;
+    EXPECT_LT(g_largest_new.load(), 2 * payload.size() + 512)
+        << "cut at " << cut;
+  }
+}
+
+TEST(Messages, JobResultDecoderRejectsInflatedCountsWithoutAllocating) {
+  const JobResultMsg result = make_test_result();
+  const std::string payload = encode_job_result(result);
+  // Offsets of the u64 counts: the sample count follows the key string
+  // and the range, the first sample's per-slot count follows it, and its
+  // cumulative count follows the three per-slot doubles.
+  const std::size_t sample_count_at = 4 + result.key.size() + 8 + 8;
+  const std::size_t per_slot_count_at = sample_count_at + 8;
+  const std::size_t cumulative_count_at = per_slot_count_at + 8 + 3 * 8;
+  for (const std::size_t at :
+       {sample_count_at, per_slot_count_at, cumulative_count_at}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+      std::string inflated = payload;
+      for (std::size_t i = 0; i < 8; ++i) {
+        inflated[at + i] = static_cast<char>((count >> (8 * i)) & 0xff);
+      }
+      g_largest_new = 0;
+      EXPECT_THROW((void)decode_job_result(inflated), std::invalid_argument)
+          << "count at byte " << at;
+      // Nothing the count sizes was allocated: the largest request is
+      // bounded by the payload, not by the claimed count.
+      EXPECT_LT(g_largest_new.load(), 2 * payload.size() + 512)
+          << "count at byte " << at;
+    }
+  }
 }
 
 // ------------------------------------------------------------- framing ---
@@ -386,6 +502,26 @@ struct WorkerHarness {
   }
 };
 
+/// Sends shard [begin, end) of `job` to the harness's worker and returns
+/// its reply.
+JobResultMsg run_shard(const WorkerHarness& harness, const exp::SweepJob& job,
+                       std::size_t checkpoints, std::size_t begin,
+                       std::size_t end, std::uint32_t attempt = 1) {
+  JobAssignMsg assign;
+  assign.attempt = attempt;
+  assign.checkpoints = checkpoints;
+  assign.rep_begin = begin;
+  assign.rep_end = end;
+  assign.job = job;
+  write_frame(harness.coordinator_fd, MsgType::kJobAssign,
+              encode_job_assign(assign));
+  const auto reply = read_frame(harness.coordinator_fd);
+  EXPECT_TRUE(reply.has_value());
+  if (!reply) return {};
+  EXPECT_EQ(reply->type, MsgType::kJobResult);
+  return decode_job_result(reply->payload);
+}
+
 TEST(WorkerLoop, RunsJobsAndMatchesInProcessBytesOnAnyAttempt) {
   const exp::SweepJob job = make_test_job();
   const std::size_t checkpoints = 8;
@@ -397,25 +533,36 @@ TEST(WorkerLoop, RunsJobsAndMatchesInProcessBytesOnAnyAttempt) {
   const std::string expected = exp::render_job_json(
       exp::JobRecord::from(reference.job, reference.aggregate));
 
-  WorkerHarness harness;
-  harness.accept();
-  for (const std::uint32_t attempt : {1u, 2u, 3u}) {
-    JobAssignMsg assign;
-    assign.attempt = attempt;
-    assign.checkpoints = checkpoints;
-    assign.shard_size = attempt;  // shard size must not change the bytes
-    assign.job = job;
-    write_frame(harness.coordinator_fd, MsgType::kJobAssign,
-                encode_job_assign(assign));
-    const auto reply = read_frame(harness.coordinator_fd);
-    ASSERT_TRUE(reply.has_value());
-    ASSERT_EQ(reply->type, MsgType::kJobResult);
-    const JobResultMsg result = decode_job_result(reply->payload);
-    EXPECT_EQ(result.key, job.key);
-    EXPECT_EQ(result.record_line, expected) << "attempt " << attempt;
+  // Every cut of the three replications, on one and on two threads: the
+  // folded samples must render the reference bytes on every attempt.
+  const std::vector<std::vector<std::size_t>> cuts = {
+      {0, 3}, {0, 1, 3}, {0, 2, 3}, {0, 1, 2, 3}};
+  for (const std::size_t threads : {1u, 2u}) {
+    WorkerHarness harness(threads);
+    harness.accept();
+    std::uint32_t attempt = 1;
+    for (const std::vector<std::size_t>& cut : cuts) {
+      exp::JobAggregate aggregate(
+          exp::checkpoint_grid(job.config.horizon, checkpoints));
+      for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
+        const JobResultMsg result =
+            run_shard(harness, job, checkpoints, cut[s], cut[s + 1], attempt);
+        EXPECT_EQ(result.key, job.key);
+        EXPECT_EQ(result.rep_begin, cut[s]);
+        EXPECT_EQ(result.rep_end, cut[s + 1]);
+        ASSERT_EQ(result.samples.size(), cut[s + 1] - cut[s]);
+        for (const exp::RepSample& sample : result.samples) {
+          aggregate.add_rep(sample);
+        }
+      }
+      EXPECT_EQ(exp::render_job_json(exp::JobRecord::from(job, aggregate)),
+                expected)
+          << cut.size() - 1 << " shards, " << threads << " threads";
+      attempt = attempt % 3 + 1;
+    }
+    harness.finish();
+    EXPECT_EQ(harness.exit_code, 0);
   }
-  harness.finish();
-  EXPECT_EQ(harness.exit_code, 0);
 }
 
 TEST(WorkerLoop, ReportsJobErrorsInsteadOfCrashing) {
@@ -423,6 +570,7 @@ TEST(WorkerLoop, ReportsJobErrorsInsteadOfCrashing) {
   harness.accept();
   JobAssignMsg assign;
   assign.checkpoints = 4;
+  assign.rep_end = 3;
   assign.job = make_test_job();
   assign.job.policy = "definitely-not-a-policy";
   write_frame(harness.coordinator_fd, MsgType::kJobAssign,
@@ -432,9 +580,34 @@ TEST(WorkerLoop, ReportsJobErrorsInsteadOfCrashing) {
   ASSERT_EQ(reply->type, MsgType::kWorkerError);
   const WorkerErrorMsg error = decode_worker_error(reply->payload);
   EXPECT_EQ(error.key, assign.job.key);
-  EXPECT_FALSE(error.message.empty());
+  EXPECT_NE(error.message.find("definitely-not-a-policy"), std::string::npos)
+      << error.message;
   harness.thread.join();
   EXPECT_EQ(harness.exit_code, 1);
+}
+
+TEST(WorkerLoop, ReportsRangeOutsideTheJobAsAnError) {
+  // Empty, reversed and past-the-end ranges of a 3-replication job.
+  for (const auto& [begin, end] : std::vector<std::pair<int, int>>{
+           {0, 0}, {2, 1}, {2, 4}}) {
+    WorkerHarness harness;
+    harness.accept();
+    JobAssignMsg assign;
+    assign.checkpoints = 4;
+    assign.rep_begin = static_cast<std::uint64_t>(begin);
+    assign.rep_end = static_cast<std::uint64_t>(end);
+    assign.job = make_test_job();
+    write_frame(harness.coordinator_fd, MsgType::kJobAssign,
+                encode_job_assign(assign));
+    const auto reply = read_frame(harness.coordinator_fd);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kWorkerError) << begin << ".." << end;
+    EXPECT_NE(decode_worker_error(reply->payload)
+                  .message.find("replication range"),
+              std::string::npos);
+    harness.thread.join();
+    EXPECT_EQ(harness.exit_code, 1);
+  }
 }
 
 TEST(WorkerLoop, RejectsCoordinatorVersionMismatch) {
@@ -520,6 +693,102 @@ TEST(ReplayWorker, InflatedSetupCountsAreProtocolErrorsNotAllocations) {
                 {replay_init(0, 1, 0),
                  Frame{MsgType::kReplayEvents, chunk.take()}}),
             2);
+}
+
+// ------------------------------------- coordinator vs a doctored worker ---
+
+/// A TCP peer that completes the sweep handshake and answers every shard
+/// with well-shaped samples (zeros on the assignment's grid), passed
+/// through `doctor` first. Exits on Shutdown or when the coordinator hangs
+/// up.
+struct ShardPeer {
+  std::thread thread;
+
+  ShardPeer(const net::HostPort& address,
+            std::function<void(JobResultMsg&)> doctor) {
+    thread = std::thread([address, doctor] {
+      const int fd = net::tcp_connect_retry(address, 2000, 5000);
+      try {
+        HelloMsg hello;
+        hello.schema = static_cast<std::uint32_t>(exp::kSweepSchemaVersion);
+        write_frame(fd, MsgType::kHello, encode_hello(hello));
+        WorkerInfoMsg info;
+        info.host = "doctored";
+        info.pid = 1;
+        info.threads = 1;
+        write_frame(fd, MsgType::kWorkerInfo, encode_worker_info(info));
+        (void)read_frame(fd);  // HelloAck
+        for (auto frame = read_frame(fd);
+             frame && frame->type == MsgType::kJobAssign;
+             frame = read_frame(fd)) {
+          const JobAssignMsg assign = decode_job_assign(frame->payload);
+          const std::size_t grid =
+              exp::checkpoint_grid(assign.job.config.horizon,
+                                   static_cast<std::size_t>(assign.checkpoints))
+                  .size();
+          JobResultMsg result;
+          result.key = assign.job.key;
+          result.rep_begin = assign.rep_begin;
+          result.rep_end = assign.rep_end;
+          exp::RepSample zeros;
+          zeros.per_slot.assign(grid, 0.0);
+          zeros.cumulative.assign(grid, 0.0);
+          result.samples.assign(
+              static_cast<std::size_t>(assign.rep_end - assign.rep_begin),
+              zeros);
+          doctor(result);
+          write_frame(fd, MsgType::kJobResult, encode_job_result(result));
+        }
+      } catch (const std::exception&) {
+        // The coordinator aborted and hung up.
+      }
+      ::close(fd);
+    });
+  }
+  ~ShardPeer() { thread.join(); }
+};
+
+/// Runs a 3-replication job (shards of one) against one doctored peer.
+/// Returns the error message, or "" when the sweep completes.
+std::string sweep_against(std::function<void(JobResultMsg&)> doctor) {
+  net::TcpServerTransport transport(net::HostPort{"127.0.0.1", 0});
+  CoordinatorOptions options;
+  options.transport = &transport;
+  options.checkpoints = 4;
+  options.shard_size = 1;
+  const std::vector<exp::SweepJob> jobs = {make_test_job()};
+  ShardPeer peer(transport.bound(), std::move(doctor));
+  try {
+    const DistSweepSummary summary = run_distributed_sweep(jobs, options);
+    EXPECT_EQ(summary.results.size(), 1u);
+    return "";
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+}
+
+TEST(Coordinator, ResultNotMatchingItsAssignmentIsAProtocolViolation) {
+  // The well-shaped reply completes the job: the doctored cases below fail
+  // for what they change, not for the harness.
+  EXPECT_EQ(sweep_against([](JobResultMsg&) {}), "");
+
+  const std::vector<std::pair<std::string,
+                              std::function<void(JobResultMsg&)>>>
+      cases = {
+          {"range end", [](JobResultMsg& r) { ++r.rep_end; }},
+          {"range begin", [](JobResultMsg& r) { r.rep_begin += 1; }},
+          {"key", [](JobResultMsg& r) { r.key += "x"; }},
+          {"length", [](JobResultMsg& r) { r.samples.emplace_back(); }},
+          {"grid size",
+           [](JobResultMsg& r) { r.samples.front().per_slot.pop_back(); }},
+          {"cumulative grid size",
+           [](JobResultMsg& r) { r.samples.back().cumulative.push_back(1); }},
+      };
+  for (const auto& [what, doctor] : cases) {
+    const std::string error = sweep_against(doctor);
+    EXPECT_NE(error.find("protocol violation"), std::string::npos)
+        << what << ": " << error;
+  }
 }
 
 }  // namespace

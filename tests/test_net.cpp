@@ -317,8 +317,8 @@ WorkerPool::Options tcp_pool_options(TcpServerTransport& transport,
   return options;
 }
 
-/// One real (tiny) sweep job, assigned as JobAssign and accepted from the
-/// real worker's JobResult.
+/// One real (tiny) sweep job, assigned as one JobAssign shard and accepted
+/// from the real worker's JobResult.
 WorkerPool::Farm one_sweep_job_farm(exp::SweepJob& job) {
   job.key = "sso:ucb1@er,K=6,p=0.3,n=20";
   job.policy = "ucb1";
@@ -337,6 +337,7 @@ WorkerPool::Farm one_sweep_job_farm(exp::SweepJob& job) {
     dist::JobAssignMsg assign;
     assign.attempt = attempt;
     assign.checkpoints = 4;
+    assign.rep_end = 1;  // the job's one replication
     assign.job = job;
     return dist::Frame{dist::MsgType::kJobAssign,
                        dist::encode_job_assign(assign)};
@@ -367,7 +368,7 @@ TEST(WorkerPool, AdmitsTcpWorkerAfterFullHandshake) {
   ASSERT_EQ(outcome.workers.size(), 1u);
   const WorkerSummary& summary = outcome.workers[0];
   EXPECT_FALSE(summary.lost);
-  EXPECT_EQ(summary.jobs_done, 1u);
+  EXPECT_EQ(summary.tasks_done, 1u);
   EXPECT_FALSE(summary.host.empty());
   EXPECT_GT(summary.remote_pid, 0u);
   EXPECT_GT(summary.bytes_in, 0u);
@@ -539,7 +540,7 @@ TEST(WorkerPool, LostWorkersTaskIsRequeuedAtFrontWithNextAttempt) {
   EXPECT_EQ(outcome.workers[0].host, "testhost");
   EXPECT_EQ(outcome.workers[0].remote_pid, 1234u);
   EXPECT_FALSE(outcome.workers[1].lost);
-  EXPECT_EQ(outcome.workers[1].jobs_done, 3u);
+  EXPECT_EQ(outcome.workers[1].tasks_done, 3u);
 }
 
 TEST(WorkerPool, ThirdLossOfOneTaskAbortsNamingIt) {

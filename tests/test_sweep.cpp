@@ -1,12 +1,14 @@
 // Sweep engine (src/exp/): spec parsing/expansion, checkpoint grids, shard
-// planning, Welford aggregation pinned against a two-pass reference, JSON
+// planning (in-process and dispatched), the in-order shard fold, Welford aggregation pinned against a two-pass reference, JSON
 // emit/parse round-trips, and the headline determinism contract — the same
 // SweepSpec must produce byte-identical JSON for any thread count and any
 // shard size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -204,6 +206,94 @@ TEST(ShardPlanning, ShardRangesPartitionReplications) {
     next = plan.shard_end(s);
   }
   EXPECT_EQ(next, 11u);
+}
+
+TEST(ShardPlanning, DispatchShardsRoundUpToWorkerThreads) {
+  // The benchmark shapes on 2-thread workers: 16384 / 5000 = 3 → 4, so 8
+  // replications go as 2 shards of 4; 16384 / 20000 = 0 → 1 → 2, so 32
+  // replications go as 16 shards of 2.
+  EXPECT_EQ(plan_dispatch_shards(8, 5000, 0, 2).shard_size, 4u);
+  EXPECT_EQ(plan_dispatch_shards(8, 5000, 0, 2).num_shards(), 2u);
+  EXPECT_EQ(plan_dispatch_shards(32, 20000, 0, 2).shard_size, 2u);
+  EXPECT_EQ(plan_dispatch_shards(32, 20000, 0, 2).num_shards(), 16u);
+  // Horizon 1 stays one shard, whatever the thread count.
+  EXPECT_EQ(plan_dispatch_shards(32, 1, 0, 2).num_shards(), 1u);
+  EXPECT_EQ(plan_dispatch_shards(8, 1, 0, 3).num_shards(), 1u);
+  // Rounding never exceeds the job: 3 → 6 is clamped to 5.
+  EXPECT_EQ(plan_dispatch_shards(5, 5000, 0, 6).shard_size, 5u);
+  // One thread per worker, or an override, is plan_shards' cut.
+  EXPECT_EQ(plan_dispatch_shards(8, 5000, 0, 1).shard_size, 3u);
+  EXPECT_EQ(plan_dispatch_shards(8, 5000, 0, 0).shard_size, 3u);
+  EXPECT_EQ(plan_dispatch_shards(8, 5000, 3, 4).shard_size, 3u);
+}
+
+TEST(ShardPlanning, OffsetPlanCoversItsRangeOnly) {
+  ShardPlan plan;
+  plan.first = 6;
+  plan.replications = 5;
+  plan.shard_size = 2;
+  ASSERT_EQ(plan.num_shards(), 3u);
+  EXPECT_EQ(plan.shard_begin(0), 6u);
+  EXPECT_EQ(plan.shard_end(0), 8u);
+  EXPECT_EQ(plan.shard_begin(2), 10u);
+  EXPECT_EQ(plan.shard_end(2), 11u);
+}
+
+TEST(InOrderFoldTest, ShuffledShardsRenderTheInOrderRecord) {
+  // A real job cut into 2-replication shards, each run on its own (the way
+  // a distributed worker runs it), then delivered in shuffled orders: the
+  // rendered record must equal the in-process job's, byte for byte.
+  SweepJob job;
+  job.key = "cso:dfl-cso@er,K=10,p=0.3,n=400,M=2";
+  job.policy = "dfl-cso";
+  job.scenario = Scenario::kCso;
+  job.config.name = job.key;
+  job.config.graph_family = GraphFamily::kErdosRenyi;
+  job.config.num_arms = 10;
+  job.config.edge_probability = 0.3;
+  job.config.horizon = 400;
+  job.config.replications = 9;
+  job.config.seed = 5;
+  job.config.strategy_size = 2;
+  const std::size_t checkpoints = 12;
+  const JobOutcome reference = run_sweep_job(job, checkpoints, {});
+  const std::string expected =
+      render_job_json(JobRecord::from(job, reference.aggregate));
+
+  const std::vector<TimeSlot> grid =
+      checkpoint_grid(job.config.horizon, checkpoints);
+  ShardPlan cut;
+  cut.replications = job.config.replications;
+  cut.shard_size = 2;
+  std::vector<std::vector<RepSample>> shards(cut.num_shards());
+  for (std::size_t s = 0; s < cut.num_shards(); ++s) {
+    ShardPlan range;
+    range.first = cut.shard_begin(s);
+    range.replications = cut.shard_end(s) - cut.shard_begin(s);
+    range.shard_size = 1;
+    run_job_replications(job, grid, range, {}, [&](RepSample&& sample) {
+      shards[s].push_back(std::move(sample));
+    });
+  }
+
+  std::vector<std::size_t> order(shards.size());
+  for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
+  std::mt19937 rng(17);
+  for (int round = 0; round < 6; ++round) {
+    if (round > 0) std::shuffle(order.begin(), order.end(), rng);
+    if (round == 1) std::reverse(order.begin(), order.end());
+    JobAggregate aggregate(grid);
+    InOrderFold<RepSample> fold;
+    for (const std::size_t s : order) {
+      fold.deliver(s, shards[s], [&](RepSample&& sample) {
+        aggregate.add_rep(sample);
+      });
+      EXPECT_LE(fold.folded(), shards.size());
+    }
+    EXPECT_EQ(fold.folded(), shards.size());
+    EXPECT_EQ(render_job_json(JobRecord::from(job, aggregate)), expected)
+        << "round " << round;
+  }
 }
 
 // ------------------------------------------- Welford vs two-pass pinned ---

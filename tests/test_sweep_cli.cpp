@@ -2,6 +2,8 @@
 // layer, driving the real binary (path injected as NCB_SWEEP_BIN):
 //   - --dry-run lists without running,
 //   - --workers {1,2,4} output is byte-identical to the in-process run,
+//   - a one-job grid still admits every worker: the fleet is capped by
+//     replication shards, not jobs,
 //   - a worker SIGKILLed mid-sweep is requeued and the bytes still match,
 //   - SIGINT leaves a record-boundary-valid file that --resume completes to
 //     the exact bytes of an uninterrupted run,
@@ -222,6 +224,52 @@ TEST(SweepCli, WorkersProduceByteIdenticalOutput) {
         << "--workers " << workers;
     EXPECT_EQ(read_text(out), expected) << "--workers " << workers;
   }
+}
+
+TEST(SweepCli, OneJobSpreadsItsShardsOverEveryWorker) {
+  REQUIRE_BINARY();
+  TempDir dir;
+  const std::string spec = dir.file("one.spec");
+  // One job, eight one-replication shards (16384 / 20000 slots → 1 per
+  // shard on single-thread workers) of ~10 ms each, so one worker alone
+  // could not drain them before the other is admitted.
+  write_text(spec,
+             "name = one-job\n"
+             "scenario = sso\n"
+             "policies = thompson\n"
+             "graphs = er\n"
+             "arms = 20\n"
+             "p = 0.3\n"
+             "horizons = 20000\n"
+             "replications = 8\n"
+             "checkpoints = 10\n"
+             "seed = 3\n");
+  const std::string reference = dir.file("ref.json");
+  ASSERT_EQ(run_sweep({"--spec", spec, "--out", reference}), 0);
+  const std::string out = dir.file("w2.json");
+  const std::string log = dir.file("w2.log");
+  ASSERT_EQ(run_sweep({"--spec", spec, "--out", out, "--workers", "2",
+                       "--threads", "1"},
+                      {}, log),
+            0);
+  EXPECT_EQ(read_text(out), read_text(reference));
+
+  // Both workers were admitted and each ran at least one shard.
+  std::istringstream lines(read_text(log));
+  std::size_t summaries = 0;
+  std::size_t shards = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  worker ", 0) != 0) continue;
+    ++summaries;
+    const std::size_t colon = line.find("): ");
+    ASSERT_NE(colon, std::string::npos) << line;
+    ASSERT_NE(line.find(" shards, ", colon), std::string::npos) << line;
+    const std::size_t ran = std::stoul(line.substr(colon + 3));
+    EXPECT_GE(ran, 1u) << line;
+    shards += ran;
+  }
+  EXPECT_EQ(summaries, 2u) << read_text(log);
+  EXPECT_EQ(shards, 8u) << read_text(log);
 }
 
 TEST(SweepCli, SigkilledWorkerIsRequeuedWithIdenticalBytes) {
