@@ -2,7 +2,7 @@
 // relation graph G into near-optimal arms K1 and clearly-suboptimal arms
 // K2, induce the subgraph H on K2, and clique-cover H. This binary prints
 // the construction on a small instance (mirroring the paper's illustration)
-// and on the Fig. 3 instance.
+// and on the Fig. 3 instance, with the Theorem 1 bound it yields.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "graph/partition.hpp"
+#include "theory/bounds.hpp"
 
 namespace {
 
@@ -30,7 +31,11 @@ void show_partition(const ncb::Graph& g, const std::vector<double>& means,
             << "K2 (gap >  delta0): " << part.k2.size() << " arms\n"
             << "subgraph H: " << compute_metrics(part.subgraph_h).to_string()
             << '\n'
-            << "greedy clique cover of H: C = " << part.cover.size() << '\n';
+            << "greedy clique cover of H: C = " << part.cover.size() << '\n'
+            << "Theorem 1 bound at n = " << horizon << ": "
+            << theorem1_bound(horizon, g.num_vertices(),
+                              part.clique_cover_size())
+            << '\n';
   if (part.cover.size() <= 12) {
     for (std::size_t c = 0; c < part.cover.size(); ++c) {
       std::cout << "  clique " << c << " (H-local ids -> G ids):";

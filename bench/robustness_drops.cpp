@@ -9,6 +9,7 @@
 #include "core/policy_registry.hpp"
 #include "sim/replication.hpp"
 #include "sim/thread_pool.hpp"
+#include "util/ascii_plot.hpp"
 
 int main(int argc, char** argv) {
   using namespace ncb;

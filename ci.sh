@@ -5,8 +5,10 @@
 # Usage: ./ci.sh            — everything: the release lane, then ASan/UBSan.
 #        ./ci.sh release    — header reachability guard (every src/ header
 #                             reached by non-test code), -Werror Release
-#                             build, full ctest, observe-path
-#                             smoke, sweep-engine smoke (resume round-trip,
+#                             build, full ctest (including the paper-claims
+#                             suite, which writes build/tests/claims.tsv),
+#                             observe-path smoke, sweep-engine smoke (every
+#                             specs/*.sweep under --dry-run, resume round-trip,
 #                             thread determinism, distributed dispatch incl.
 #                             localhost-TCP workers, a combinatorial CSO+CSR
 #                             grid and benchmark-shaped SSO+SSR and CSO+CSR
@@ -101,9 +103,15 @@ smoke() {
 # of the shared worker loop; see src/dist/worker.hpp) so the requeue path
 # is exercised on every CI run.
 # The fig3 paper grid then repeats the 4-worker + kill comparison at full
-# size.
+# size. First, every checked-in spec must parse and expand (policy specs
+# included) under --dry-run; the paper-claims suite in the tier-1 stage
+# runs them.
 sweep_smoke() {
-  local spec=build/sweep_smoke.spec
+  local spec=build/sweep_smoke.spec spec_file
+  for spec_file in specs/*.sweep; do
+    ./build/examples/ncb_sweep --spec "$spec_file" --dry-run > /dev/null
+  done
+  echo "sweep smoke: every specs/*.sweep expands under --dry-run"
   cat > "$spec" <<'EOF'
 name = ci-smoke
 scenario = sso

@@ -16,6 +16,7 @@
 
 #include "core/policy_registry.hpp"
 #include "sim/experiment.hpp"
+#include "sim/replication.hpp"
 #include "util/arg_parse.hpp"
 #include "util/ascii_plot.hpp"
 

@@ -267,6 +267,12 @@ std::unique_ptr<CombinatorialPolicy> PolicyRegistry::make_combinatorial(
   return descriptor.make_combinatorial(params, context);
 }
 
+const PolicyDescriptor& PolicyRegistry::check_combinatorial(
+    const std::string& spec) const {
+  PolicyParams params;
+  return resolve(spec, true, params);
+}
+
 std::string PolicyRegistry::render_listing() const {
   std::ostringstream out;
   const auto render = [&out](const PolicyDescriptor& descriptor) {

@@ -129,6 +129,10 @@ class PolicyRegistry {
       const std::string& spec, std::shared_ptr<const FeasibleSet> family,
       std::uint64_t seed) const;
 
+  /// check_single_play's combinatorial counterpart: throws exactly what
+  /// make_combinatorial would on a bad spec.
+  const PolicyDescriptor& check_combinatorial(const std::string& spec) const;
+
   /// Registered name closest to `name` in edit distance ("" when empty).
   [[nodiscard]] std::string nearest_name(const std::string& name) const;
 

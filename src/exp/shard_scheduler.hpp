@@ -1,6 +1,5 @@
 // The replication driver: the one loop behind every replicated result —
-// sweep jobs (exp/sweep_runner.hpp), run_replicated_* (sim/replication.hpp)
-// and run_*_experiment (sim/experiment.hpp).
+// sweep jobs (exp/sweep_runner.hpp) and run_replicated_* (sim/replication.hpp).
 //
 // Replication r seeds its environment with derive_seed_at(seed, 2r) and its
 // policy with derive_seed_at(seed, 2r + 1) (util/rng.hpp), so its run does

@@ -7,8 +7,8 @@
 // is bit-identical for any thread count and any shard size, because every
 // replication draws counter-based seeds and the loop folds the samples in
 // global replication order — the same contract, from the same loop, as
-// run_replicated_* and run_*_experiment. Timing is collected separately
-// and never enters the deterministic records.
+// run_replicated_*. Timing is collected separately and never enters the
+// deterministic records.
 #pragma once
 
 #include <functional>

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/policy_registry.hpp"
 #include "exp/emitters.hpp"
 
 namespace ncb::exp {
@@ -240,6 +241,21 @@ std::vector<SweepJob> SweepSpec::expand() const {
   if (graphs.empty() || arms.empty() || edge_probabilities.empty() ||
       family_params.empty() || horizons.empty()) {
     throw std::invalid_argument("SweepSpec: empty axis");
+  }
+  // Reject a bad policy spec here, before any job runs: --list, --dry-run,
+  // in-process and distributed runs all expand first.
+  const PolicyRegistry& registry = PolicyRegistry::instance();
+  for (const std::string& policy : policies) {
+    try {
+      if (is_combinatorial(scenario)) {
+        (void)registry.check_combinatorial(policy);
+      } else {
+        (void)registry.check_single_play(policy);
+      }
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("SweepSpec: policy '" + policy +
+                                  "': " + e.what());
+    }
   }
   std::vector<SweepJob> jobs;
   for (const GraphFamily family : graphs) {

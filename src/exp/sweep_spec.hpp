@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.hpp"
 #include "sim/experiment.hpp"
 
 namespace ncb::exp {
@@ -82,7 +83,8 @@ struct SweepSpec {
 
   /// Expands the grid into jobs (graphs → arms → p → family-param →
   /// horizons → policies, policies innermost). Throws on an empty policy
-  /// list or empty axes.
+  /// list, empty axes, or a policy spec the registry rejects for the
+  /// scenario's play type.
   [[nodiscard]] std::vector<SweepJob> expand() const;
 
   /// One-line JSON echo of the spec (embedded in sweep output headers).

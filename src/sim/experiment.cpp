@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
 
 namespace ncb {
@@ -76,77 +75,12 @@ std::shared_ptr<const FeasibleSet> build_family(const ExperimentConfig& config,
       shared_graph, config.strategy_size, config.exact_size_strategies));
 }
 
-ReplicatedResult run_single_experiment(const ExperimentConfig& config,
-                                       const std::string& policy_name,
-                                       Scenario scenario, ThreadPool* pool) {
-  const BanditInstance instance = build_instance(config);
-  ReplicationOptions options;
-  options.replications = config.replications;
-  options.master_seed = config.seed;
-  options.runner.horizon = config.horizon;
-  options.pool = pool;
-  return run_replicated_single(
-      [&](std::uint64_t seed) {
-        return PolicyRegistry::instance().make_single_play(
-            policy_name, config.horizon, seed);
-      },
-      instance, scenario, options);
-}
-
-ReplicatedResult run_combinatorial_experiment(const ExperimentConfig& config,
-                                              const std::string& policy_name,
-                                              Scenario scenario,
-                                              ThreadPool* pool) {
-  const BanditInstance instance = build_instance(config);
-  const auto family = build_family(config, instance.graph());
-  ReplicationOptions options;
-  options.replications = config.replications;
-  options.master_seed = config.seed;
-  options.runner.horizon = config.horizon;
-  options.pool = pool;
-  return run_replicated_combinatorial(
-      [&](std::uint64_t seed) {
-        return PolicyRegistry::instance().make_combinatorial(
-            policy_name, family, seed);
-      },
-      instance, *family, scenario, options);
-}
-
 ExperimentConfig fig3_config() {
   ExperimentConfig c;
   c.name = "fig3-sso";
   c.num_arms = 100;
   c.edge_probability = 0.3;
   c.horizon = 10000;
-  return c;
-}
-
-ExperimentConfig fig5_config() {
-  ExperimentConfig c;
-  c.name = "fig5-ssr";
-  c.num_arms = 100;
-  c.edge_probability = 0.3;
-  c.horizon = 10000;
-  return c;
-}
-
-ExperimentConfig fig4_config(bool dense) {
-  ExperimentConfig c;
-  c.name = dense ? "fig4b-cso-dense" : "fig4a-cso-sparse";
-  c.num_arms = 20;
-  c.edge_probability = dense ? 0.6 : 0.3;
-  c.horizon = 10000;
-  c.strategy_size = 3;
-  return c;
-}
-
-ExperimentConfig fig6_config() {
-  ExperimentConfig c;
-  c.name = "fig6-csr";
-  c.num_arms = 20;
-  c.edge_probability = 0.3;
-  c.horizon = 10000;
-  c.strategy_size = 3;
   return c;
 }
 

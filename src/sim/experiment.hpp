@@ -1,6 +1,8 @@
-// Declarative experiment configurations matching the paper's §VII setups.
-// The bench binaries and examples build on these so every figure's workload
-// is constructed in exactly one place.
+// Declarative experiment configurations: the graph family, K, p, horizon,
+// replications and seed of one workload, and the builders that turn them
+// into a relation graph, a bandit instance and a strategy family. The sweep
+// engine (exp/) expands specs/*.sweep files into these, so every figure's
+// workload is constructed in exactly one place.
 #pragma once
 
 #include <memory>
@@ -8,7 +10,6 @@
 #include <vector>
 
 #include "env/instance.hpp"
-#include "sim/replication.hpp"
 #include "strategy/feasible_set.hpp"
 
 namespace ncb {
@@ -52,23 +53,8 @@ struct ExperimentConfig {
 [[nodiscard]] std::shared_ptr<const FeasibleSet> build_family(
     const ExperimentConfig& config, const Graph& graph);
 
-/// Runs one named single-play policy on the config's instance.
-[[nodiscard]] ReplicatedResult run_single_experiment(
-    const ExperimentConfig& config, const std::string& policy_name,
-    Scenario scenario, ThreadPool* pool = nullptr);
-
-/// Runs one named combinatorial policy on the config's instance.
-[[nodiscard]] ReplicatedResult run_combinatorial_experiment(
-    const ExperimentConfig& config, const std::string& policy_name,
-    Scenario scenario, ThreadPool* pool = nullptr);
-
-/// Paper §VII defaults: Fig. 3/5 use K = 100 arms, p = 0.3, n = 10000.
+/// Paper §VII Fig. 3 instance (K = 100 arms, p = 0.3, n = 10000), the
+/// default of the bench mains; specs/fig3.sweep is the same workload.
 [[nodiscard]] ExperimentConfig fig3_config();
-[[nodiscard]] ExperimentConfig fig5_config();
-/// Fig. 4: combinatorial play; the paper leaves K/M unspecified — we use
-/// K = 20, M = 3 (documented in EXPERIMENTS.md). `dense` picks p = 0.6.
-[[nodiscard]] ExperimentConfig fig4_config(bool dense);
-/// Fig. 6: combinatorial side reward, same K/M convention as Fig. 4.
-[[nodiscard]] ExperimentConfig fig6_config();
 
 }  // namespace ncb

@@ -2,8 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/sweep_runner.hpp"
+
 namespace ncb {
 namespace {
+
+/// The one job of a one-policy spec over `config`'s coordinates: a
+/// single-play or combinatorial experiment is one sweep job.
+exp::SweepJob experiment_job(const ExperimentConfig& c, const char* policy,
+                             Scenario scenario) {
+  exp::SweepSpec spec;
+  spec.scenario = scenario;
+  spec.policies = {policy};
+  spec.graphs = {c.graph_family};
+  spec.arms = {c.num_arms};
+  spec.edge_probabilities = {c.edge_probability};
+  spec.horizons = {c.horizon};
+  spec.replications = c.replications;
+  spec.seed = c.seed;
+  spec.strategy_size = c.strategy_size;
+  spec.checkpoints = 0;  // dense grid: one sample per slot
+  return spec.expand().at(0);
+}
 
 TEST(ExperimentConfig, DescribeMentionsKeyFields) {
   const auto c = fig3_config();
@@ -14,13 +34,26 @@ TEST(ExperimentConfig, DescribeMentionsKeyFields) {
 }
 
 TEST(ExperimentConfig, FigureDefaultsMatchPaper) {
+  // The figures' workloads are the checked-in specs; fig3_config() is the
+  // bench mains' copy of specs/fig3.sweep.
+  const auto spec = [](const char* name) {
+    return exp::SweepSpec::parse_file(std::string(NCB_SPECS_DIR) + "/" +
+                                      name + ".sweep");
+  };
+  const exp::SweepJob fig3 = spec("fig3").expand().at(1);  // dfl-sso
+  EXPECT_EQ(fig3.config.num_arms, fig3_config().num_arms);
+  EXPECT_EQ(fig3.config.horizon, fig3_config().horizon);
+  EXPECT_DOUBLE_EQ(fig3.config.edge_probability,
+                   fig3_config().edge_probability);
   EXPECT_EQ(fig3_config().num_arms, 100u);
   EXPECT_EQ(fig3_config().horizon, 10000);
-  EXPECT_EQ(fig5_config().num_arms, 100u);
-  EXPECT_DOUBLE_EQ(fig4_config(false).edge_probability, 0.3);
-  EXPECT_DOUBLE_EQ(fig4_config(true).edge_probability, 0.6);
-  EXPECT_EQ(fig4_config(false).strategy_size, 3u);
-  EXPECT_EQ(fig6_config().horizon, 10000);
+  EXPECT_EQ(spec("fig5").expand().at(0).config.num_arms, 100u);
+  const auto fig4 = spec("fig4").expand();
+  ASSERT_EQ(fig4.size(), 2u);
+  EXPECT_DOUBLE_EQ(fig4[0].config.edge_probability, 0.3);
+  EXPECT_DOUBLE_EQ(fig4[1].config.edge_probability, 0.6);
+  EXPECT_EQ(fig4[0].config.strategy_size, 3u);
+  EXPECT_EQ(spec("fig6").expand().at(0).config.horizon, 10000);
 }
 
 TEST(BuildGraph, DeterministicForFixedSeed) {
@@ -67,8 +100,9 @@ TEST(BuildInstance, MeansUniformAndDeterministic) {
 }
 
 TEST(BuildFamily, RespectsStrategySize) {
-  auto c = fig4_config(false);
+  ExperimentConfig c;
   c.num_arms = 8;
+  c.strategy_size = 3;
   const auto inst = build_instance(c);
   const auto family = build_family(c, inst.graph());
   EXPECT_EQ(family->max_strategy_size(), 3u);
@@ -81,9 +115,10 @@ TEST(RunSingleExperiment, SmallEndToEnd) {
   c.num_arms = 10;
   c.horizon = 300;
   c.replications = 3;
-  const auto result = run_single_experiment(c, "dfl-sso", Scenario::kSso);
-  EXPECT_EQ(result.replications, 3u);
-  EXPECT_EQ(result.per_slot_regret.length(), 300u);
+  const exp::JobOutcome outcome = exp::run_sweep_job(
+      experiment_job(c, "dfl-sso", Scenario::kSso), 0, exp::SweepRunOptions{});
+  EXPECT_EQ(outcome.aggregate.replications(), 3u);
+  EXPECT_EQ(outcome.aggregate.expected().length(), 300u);
 }
 
 TEST(RunCombinatorialExperiment, SmallEndToEnd) {
@@ -93,10 +128,12 @@ TEST(RunCombinatorialExperiment, SmallEndToEnd) {
   c.replications = 2;
   c.strategy_size = 2;
   ThreadPool pool(2);
-  const auto result =
-      run_combinatorial_experiment(c, "dfl-cso", Scenario::kCso, &pool);
-  EXPECT_EQ(result.replications, 2u);
-  EXPECT_EQ(result.accumulated_regret().size(), 200u);
+  exp::SweepRunOptions options;
+  options.pool = &pool;
+  const exp::JobOutcome outcome = exp::run_sweep_job(
+      experiment_job(c, "dfl-cso", Scenario::kCso), 0, options);
+  EXPECT_EQ(outcome.aggregate.replications(), 2u);
+  EXPECT_EQ(outcome.aggregate.cumulative().length(), 200u);
 }
 
 TEST(RunSingleExperiment, UnknownPolicyThrows) {
@@ -104,7 +141,7 @@ TEST(RunSingleExperiment, UnknownPolicyThrows) {
   c.num_arms = 4;
   c.horizon = 10;
   c.replications = 1;
-  EXPECT_THROW((void)run_single_experiment(c, "bogus", Scenario::kSso),
+  EXPECT_THROW((void)experiment_job(c, "bogus", Scenario::kSso),
                std::invalid_argument);
 }
 

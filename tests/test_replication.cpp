@@ -6,6 +6,7 @@
 #include "core/dfl_sso.hpp"
 #include "core/moss.hpp"
 #include "core/policy_registry.hpp"
+#include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
 #include "sim/experiment.hpp"
 
@@ -82,12 +83,17 @@ TEST(Replication, DeterministicRegardlessOfThreads) {
 }
 
 TEST(Replication, RunSingleExperimentMatchesSequentialReplication) {
-  // n = 2000 plans shards of 8 replications: 20 reps → shards 8, 8, 4.
-  ExperimentConfig config;
-  config.num_arms = 12;
-  config.horizon = 2000;
-  config.replications = 20;
-  config.seed = 77;
+  // A single-play experiment is one dense sweep job. n = 2000 plans shards
+  // of 8 replications: 20 reps → shards 8, 8, 4.
+  exp::SweepSpec spec;
+  spec.policies = {"dfl-sso"};
+  spec.arms = {12};
+  spec.horizons = {2000};
+  spec.replications = 20;
+  spec.seed = 77;
+  spec.checkpoints = 0;
+  const exp::SweepJob job = spec.expand().at(0);
+  const ExperimentConfig& config = job.config;
   const BanditInstance instance = build_instance(config);
   ReplicationOptions options;
   options.replications = config.replications;
@@ -101,8 +107,21 @@ TEST(Replication, RunSingleExperimentMatchesSequentialReplication) {
       instance, Scenario::kSso, options);
   ThreadPool pool(3);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    expect_same_bits(
-        sequential, run_single_experiment(config, "dfl-sso", Scenario::kSso, p));
+    exp::SweepRunOptions run;
+    run.pool = p;
+    const exp::JobAggregate aggregate =
+        exp::run_sweep_job(job, spec.checkpoints, run).aggregate;
+    ASSERT_EQ(aggregate.expected().length(), 2000u);
+    for (std::size_t i = 0; i < 2000; ++i) {
+      EXPECT_EQ(aggregate.expected().at(i).mean(),
+                sequential.per_slot_regret.at(i).mean());
+      EXPECT_EQ(aggregate.cumulative().at(i).variance(),
+                sequential.cumulative_regret.at(i).variance());
+    }
+    EXPECT_EQ(aggregate.final_cumulative().mean(),
+              sequential.final_cumulative.mean());
+    EXPECT_EQ(aggregate.final_cumulative().variance(),
+              sequential.final_cumulative.variance());
   }
 }
 

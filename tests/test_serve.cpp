@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -204,8 +206,13 @@ TEST(DecisionEngine, PropensityIsEpsOverKPlusGreedyMass) {
   // With exploration probability e over K arms the logged propensity must
   // be exactly e/K (explored off-greedy) or 1-e+e/K (served the greedy
   // arm); anything else breaks inverse-propensity evaluation of the log.
+  // The realized action frequencies over 10^4 seeded keys must match those
+  // propensities (MWT's Epsilon_Greedy_Random contract): the inner policy
+  // gets no feedback, so it keeps choosing its first unvisited arm, 0, and
+  // the greedy arm is fixed.
   const double eps = 0.5;
   const std::size_t K = 8;
+  const int n = 10000;
   EngineOptions options;
   options.policy_spec = "eps-greedy:eps=0";
   options.epsilon = eps;
@@ -213,22 +220,25 @@ TEST(DecisionEngine, PropensityIsEpsOverKPlusGreedyMass) {
   DecisionEngine engine(ring_graph(K), options);
   const double explore_p = eps / static_cast<double>(K);
   const double greedy_p = 1.0 - eps + explore_p;
-  int explored = 0;
-  int greedy = 0;
-  for (int i = 0; i < 400; ++i) {
-    const Decision d = engine.decide("user-" + std::to_string(i % 7));
-    if (d.propensity == explore_p) {
-      ++explored;
-    } else if (d.propensity == greedy_p) {
-      ++greedy;
-    } else {
-      FAIL() << "propensity " << d.propensity << " is neither " << explore_p
-             << " nor " << greedy_p;
-    }
-    engine.report(d.decision_id, (i % 2) ? 1.0 : 0.0);
+  std::vector<int> served(K, 0);
+  double min_propensity = 1.0;
+  for (int i = 0; i < n; ++i) {
+    const Decision d = engine.decide("user-" + std::to_string(i));
+    ASSERT_LT(d.action, static_cast<ArmId>(K));
+    const double expected = d.action == 0 ? greedy_p : explore_p;
+    ASSERT_EQ(d.propensity, expected)
+        << "decision " << i << " served arm " << d.action;
+    ++served[static_cast<std::size_t>(d.action)];
+    min_propensity = std::min(min_propensity, d.propensity);
   }
-  EXPECT_GT(explored, 0);
-  EXPECT_GT(greedy, 0);
+  // Each arm's share is binomial: within 4 sigma of its propensity.
+  for (std::size_t arm = 0; arm < K; ++arm) {
+    const double p = arm == 0 ? greedy_p : explore_p;
+    const double sigma = std::sqrt(p * (1.0 - p) / n);
+    EXPECT_NEAR(served[arm] / static_cast<double>(n), p, 4.0 * sigma)
+        << "arm " << arm;
+  }
+  EXPECT_GE(min_propensity, explore_p);
 }
 
 TEST(DecisionEngine, EpsilonZeroIsPureGreedyWithPropensityOne) {

@@ -17,6 +17,7 @@
 #include "exp/shard_scheduler.hpp"
 #include "exp/sweep_runner.hpp"
 #include "sim/experiment.hpp"
+#include "sim/replication.hpp"
 #include "util/rng.hpp"
 
 namespace ncb::exp {
@@ -162,6 +163,39 @@ TEST(SweepSpecExpand, KeysAreUnique) {
 TEST(SweepSpecExpand, ThrowsWithoutPolicies) {
   SweepSpec spec;
   EXPECT_THROW((void)spec.expand(), std::invalid_argument);
+}
+
+TEST(SweepSpecExpand, RejectsPolicySpecsTheRegistryRejects) {
+  // A bad policy spec fails expansion, so no job of the grid ever runs.
+  const auto message = [](Scenario scenario,
+                          std::vector<std::string> policies) -> std::string {
+    SweepSpec spec;
+    spec.scenario = scenario;
+    spec.policies = std::move(policies);
+    try {
+      (void)spec.expand();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(message(Scenario::kSso, {"dfl-sso", "ucb1:c=abc"})
+                .find("policy param \"c\": expected a number"),
+            std::string::npos);
+  EXPECT_NE(message(Scenario::kSso, {"ucb1:bogus=1"}).find("unknown param"),
+            std::string::npos);
+  EXPECT_NE(message(Scenario::kSso, {"nope"}).find("unknown single-play"),
+            std::string::npos);
+  // Play type follows the scenario: a single-play policy in a
+  // combinatorial sweep and vice versa.
+  EXPECT_NE(message(Scenario::kCso, {"moss"}).find("single-play"),
+            std::string::npos);
+  EXPECT_NE(message(Scenario::kSso, {"dfl-cso"}).find("combinatorial-play"),
+            std::string::npos);
+  EXPECT_NE(message(Scenario::kCsr, {"dfl-csr:bogus=1"}).find("unknown param"),
+            std::string::npos);
+  EXPECT_EQ(message(Scenario::kCsr, {"dfl-csr", "cucb"}), "");
+  EXPECT_EQ(message(Scenario::kSso, {"dfl-sso:eta=0.5", "ucb1"}), "");
 }
 
 TEST(ScenarioAndFamilyTokens, RoundTrip) {
@@ -495,6 +529,31 @@ TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   }
 }
 
+/// `job` through run_replicated_*, the factory API, on its own instance.
+ReplicatedResult replicated_result(const SweepJob& job, ThreadPool* pool) {
+  const BanditInstance instance = build_instance(job.config);
+  ReplicationOptions options;
+  options.replications = job.config.replications;
+  options.master_seed = job.config.seed;
+  options.runner.horizon = job.config.horizon;
+  options.pool = pool;
+  const PolicyRegistry& registry = PolicyRegistry::instance();
+  if (!is_combinatorial(job.scenario)) {
+    return run_replicated_single(
+        [&](std::uint64_t seed) {
+          return registry.make_single_play(job.policy, job.config.horizon,
+                                           seed);
+        },
+        instance, job.scenario, options);
+  }
+  const auto family = build_family(job.config, instance.graph());
+  return run_replicated_combinatorial(
+      [&](std::uint64_t seed) {
+        return registry.make_combinatorial(job.policy, family, seed);
+      },
+      instance, *family, job.scenario, options);
+}
+
 TEST(ShardedReplication, DenseSweepJobMatchesReplicatedResult) {
   // A dense-grid (checkpoints = 0) sweep job samples every slot, so its
   // aggregate must be the ReplicatedResult of the same config, bit for bit
@@ -517,11 +576,7 @@ TEST(ShardedReplication, DenseSweepJobMatchesReplicatedResult) {
     options.shard_size = 5;
     const JobOutcome outcome = run_sweep_job(job, spec.checkpoints, options);
     ASSERT_TRUE(outcome.complete);
-    const ReplicatedResult replicated =
-        is_combinatorial(scenario)
-            ? run_combinatorial_experiment(job.config, job.policy, scenario,
-                                           &pool)
-            : run_single_experiment(job.config, job.policy, scenario, &pool);
+    const ReplicatedResult replicated = replicated_result(job, &pool);
     ASSERT_EQ(outcome.aggregate.grid().size(),
               replicated.per_slot_regret.length());
     expect_same_bits(outcome.aggregate.expected(), replicated.per_slot_regret);
@@ -535,18 +590,23 @@ TEST(ShardedReplication, DenseSweepJobMatchesReplicatedResult) {
 }
 
 TEST(ShardedReplication, RunSingleExperimentPoolInvariant) {
-  ExperimentConfig config;
-  config.num_arms = 12;
-  config.horizon = 150;
-  config.replications = 6;
-  const auto sequential =
-      run_single_experiment(config, "dfl-sso", Scenario::kSso);
+  // A single-play experiment is one sweep job; a pool must not move a bit.
+  SweepSpec spec;
+  spec.policies = {"dfl-sso"};
+  spec.arms = {12};
+  spec.horizons = {150};
+  spec.replications = 6;
+  const SweepJob job = spec.expand().at(0);
+  const JobOutcome sequential =
+      run_sweep_job(job, spec.checkpoints, SweepRunOptions{});
   ThreadPool pool(4);
-  const auto pooled =
-      run_single_experiment(config, "dfl-sso", Scenario::kSso, &pool);
-  EXPECT_EQ(sequential.final_cumulative.mean(), pooled.final_cumulative.mean());
-  EXPECT_EQ(sequential.cumulative_regret.means(),
-            pooled.cumulative_regret.means());
+  SweepRunOptions pooled_options;
+  pooled_options.pool = &pool;
+  const JobOutcome pooled = run_sweep_job(job, spec.checkpoints, pooled_options);
+  EXPECT_EQ(sequential.aggregate.final_cumulative().mean(),
+            pooled.aggregate.final_cumulative().mean());
+  expect_same_bits(sequential.aggregate.cumulative(),
+                   pooled.aggregate.cumulative());
 }
 
 // ------------------------------------------------------------- emitters ---
@@ -662,6 +722,7 @@ TEST(InstanceCache, ReusesMatchingBuildsAcrossPolicyAxis) {
 TEST(InstanceCache, CombinatorialEntryCarriesFamilyAndKeysOnIt) {
   SweepSpec spec = tiny_spec();
   spec.scenario = Scenario::kCso;
+  spec.policies = {"dfl-cso"};
   spec.strategy_size = 2;
   const auto jobs = spec.expand();
   InstanceCache cache;

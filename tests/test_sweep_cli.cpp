@@ -1,6 +1,7 @@
 // Process-level tests of the ncb_sweep CLI and the distributed dispatch
 // layer, driving the real binary (path injected as NCB_SWEEP_BIN):
 //   - --dry-run lists without running,
+//   - a bad policy spec exits 2 in every mode before any job runs,
 //   - --workers {1,2,4} output is byte-identical to the in-process run,
 //   - a one-job grid still admits every worker: the fleet is capped by
 //     replication shards, not jobs,
@@ -168,6 +169,38 @@ TEST(SweepCli, DryRunListsWithoutRunning) {
   const std::string out = dir.file("out.json");
   EXPECT_EQ(run_sweep({"--spec", spec, "--out", out, "--dry-run"}), 0);
   EXPECT_FALSE(fs::exists(out)) << "--dry-run must not write output";
+}
+
+TEST(SweepCli, BadPolicySpecExitsTwoBeforeAnyJobRuns) {
+  // The second policy is malformed: every mode must reject the spec at
+  // expansion, so not even the first (valid) job runs or prints its line.
+  REQUIRE_BINARY();
+  TempDir dir;
+  const std::string spec = dir.file("bad.spec");
+  write_text(spec,
+             "name = bad\n"
+             "scenario = sso\n"
+             "policies = dfl-sso, ucb1:c=abc\n"
+             "arms = 10\n"
+             "horizons = 100\n"
+             "replications = 2\n");
+  const std::vector<std::vector<std::string>> modes = {
+      {"--list"}, {"--dry-run"}, {}, {"--workers", "2"}};
+  for (const auto& mode : modes) {
+    std::vector<std::string> args = {"--spec", spec, "--out",
+                                     dir.file("out.json")};
+    args.insert(args.end(), mode.begin(), mode.end());
+    const std::string out = dir.file("stdout.txt");
+    const std::string err = dir.file("stderr.txt");
+    const std::string label = mode.empty() ? "in-process" : mode[0];
+    EXPECT_EQ(run_sweep(args, {}, out, err), 2) << label;
+    EXPECT_NE(read_text(err).find("policy param \"c\": expected a number"),
+              std::string::npos)
+        << label << " stderr: " << read_text(err);
+    EXPECT_EQ(read_text(out).find("[1/2]"), std::string::npos)
+        << label << " ran a job: " << read_text(out);
+    EXPECT_FALSE(fs::exists(dir.file("out.json"))) << label;
+  }
 }
 
 TEST(SweepCli, RejectsNegativeWorkerCount) {
