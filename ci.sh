@@ -8,7 +8,8 @@
 #                             build, full ctest (including the paper-claims
 #                             suite, which writes build/tests/claims.tsv),
 #                             observe-path smoke, sweep-engine smoke (every
-#                             specs/*.sweep under --dry-run, resume round-trip,
+#                             specs/*.sweep under --dry-run, a wrong-scenario
+#                             policy rejected, resume round-trip,
 #                             thread determinism, distributed dispatch incl.
 #                             localhost-TCP workers, a combinatorial CSO+CSR
 #                             grid and benchmark-shaped SSO+SSR and CSO+CSR
@@ -112,6 +113,27 @@ sweep_smoke() {
     ./build/examples/ncb_sweep --spec "$spec_file" --dry-run > /dev/null
   done
   echo "sweep smoke: every specs/*.sweep expands under --dry-run"
+  # A policy of the wrong scenario (DFL-SSR is a side-reward learner) must
+  # fail expansion with exit 2 and list no job.
+  cat > build/sweep_mismatch.spec <<'EOF'
+name = ci-mismatch
+scenario = sso
+policies = dfl-sso, dfl-ssr
+arms = 10
+horizons = 100
+replications = 2
+EOF
+  local status=0
+  ./build/examples/ncb_sweep --spec build/sweep_mismatch.spec --dry-run \
+      > build/sweep_mismatch.out 2> build/sweep_mismatch.err || status=$?
+  [ "$status" -eq 2 ]
+  grep -q "policy 'dfl-ssr' does not support scenario SSO" \
+      build/sweep_mismatch.err
+  if grep -q '\[0\]' build/sweep_mismatch.out; then
+    echo "sweep smoke: the mismatched spec listed a job" >&2
+    exit 1
+  fi
+  echo "sweep smoke: a policy the scenario does not support exits 2, no job"
   cat > "$spec" <<'EOF'
 name = ci-smoke
 scenario = sso

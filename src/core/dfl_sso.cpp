@@ -16,16 +16,13 @@ void DflSso::on_reset(const Graph& graph) {
   ArmStatIndexPolicy::on_reset(graph);
 }
 
-void DflSso::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                             TimeSlot* valid_until) {
-  refresh_plateau_indices(t, arms, values, valid_until,
-                          options_.exploration_scale);
+void DflSso::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values) {
+  refresh_plateau_indices(t, arms, values, options_.exploration_scale);
 }
 
 double DflSso::index(ArmId i, TimeSlot t) const {
   return plateau_index(stats_.mean(i), stats_.count(i), t,
-                       options_.exploration_scale)
-      .value;
+                       options_.exploration_scale);
 }
 
 ArmId DflSso::refine_selection(ArmId best) {

@@ -35,11 +35,10 @@ class DflSso final : public ArmStatIndexPolicy {
  protected:
   void on_reset(const Graph& graph) override;
   [[nodiscard]] ArmId refine_selection(ArmId best) override;
-  [[nodiscard]] IndexRefreshMode refresh_mode() const override {
-    return IndexRefreshMode::kIncremental;
+  [[nodiscard]] TimeSlot hold_through(TimeSlot t) const override {
+    return plateau_epoch_end(t);
   }
-  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                       TimeSlot* valid_until) override;
+  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values) override;
 
  private:
   DflSsoOptions options_;

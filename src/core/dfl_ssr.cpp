@@ -67,8 +67,7 @@ double DflSsr::estimate_given(ArmId i, std::int64_t ob) const {
   return total / static_cast<double>(ob);
 }
 
-void DflSsr::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                             TimeSlot* valid_until) {
+void DflSsr::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values) {
   // DFL-SSO's width plateau, over the tracked side-reward counter Ob_i.
   const bool paired = options_.estimator == SsrEstimator::kPaired;
   for (const ArmId i : arms) {
@@ -76,15 +75,13 @@ void DflSsr::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
     const std::int64_t ob = ob_[k];
     const double estimate =
         paired ? paired_estimate_[k] : estimate_given(i, ob);
-    const IndexRefresh r = plateau_refresh(i, estimate, ob, t);
-    values[k] = r.value;
-    valid_until[k] = r.valid_until;
+    values[k] = plateau_refresh(i, estimate, ob, t);
   }
 }
 
 double DflSsr::index(ArmId i, TimeSlot t) const {
   const std::int64_t ob = side_observation_count(i);
-  return plateau_index(estimate_given(i, ob), ob, t).value;
+  return plateau_index(estimate_given(i, ob), ob, t);
 }
 
 void DflSsr::raise_count(ArmId arm, std::int64_t before) {

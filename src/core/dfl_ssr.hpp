@@ -79,11 +79,10 @@ class DflSsr final : public SingleIndexPolicy {
 
  protected:
   void on_reset(const Graph& graph) override;
-  [[nodiscard]] IndexRefreshMode refresh_mode() const override {
-    return IndexRefreshMode::kIncremental;
+  [[nodiscard]] TimeSlot hold_through(TimeSlot t) const override {
+    return plateau_epoch_end(t);
   }
-  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                       TimeSlot* valid_until) override;
+  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values) override;
 
  private:
   /// B̄_i given Ob_i = `ob` (the paired estimator reads it; 0 when ob = 0).

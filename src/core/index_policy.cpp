@@ -1,6 +1,5 @@
 #include "core/index_policy.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -9,16 +8,8 @@
 namespace ncb {
 namespace {
 
-/// A WidthMemo slot no off-plateau refresh uses (those run at t > K ≥ 1).
+/// A WidthMemo slot no refresh uses (bounds are taken only at t ≥ 1).
 constexpr TimeSlot kNoSlot = std::numeric_limits<TimeSlot>::min();
-
-/// Min-heap ordering on (valid_until, arm): the earliest expiry at front.
-struct LaterExpiry {
-  bool operator()(const std::pair<TimeSlot, ArmId>& a,
-                  const std::pair<TimeSlot, ArmId>& b) const noexcept {
-    return a.first > b.first;
-  }
-};
 
 }  // namespace
 
@@ -26,12 +17,12 @@ void SingleIndexPolicy::reset(const Graph& graph) {
   num_arms_ = graph.num_vertices();
   rng_ = Xoshiro256(seed_);
   cached_indices_.assign(num_arms_, 0.0);
+  all_arms_.resize(num_arms_);
+  std::iota(all_arms_.begin(), all_arms_.end(), ArmId{0});
   dirty_flag_.assign(num_arms_, 0);
   dirty_list_.clear();
-  valid_until_.assign(num_arms_, 0);
-  expiry_heap_.clear();
-  sched_vu_.assign(num_arms_, kIndexValidForever);
   all_dirty_ = true;
+  valid_through_ = std::numeric_limits<TimeSlot>::min();
   last_select_t_ = std::numeric_limits<TimeSlot>::min();
   tie_break_draws_ = 0;
   width_memo_.clear();
@@ -49,20 +40,28 @@ ArmId SingleIndexPolicy::select(TimeSlot t) {
     throw std::logic_error(name() + ": reset() not called");
   }
   double* cache = cached_indices_.data();
-  std::size_t best;
-  if (refresh_mode() == IndexRefreshMode::kEveryRound) {
+  // Rebuild when the cache is all-dirty, past the slot it holds through, or
+  // behind the last select (an entry holds only forwards from its slot);
+  // otherwise refresh just the stale arms.
+  if (all_dirty_ || t > valid_through_ || t < last_select_t_) {
+    valid_through_ = hold_through(t);
     refresh_all_indices(t, cache);
     index_refreshes_ += num_arms_;
-    best = reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_);
+    all_dirty_ = false;
   } else {
-    refresh_incremental(t, cache);
-    const std::uint8_t* bounded = bounded_.data();
-    best = reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_,
-                            [this, bounded, t](std::size_t k, double score) {
-                              return bounded[k] != 0 ? resolve_bound(k, t)
-                                                     : score;
-                            });
+    refresh_indices(t, dirty_list_, cache);
+    index_refreshes_ += dirty_list_.size();
   }
+  for (const ArmId i : dirty_list_) {
+    dirty_flag_[static_cast<std::size_t>(i)] = 0;
+  }
+  dirty_list_.clear();
+  const std::uint8_t* bounded = bounded_.data();
+  const std::size_t best = reservoir_argmax(
+      cache, num_arms_, rng_, &tie_break_draws_,
+      [this, bounded, t](std::size_t k, double score) {
+        return bounded[k] != 0 ? resolve_bound(k, t) : score;
+      });
   last_select_t_ = t;
   return refine_selection(static_cast<ArmId>(best));
 }
@@ -77,20 +76,13 @@ std::vector<double> SingleIndexPolicy::cached_indices() const {
   return values;
 }
 
-void SingleIndexPolicy::refresh_all_indices(TimeSlot t, double* out) const {
-  for (std::size_t k = 0; k < num_arms_; ++k) {
-    out[k] = index(static_cast<ArmId>(k), t);
-  }
+void SingleIndexPolicy::refresh_all_indices(TimeSlot t, double* out) {
+  refresh_indices(t, all_arms_, out);
 }
 
 void SingleIndexPolicy::refresh_indices(TimeSlot t, Span<ArmId> arms,
-                                        double* values,
-                                        TimeSlot* valid_until) {
-  for (const ArmId i : arms) {
-    const auto k = static_cast<std::size_t>(i);
-    values[k] = index(i, t);
-    valid_until[k] = t;
-  }
+                                        double* values) {
+  for (const ArmId i : arms) values[static_cast<std::size_t>(i)] = index(i, t);
 }
 
 double SingleIndexPolicy::memo_width(std::int64_t count, TimeSlot t) {
@@ -116,83 +108,6 @@ double SingleIndexPolicy::memo_bound_width(std::int64_t count,
   return memo.width;
 }
 
-void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
-  // Time moving backwards (tests probe arbitrary slots) invalidates every
-  // valid_until promise; fall back to a full rebuild rather than trusting
-  // stale plateaus.
-  if (all_dirty_ || t < last_select_t_) {
-    rebuild_cache(t, cache);
-    return;
-  }
-  // Expired promises become dirty. A popped entry whose arm is still
-  // valid (its promise was extended after the push) renews itself at the
-  // authoritative expiry instead of triggering a refresh.
-  while (!expiry_heap_.empty() && expiry_heap_.front().first < t) {
-    const auto [vu, arm] = expiry_heap_.front();
-    std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry{});
-    expiry_heap_.pop_back();
-    const auto k = static_cast<std::size_t>(arm);
-    if (vu == sched_vu_[k]) sched_vu_[k] = kIndexValidForever;
-    if (valid_until_[k] == kIndexValidForever) continue;
-    if (valid_until_[k] < t) {
-      mark_index_dirty(arm);
-    } else {
-      schedule_expiry(arm, valid_until_[k]);
-    }
-  }
-  index_refreshes_ += dirty_list_.size();
-  refresh_indices(t, dirty_list_, cache, valid_until_.data());
-  for (const ArmId i : dirty_list_) {
-    // A value valid forever expires only by an observation's dirty mark.
-    const auto k = static_cast<std::size_t>(i);
-    if (valid_until_[k] != kIndexValidForever) {
-      schedule_expiry(i, valid_until_[k]);
-    }
-    dirty_flag_[k] = 0;
-  }
-  dirty_list_.clear();
-  if (expiry_heap_.size() > 4 * num_arms_ + 64) purge_expiry_heap();
-}
-
-void SingleIndexPolicy::rebuild_cache(TimeSlot t, double* cache) {
-  std::fill(dirty_flag_.begin(), dirty_flag_.end(), std::uint8_t{0});
-  dirty_list_.clear();
-  // Every arm is stale: refresh them all in one batch, borrowing the
-  // (empty) dirty list as the arm list.
-  dirty_list_.resize(num_arms_);
-  std::iota(dirty_list_.begin(), dirty_list_.end(), ArmId{0});
-  index_refreshes_ += num_arms_;
-  refresh_indices(t, dirty_list_, cache, valid_until_.data());
-  dirty_list_.clear();
-  purge_expiry_heap();
-  all_dirty_ = false;
-}
-
-void SingleIndexPolicy::schedule_expiry(ArmId i, TimeSlot valid_until) {
-  // An existing entry popping at or before the new expiry already
-  // guarantees a timely wake-up (it renews itself if it pops early).
-  const auto k = static_cast<std::size_t>(i);
-  if (sched_vu_[k] <= valid_until) return;
-  expiry_heap_.emplace_back(valid_until, i);
-  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry{});
-  sched_vu_[k] = valid_until;
-}
-
-void SingleIndexPolicy::purge_expiry_heap() {
-  // Drops every superseded entry in one pass by rebuilding from the
-  // authoritative per-arm expiries.
-  expiry_heap_.clear();
-  for (std::size_t k = 0; k < num_arms_; ++k) {
-    if (valid_until_[k] != kIndexValidForever) {
-      expiry_heap_.emplace_back(valid_until_[k], static_cast<ArmId>(k));
-      sched_vu_[k] = valid_until_[k];
-    } else {
-      sched_vu_[k] = kIndexValidForever;
-    }
-  }
-  std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry{});
-}
-
 void ArmStatIndexPolicy::on_reset(const Graph& /*graph*/) {
   stats_.reset(num_arms_);
 }
@@ -206,15 +121,12 @@ void ArmStatIndexPolicy::observe(ArmId /*played*/, TimeSlot /*t*/,
 
 void ArmStatIndexPolicy::refresh_plateau_indices(TimeSlot t, Span<ArmId> arms,
                                                   double* values,
-                                                  TimeSlot* valid_until,
                                                   double eta) {
   const std::int64_t* counts = stats_.counts();
   const double* means = stats_.means();
   for (const ArmId i : arms) {
     const auto k = static_cast<std::size_t>(i);
-    const IndexRefresh r = plateau_refresh(i, means[k], counts[k], t, eta);
-    values[k] = r.value;
-    valid_until[k] = r.valid_until;
+    values[k] = plateau_refresh(i, means[k], counts[k], t, eta);
   }
 }
 

@@ -8,39 +8,39 @@
 //
 // select() never evaluates the virtual index() per arm. It maintains a flat
 // per-arm index array and runs the two-level block-skipping reservoir
-// argmax (util/argmax.hpp) over it; how the array is kept current is the
-// policy's IndexRefreshMode:
+// argmax (util/argmax.hpp) over it. One rule keeps the array current: the
+// whole array holds through one slot, valid_through_, which the policy
+// derives from the shape of its index through hold_through(t). Every entry
+// is, at every slot up to it, either the exact index or a certified upper
+// bound on it, as long as the arm's statistics do not change; observe()
+// marks exactly the touched arms stale via mark_index_dirty(). select()
+// rebuilds every arm through refresh_all_indices() when t passes
+// valid_through_ (or time went backwards, or the cache is all-dirty) and
+// otherwise hands just the stale list to refresh_indices().
 //
-//  * kEveryRound — the index depends on t every slot (UCB1's ln t, KL-UCB's
-//    budget). select() bulk-refreshes the whole array through one virtual
-//    refresh_all_indices() call, which hoists the per-round shared terms
-//    (log t, the KL budget) out of the per-arm loop.
-//  * kIncremental — the index of an untouched arm is constant until a known
-//    future slot (the DFL family: width = sqrt(log⁺(t/(K·O_i))/O_i) is
-//    exactly zero while t ≤ K·O_i, so the index sits at the empirical mean
-//    on a "plateau"). observe() marks exactly the touched arms stale via
-//    mark_index_dirty(); select() re-refreshes an arm only when it is dirty
-//    or its plateau expired — tracked by a lazy-deletion min-heap keyed on
-//    valid_until — and hands the whole stale list to one virtual
-//    refresh_indices() call, which writes each value with the last slot it
-//    stays valid (valid_until).
+//  * UCB1, UCB-N and KL-UCB keep the default hold_through(t) = t: their
+//    ln t term moves every value every slot, so each new slot rebuilds,
+//    through overrides of refresh_all_indices() that hoist the per-round
+//    shared terms (ln t, the KL budget) out of the contiguous per-arm loop.
+//  * DFL-SSO, MOSS and DFL-SSR (and so DFL-CSO) hold through T − 1, T the
+//    smallest power of two above t, and share one index formula,
+//    plateau_refresh(): estimate + η·width(t/(K·O), O). The width is
+//    exactly zero while t ≤ K·O, so an arm whose plateau covers the epoch
+//    (K·O ≥ T − 1) is exact through it, and so is every arm at O = 0 or
+//    η = 0. Any other arm holds an upper bound: with η > 0, estimate +
+//    η·width(O, T)·(1 + 1e-9) (the width is non-decreasing in t, the slack
+//    covers libm rounding); with η < 0, the value at t, since that index
+//    is non-increasing in t. select() passes the argmax a resolver that
+//    computes the exact value only for an arm whose bound reaches the
+//    running maximum when the scan gets to it, so an arm nobody observes
+//    costs nothing until the epoch ends.
 //
-// The kIncremental policies share one index formula, plateau_refresh():
-// estimate + η·width(t/(K·O), O), exactly estimate + η·0 through slot K·O.
-// Off the plateau (a "hot" arm) the exact value holds for one slot only,
-// so with η > 0 the array holds a certified upper bound instead —
-// estimate + η·width(O, T)·(1 + 1e-9), valid through T, the next power of
-// two above t — and select() passes the argmax a resolver that computes
-// the exact value only for an arm whose bound reaches the running maximum
-// when the scan gets to it. A hot arm nobody observes costs nothing until
-// T (on the sweep-single instance DFL-SSO's per-slot index values fall
-// from 16.5 to 11.5, its exact widths from 8.5 to 4.2). Exact widths come
-// from a memo keyed by count and cleared on reset(): the arms resolved in
-// one select share few distinct counts (on the benchmark's DFL-CSO
-// instance, ≈1.4 per slot), so exploration_width runs once per distinct
-// count per select (width_evaluations()), and once per count per T for
-// bounds (bound_evaluations()); index_refreshes() counts the per-arm
-// values.
+// Exact widths come from a memo keyed by count and cleared on reset(): the
+// arms resolved in one select share few distinct counts (on the
+// benchmark's DFL-CSO instance, ≈2.2 per slot), so exploration_width runs
+// once per distinct count per select (width_evaluations()), and once per
+// count per epoch for bounds (bound_evaluations()); index_refreshes()
+// counts the per-arm values.
 //
 // Both paths produce bit-for-the-comparisons-identical values to the
 // from-scratch index(), which never reads the memo, so the argmax
@@ -58,7 +58,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "core/arm_stats.hpp"
@@ -68,24 +67,6 @@
 #include "util/span.hpp"
 
 namespace ncb {
-
-/// How a policy's cached per-arm indices age between selects.
-enum class IndexRefreshMode {
-  kEveryRound,   ///< t-dependent every slot: bulk refresh per select.
-  kIncremental,  ///< changes only on observation or plateau expiry.
-};
-
-/// Sentinel valid_until: the cached value never expires on its own; only
-/// dirty-marking (an observation touching the arm) invalidates it.
-inline constexpr TimeSlot kIndexValidForever =
-    std::numeric_limits<TimeSlot>::max();
-
-/// One index value and the last slot it stays valid for, assuming the
-/// arm's statistics do not change in between.
-struct IndexRefresh {
-  double value;
-  TimeSlot valid_until;
-};
 
 class SingleIndexPolicy : public SinglePlayPolicy {
  public:
@@ -110,14 +91,14 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   }
 
   /// exploration_width evaluations for bounds since the last reset() — one
-  /// per distinct count O per bound horizon T.
+  /// per distinct count O per epoch.
   [[nodiscard]] std::uint64_t bound_evaluations() const noexcept {
     return bound_evaluations_;
   }
 
   /// Per-arm index values select() computed since the last reset(): every
-  /// arm handed to a refresh (all K per kEveryRound select or full
-  /// rebuild, the stale list otherwise) plus every bound resolved.
+  /// arm handed to a refresh (all K per rebuild, the stale list otherwise)
+  /// plus every bound resolved.
   [[nodiscard]] std::uint64_t index_refreshes() const noexcept {
     return index_refreshes_;
   }
@@ -141,74 +122,72 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   /// actually played (the §IX neighbor-greedy / MaxN heuristics).
   [[nodiscard]] virtual ArmId refine_selection(ArmId best) { return best; }
 
-  /// Which maintenance scheme select() runs; kEveryRound is the safe
-  /// default for any t-dependent index.
-  [[nodiscard]] virtual IndexRefreshMode refresh_mode() const {
-    return IndexRefreshMode::kEveryRound;
+  /// The last slot through which a rebuild at slot t holds: every cached
+  /// entry stays exact or an upper bound on index(i, t') for t ≤ t' ≤
+  /// hold_through(t) while arm i's statistics do not change. The default,
+  /// t, fits an index that moves every slot (UCB1's ln t); the plateau
+  /// policies return plateau_epoch_end(t).
+  [[nodiscard]] virtual TimeSlot hold_through(TimeSlot t) const { return t; }
+
+  /// T − 1 for T the smallest power of two above t (t itself for t < 1;
+  /// t < 2^62): the epoch through which plateau_refresh() entries hold.
+  [[nodiscard]] static TimeSlot plateau_epoch_end(TimeSlot t) noexcept {
+    if (t < 1) return t;
+    const int bits = 64 - __builtin_clzll(static_cast<std::uint64_t>(t));
+    return static_cast<TimeSlot>((std::uint64_t{1} << bits) - 1);
   }
 
-  /// Bulk refresh: writes the index of every arm at slot t into
-  /// out[0, num_arms_). The default loops over the virtual index();
-  /// kEveryRound policies override it to hoist per-round shared terms and
-  /// stream the SoA stat arrays.
-  virtual void refresh_all_indices(TimeSlot t, double* out) const;
+  /// Rebuild: writes the cached value of every arm at slot t into
+  /// out[0, num_arms_). The default hands all arms to refresh_indices();
+  /// UCB1, UCB-N and KL-UCB override it to hoist per-round shared terms
+  /// and stream the SoA stat arrays.
+  virtual void refresh_all_indices(TimeSlot t, double* out);
 
-  /// Incremental refresh of the stale arms (kIncremental policies
-  /// override): for each i in `arms`, writes values[i] and valid_until[i].
-  /// values[i] must equal index(i, t) numerically, and must keep equaling
-  /// index(i, t') for every t ≤ t' ≤ valid_until[i] absent observations of
-  /// the arm — unless plateau_refresh() wrote it as a bound, which must
-  /// instead stay ≥ index(i, t') over that range. The default writes
-  /// index(i, t), valid through t only.
-  virtual void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                               TimeSlot* valid_until);
+  /// Refresh of the stale arms: for each i in `arms`, writes values[i],
+  /// which must hold (see hold_through()) through the cache's
+  /// valid_through_. The default writes index(i, t).
+  virtual void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values);
 
   /// The count-plateau index shared by DFL-SSO, MOSS and DFL-SSR, from an
-  /// arm's estimate and its count O at slot t: +inf, valid forever, at
-  /// O = 0; else estimate + η·exploration_width(t/(K·O), O). The width is
-  /// exactly zero while t ≤ K·O (the ratio rounds to ≤ 1.0: t and K·O are
-  /// exact in double up to 2^53 and division is monotonic), so the value
-  /// holds through slot K·O; off the plateau it holds for slot t only.
-  /// The uncached reference that index() uses.
-  [[nodiscard]] IndexRefresh plateau_index(double estimate,
-                                           std::int64_t count, TimeSlot t,
-                                           double eta = 1.0) const {
-    if (count == 0) {
-      return {std::numeric_limits<double>::infinity(), kIndexValidForever};
+  /// arm's estimate and its count O at slot t: +inf at O = 0; else
+  /// estimate + η·exploration_width(t/(K·O), O). The width is exactly zero
+  /// while t ≤ K·O (the ratio rounds to ≤ 1.0: t and K·O are exact in
+  /// double up to 2^53 and division is monotonic). The uncached reference
+  /// that index() uses.
+  [[nodiscard]] double plateau_index(double estimate, std::int64_t count,
+                                     TimeSlot t, double eta = 1.0) const {
+    if (count == 0) return std::numeric_limits<double>::infinity();
+    if (t <= static_cast<std::int64_t>(num_arms_) * count) {
+      return estimate + eta * 0.0;
     }
-    const std::int64_t plateau = static_cast<std::int64_t>(num_arms_) * count;
-    if (t <= plateau) return {estimate + eta * 0.0, plateau};
-    return {estimate + eta * width_at(count, t), t};
+    return estimate + eta * width_at(count, t);
   }
 
-  /// plateau_index() of arm i for refresh_indices(). On the plateau (and
-  /// for η ≤ 0) it is bit-identical, with the width read from a per-slot
-  /// memo keyed by count; off the plateau O < t/K, so the memo holds at
-  /// most t/K + 1 entries. Off the plateau with η > 0 the arm is left
-  /// *bounded*: the value written is estimate + η·width(O, T)·(1 + 1e-9),
-  /// valid through T, the smallest power of two above t. The width is
-  /// non-decreasing in t and the slack covers libm rounding, so while the
-  /// arm's statistics stay unchanged this bounds plateau_index() at every
-  /// slot up to T; select() resolves the exact value only when the bound
-  /// reaches the running maximum of its argmax (resolve_bound()).
-  [[nodiscard]] IndexRefresh plateau_refresh(ArmId i, double estimate,
-                                             std::int64_t count, TimeSlot t,
-                                             double eta = 1.0) {
+  /// plateau_index() of arm i for refresh_indices(), held through
+  /// valid_through_ = T − 1 (plateau_epoch_end()). It is exact when O = 0,
+  /// when the plateau covers the epoch (K·O ≥ T − 1), or when η = 0 (the
+  /// finite width then adds exactly 0.0 either way). Otherwise the arm is
+  /// left *bounded*: with η > 0 the value written is estimate +
+  /// η·width(O, T)·(1 + 1e-9) — the width is non-decreasing in t and the
+  /// slack covers libm rounding — and with η < 0 the value at t, which
+  /// bounds the later, non-increasing ones. While the arm's statistics
+  /// stay unchanged this bounds plateau_index() at every slot from t
+  /// through the epoch; select() resolves the exact value only when the
+  /// bound reaches the running maximum of its argmax (resolve_bound()).
+  [[nodiscard]] double plateau_refresh(ArmId i, double estimate,
+                                       std::int64_t count, TimeSlot t,
+                                       double eta = 1.0) {
     const auto k = static_cast<std::size_t>(i);
-    if (count == 0 || t <= static_cast<std::int64_t>(num_arms_) * count) {
-      bounded_[k] = 0;
-      return plateau_index(estimate, count, t, eta);
+    bounded_[k] = 0;
+    if (count == 0) return std::numeric_limits<double>::infinity();
+    if (static_cast<std::int64_t>(num_arms_) * count >= valid_through_ ||
+        eta == 0.0) {
+      return estimate + eta * 0.0;
     }
-    if (!(eta > 0.0)) {
-      bounded_[k] = 0;
-      return {estimate + eta * memo_width(count, t), t};
-    }
-    // t > K·O ≥ 1, so T = 2^(⌊log2 t⌋ + 1) (for t < 2^62).
-    const int bits = 64 - __builtin_clzll(static_cast<std::uint64_t>(t));
-    const auto horizon = static_cast<TimeSlot>(std::uint64_t{1} << bits);
     bounded_[k] = 1;
     bounded_arm_[k] = {estimate, count, eta};
-    return {estimate + eta * memo_bound_width(count, horizon), horizon};
+    if (eta < 0.0) return estimate + eta * memo_width(count, t);
+    return estimate + eta * memo_bound_width(count, valid_through_ + 1);
   }
 
   /// Marks arm i's cached index stale. Deduplicated (a flag per arm), so
@@ -229,11 +208,6 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   Xoshiro256 rng_;
 
  private:
-  void refresh_incremental(TimeSlot t, double* cache);
-  void rebuild_cache(TimeSlot t, double* cache);
-  void schedule_expiry(ArmId i, TimeSlot valid_until);
-  void purge_expiry_heap();
-
   [[nodiscard]] double width_at(std::int64_t count, TimeSlot t) const {
     return exploration_width(static_cast<double>(t) /
                                  (static_cast<double>(num_arms_) *
@@ -251,18 +225,12 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   }
 
   std::vector<double> cached_indices_;
+  std::vector<ArmId> all_arms_;           // 0..K-1, the rebuild's arm list
   std::vector<std::uint8_t> dirty_flag_;  // per-arm "already in dirty_list_"
   std::vector<ArmId> dirty_list_;
-  std::vector<TimeSlot> valid_until_;     // authoritative per-arm expiry
-  // Lazy-deletion min-heap of (valid_until, arm). Purged when it outgrows
-  // 4K + 64 entries. sched_vu_ tracks each arm's earliest live entry
-  // (kIndexValidForever = none): a refresh only pushes when no entry pops
-  // at or before the new expiry, and an entry popping early renews itself
-  // — so an arm refreshed every slot with a growing plateau costs zero
-  // heap traffic instead of one push per slot.
-  std::vector<std::pair<TimeSlot, ArmId>> expiry_heap_;
-  std::vector<TimeSlot> sched_vu_;
   bool all_dirty_ = true;
+  // The last slot of the current rebuild's hold_through().
+  TimeSlot valid_through_ = std::numeric_limits<TimeSlot>::min();
   TimeSlot last_select_t_ = std::numeric_limits<TimeSlot>::min();
   std::uint64_t tie_break_draws_ = 0;
   // memo_width's memo: entry O holds width_at(O, slot) for the slot it was
@@ -320,7 +288,7 @@ class ArmStatIndexPolicy : public SingleIndexPolicy {
   /// plateau_refresh(i, X̄_i, O_i, t, eta) for each arm, read straight from
   /// the SoA arrays.
   void refresh_plateau_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                               TimeSlot* valid_until, double eta);
+                               double eta);
 
   /// The empirically best observed arm within N_best (always contains
   /// `best` itself) — the shared MaxN/neighbor-greedy refinement.

@@ -45,7 +45,7 @@ double KlUcb::index(ArmId i, TimeSlot t) const {
   return kl_upper_bound(stats_.mean(i), static_cast<double>(count), lt + llt);
 }
 
-void KlUcb::refresh_all_indices(TimeSlot t, double* out) const {
+void KlUcb::refresh_all_indices(TimeSlot t, double* out) {
   // The exploration budget ln t + c·ln ln t is shared by every arm; the
   // per-arm work is just the bisection on its own (mean, count).
   const double lt = std::log(std::max<double>(static_cast<double>(t), 1.0));

@@ -38,7 +38,7 @@ class KlUcb final : public ArmStatIndexPolicy {
  protected:
   /// Bulk refresh with the ln t + c·ln ln t budget hoisted out of the
   /// per-arm bisection loop.
-  void refresh_all_indices(TimeSlot t, double* out) const override;
+  void refresh_all_indices(TimeSlot t, double* out) override;
 
  private:
   KlUcbOptions options_;

@@ -22,23 +22,21 @@ double Moss::fixed_horizon_index(ArmId i) const {
          exploration_width(ratio, static_cast<double>(count));
 }
 
-void Moss::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                           TimeSlot* valid_until) {
+void Moss::refresh_indices(TimeSlot t, Span<ArmId> arms, double* values) {
   if (options_.horizon <= 0) {
     // Anytime form: DFL-SSO's width plateau over the play count T_i.
-    refresh_plateau_indices(t, arms, values, valid_until, 1.0);
+    refresh_plateau_indices(t, arms, values, 1.0);
     return;
   }
+  // Fixed horizon: exact at every slot.
   for (const ArmId i : arms) {
-    const auto k = static_cast<std::size_t>(i);
-    values[k] = fixed_horizon_index(i);
-    valid_until[k] = kIndexValidForever;
+    values[static_cast<std::size_t>(i)] = fixed_horizon_index(i);
   }
 }
 
 double Moss::index(ArmId i, TimeSlot t) const {
   if (options_.horizon > 0) return fixed_horizon_index(i);
-  return plateau_index(stats_.mean(i), stats_.count(i), t).value;
+  return plateau_index(stats_.mean(i), stats_.count(i), t);
 }
 
 void Moss::observe(ArmId played, TimeSlot /*t*/,

@@ -32,11 +32,10 @@ class Moss final : public ArmStatIndexPolicy {
   }
 
  protected:
-  [[nodiscard]] IndexRefreshMode refresh_mode() const override {
-    return IndexRefreshMode::kIncremental;
+  [[nodiscard]] TimeSlot hold_through(TimeSlot t) const override {
+    return plateau_epoch_end(t);
   }
-  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values,
-                       TimeSlot* valid_until) override;
+  void refresh_indices(TimeSlot t, Span<ArmId> arms, double* values) override;
 
  private:
   /// Fixed-horizon index: the ratio uses n, not t, so it only moves when

@@ -21,7 +21,7 @@ double Ucb1::index(ArmId i, TimeSlot t) const {
   return stats_.mean(i) + bonus;
 }
 
-void Ucb1::refresh_all_indices(TimeSlot t, double* out) const {
+void Ucb1::refresh_all_indices(TimeSlot t, double* out) {
   // c·ln t is shared by every arm; hoisting it keeps the loop at one
   // division + one sqrt per arm over the flat SoA arrays. The expression
   // tree (c·lt)/T_i matches index() exactly, so the values are bit-equal.

@@ -29,7 +29,7 @@ class Ucb1 final : public ArmStatIndexPolicy {
 
  protected:
   /// Bulk refresh with ln t hoisted out of the per-arm loop.
-  void refresh_all_indices(TimeSlot t, double* out) const override;
+  void refresh_all_indices(TimeSlot t, double* out) override;
 
  private:
   Ucb1Options options_;

@@ -25,7 +25,7 @@ double UcbN::index(ArmId i, TimeSlot t) const {
   return stats_.mean(i) + bonus;
 }
 
-void UcbN::refresh_all_indices(TimeSlot t, double* out) const {
+void UcbN::refresh_all_indices(TimeSlot t, double* out) {
   // Same hoisted form as UCB1 — the counts here include side observations.
   const double clt =
       options_.exploration *

@@ -30,7 +30,7 @@ class UcbN final : public ArmStatIndexPolicy {
   void on_reset(const Graph& graph) override;
   [[nodiscard]] ArmId refine_selection(ArmId best) override;
   /// Bulk refresh with ln t hoisted out of the per-arm loop.
-  void refresh_all_indices(TimeSlot t, double* out) const override;
+  void refresh_all_indices(TimeSlot t, double* out) override;
 
  private:
   UcbNOptions options_;

@@ -242,19 +242,25 @@ std::vector<SweepJob> SweepSpec::expand() const {
       family_params.empty() || horizons.empty()) {
     throw std::invalid_argument("SweepSpec: empty axis");
   }
-  // Reject a bad policy spec here, before any job runs: --list, --dry-run,
-  // in-process and distributed runs all expand first.
+  // Reject a bad policy spec, or one the scenario does not support, here,
+  // before any job runs: --list, --dry-run, in-process and distributed
+  // runs all expand first.
   const PolicyRegistry& registry = PolicyRegistry::instance();
   for (const std::string& policy : policies) {
+    ScenarioMask supported = 0;
     try {
-      if (is_combinatorial(scenario)) {
-        (void)registry.check_combinatorial(policy);
-      } else {
-        (void)registry.check_single_play(policy);
-      }
+      supported = is_combinatorial(scenario)
+                      ? registry.check_combinatorial(policy).scenarios
+                      : registry.check_single_play(policy).scenarios;
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("SweepSpec: policy '" + policy +
                                   "': " + e.what());
+    }
+    if (!mask_supports(supported, scenario)) {
+      throw std::invalid_argument(
+          "SweepSpec: policy '" + policy + "' does not support scenario " +
+          scenario_name(scenario) + " (supports " +
+          scenario_mask_names(supported) + ")");
     }
   }
   std::vector<SweepJob> jobs;

@@ -5,7 +5,6 @@
 namespace ncb {
 namespace {
 constexpr double kE = 2.718281828459045;
-constexpr double kPi = 3.141592653589793;
 }  // namespace
 
 double theorem1_bound(std::int64_t n, std::size_t k,
@@ -47,16 +46,6 @@ double theorem4_bound(std::int64_t n, std::size_t k,
   const double term3 = (1.0 + 4.0 * std::sqrt(dk) * dN * dN / kE) * dN * dN *
                        dk * std::pow(dn, 5.0 / 6.0);
   return term1 + term2 + term3;
-}
-
-double ucb1_bound(std::int64_t n, const double* gaps, std::size_t count) {
-  double total = 0.0;
-  const double ln_n = std::log(static_cast<double>(n));
-  for (std::size_t i = 0; i < count; ++i) {
-    if (gaps[i] <= 0.0) continue;
-    total += 8.0 * ln_n / gaps[i] + (1.0 + kPi * kPi / 3.0) * gaps[i];
-  }
-  return total;
 }
 
 }  // namespace ncb

@@ -35,9 +35,4 @@ namespace ncb {
 [[nodiscard]] double theorem4_bound(std::int64_t n, std::size_t k,
                                     std::size_t max_neighborhood);
 
-/// UCB1's distribution-dependent bound Σ_{i≠*} 8 ln(n)/Δ_i + (1+π²/3)ΣΔ_i,
-/// used in the baseline-panel bench. `gaps` are the positive Δ_i.
-[[nodiscard]] double ucb1_bound(std::int64_t n, const double* gaps,
-                                std::size_t count);
-
 }  // namespace ncb

@@ -62,26 +62,5 @@ TEST(Theorem4Bound, MonotoneInNeighborhoodSize) {
   EXPECT_LT(theorem4_bound(10000, 20, 3), theorem4_bound(10000, 20, 10));
 }
 
-TEST(Ucb1Bound, SumOverGaps) {
-  const double gaps[] = {0.5, 0.25};
-  const double ln_n = std::log(1000.0);
-  const double expected = (8.0 * ln_n / 0.5 + (1 + M_PI * M_PI / 3) * 0.5) +
-                          (8.0 * ln_n / 0.25 + (1 + M_PI * M_PI / 3) * 0.25);
-  EXPECT_NEAR(ucb1_bound(1000, gaps, 2), expected, 1e-9);
-}
-
-TEST(Ucb1Bound, IgnoresZeroGaps) {
-  const double gaps[] = {0.0, 0.5};
-  const double only_second[] = {0.5};
-  EXPECT_DOUBLE_EQ(ucb1_bound(100, gaps, 2), ucb1_bound(100, only_second, 1));
-}
-
-TEST(Ucb1Bound, BlowsUpAsGapShrinks) {
-  // The distribution-dependent weakness DFL-SSO removes: Δ → 0 explodes.
-  const double small[] = {1e-6};
-  const double large[] = {0.5};
-  EXPECT_GT(ucb1_bound(10000, small, 1), 100.0 * ucb1_bound(10000, large, 1));
-}
-
 }  // namespace
 }  // namespace ncb

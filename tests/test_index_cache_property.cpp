@@ -1,17 +1,21 @@
 // Property: the incremental index cache is always exactly (bitwise, via
 // double ==) equal to a from-scratch recompute.
 //
-// SingleIndexPolicy::select() refreshes only dirty arms plus arms whose
-// plateau expired; index(i, t) is the pure from-scratch reference each
-// policy must also implement. After any interleaving of selects, batched
-// side observations, observe-without-select bursts, non-monotone
-// timestamps, and mid-run resets, the two must agree on every arm — not
-// approximately, exactly. Any drift means a stale cache entry survived
-// (wrong valid_until, missed dirty marking, a stale per-count width memo,
-// or a hoisted expression that is not bit-identical to the reference).
+// SingleIndexPolicy::select() rebuilds every arm once the slot passes the
+// one slot the whole cache holds through (hold_through()), and otherwise
+// refreshes only the dirty arms; bounded entries are resolved on read.
+// index(i, t) is the pure from-scratch reference each policy must also
+// implement. After any interleaving of selects, batched side observations,
+// observe-without-select bursts, non-monotone timestamps, epoch edges,
+// multi-epoch jumps and mid-run resets, the two must agree on every arm —
+// not approximately, exactly. Any drift means a stale cache entry survived
+// (a wrong hold_through() or exactness test, missed dirty marking, a stale
+// per-count width memo, or a hoisted expression that is not bit-identical
+// to the reference).
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +25,7 @@
 #include "core/policy_registry.hpp"
 #include "graph/generators.hpp"
 #include "strategy/feasible_set.hpp"
+#include "util/argmax.hpp"
 #include "util/rng.hpp"
 
 namespace ncb {
@@ -29,12 +34,14 @@ namespace {
 constexpr TimeSlot kHorizon = 200;
 constexpr int kSteps = 400;
 
-// dfl-sso:eta=0 keeps exact one-slot values off the plateau (no bounds).
+// dfl-sso:eta=0 is exact at every slot (no bounds); dfl-sso:eta=-0.5
+// caches its non-increasing off-plateau values as bounds.
 const std::vector<std::string> kIndexPolicies = {
-    "dfl-sso",  "dfl-sso:eta=0.5", "dfl-sso:eta=0",  "dfl-sso-greedy",
-    "dfl-ssr",  "dfl-ssr-meansum", "moss",           "moss-anytime",
-    "ucb1",     "ucb-n",           "ucb-maxn",       "kl-ucb",
-    "kl-ucb-n"};
+    "dfl-sso",         "dfl-sso:eta=0.5", "dfl-sso:eta=0",
+    "dfl-sso:eta=-0.5", "dfl-sso-greedy", "dfl-ssr",
+    "dfl-ssr-meansum", "moss",            "moss-anytime",
+    "ucb1",            "ucb-n",           "ucb-maxn",
+    "kl-ucb",          "kl-ucb-n"};
 
 struct NamedGraph {
   std::string name;
@@ -130,7 +137,7 @@ TEST(IndexCacheProperty, CacheEqualsFromScratchRecompute) {
           t = 1 + static_cast<TimeSlot>(
                       actions.uniform_int(static_cast<std::uint64_t>(t - 1)));
         } else {
-          // Advance 1-3 slots so plateau expiries fire at gaps too.
+          // Advance 1-3 slots so epoch ends fall between selects too.
           t += 1 + static_cast<TimeSlot>(actions.uniform_int(3));
         }
         const ArmId a = policy->select(t);
@@ -140,7 +147,7 @@ TEST(IndexCacheProperty, CacheEqualsFromScratchRecompute) {
         observe_neighborhood(*policy, g, a, t, rewards, batch);
       }
       // Final sweep after the last observe: one more select so late
-      // expiries are folded in, then recheck.
+      // observations are folded in, then recheck.
       t += 1;
       (void)policy->select(t);
       expect_cache_matches_recompute(*idx, t, n, kSteps);
@@ -247,6 +254,109 @@ TEST(IndexCacheProperty, FarPastPlateauEqualsRecompute) {
     // Bounds were taken and resolved, and many selects skipped a refresh.
     EXPECT_GT(idx->bound_evaluations(), 0u);
     EXPECT_LT(idx->index_refreshes(), static_cast<std::uint64_t>(step) * n);
+  }
+}
+
+// The slot schedules of ScheduledSelectsEqualExactReference.
+// Epoch edges: t = 2^k − 1 (an epoch's last slot), 2^k (a rebuild) and
+// 2^k + 1 (the first incremental select of the new epoch).
+std::vector<TimeSlot> epoch_edge_slots() {
+  std::vector<TimeSlot> slots;
+  for (int k = 1; k <= 16; ++k) {
+    const TimeSlot edge = TimeSlot{1} << k;
+    slots.insert(slots.end(), {edge - 1, edge, edge + 1});
+  }
+  return slots;
+}
+
+// Every slot up to 200, then five jumps of two to six epochs in one step,
+// each followed by three consecutive slots.
+std::vector<TimeSlot> multi_epoch_jump_slots() {
+  std::vector<TimeSlot> slots;
+  for (TimeSlot t = 1; t <= 200; ++t) slots.push_back(t);
+  Xoshiro256 actions(97);
+  TimeSlot t = 200;
+  for (int jump = 0; jump < 5; ++jump) {
+    t <<= 2 + static_cast<int>(actions.uniform_int(5));
+    for (int i = 0; i < 3; ++i) slots.push_back(t++);
+  }
+  return slots;
+}
+
+// A random mix of 1–3-slot steps, epoch-end slots, multi-epoch jumps and
+// slots behind the last one.
+std::vector<TimeSlot> mixed_slots() {
+  std::vector<TimeSlot> slots;
+  Xoshiro256 actions(89);
+  TimeSlot t = 0;
+  int jumps = 0;
+  for (int step = 0; step < 1500; ++step) {
+    const std::uint64_t roll = actions.uniform_int(100);
+    if (roll < 10) {
+      TimeSlot edge = 1;
+      while (edge <= t) edge <<= 1;
+      t = edge - 1;
+    } else if (roll < 13 && t > 0 && jumps < 8) {
+      t <<= 2 + static_cast<int>(actions.uniform_int(3));
+      ++jumps;
+    } else if (roll < 16 && t > 4) {
+      t = 1 + static_cast<TimeSlot>(
+                  actions.uniform_int(static_cast<std::uint64_t>(t - 1)));
+    } else {
+      t += 1 + static_cast<TimeSlot>(actions.uniform_int(3));
+    }
+    slots.push_back(t);
+  }
+  return slots;
+}
+
+// At every select of each schedule, cached_indices() must equal index(),
+// and the select must consume the tie-break draws — and, for policies
+// without a refinement, pick the arm — of the historical loop over the
+// exact index() values run with the same seeded RNG. cached_indices()
+// resolves every bounded entry, so only the second check sees a bound
+// that sits below the exact value: the argmax skips a winner.
+TEST(IndexCacheProperty, ScheduledSelectsEqualExactReference) {
+  constexpr std::uint64_t kSeed = 13;
+  Xoshiro256 gen(87);
+  const Graph g = erdos_renyi(30, 0.2, gen);
+  const std::size_t n = g.num_vertices();
+  const std::vector<std::pair<std::string, std::vector<TimeSlot>>>
+      schedules = {{"epoch edges", epoch_edge_slots()},
+                   {"multi-epoch jumps", multi_epoch_jump_slots()},
+                   {"mixed", mixed_slots()}};
+  for (const auto& [schedule, slots] : schedules) {
+    for (const auto& spec : kIndexPolicies) {
+      SCOPED_TRACE(spec + " over " + schedule);
+      // The greedy and MaxN refinements remap the argmax arm.
+      const bool refines = spec.find("greedy") != std::string::npos ||
+                           spec.find("maxn") != std::string::npos;
+      const auto policy =
+          PolicyRegistry::instance().make_single_play(spec, kHorizon, kSeed);
+      auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
+      ASSERT_NE(idx, nullptr);
+      policy->reset(g);
+      Xoshiro256 mirror(kSeed);
+      std::uint64_t draws = 0;
+      Xoshiro256 rewards(91);
+      std::vector<Observation> batch;
+      std::vector<double> exact(n);
+      for (std::size_t step = 0; step < slots.size(); ++step) {
+        const TimeSlot t = slots[step];
+        for (std::size_t i = 0; i < n; ++i) {
+          exact[i] = idx->index(static_cast<ArmId>(i), t);
+        }
+        const std::size_t want =
+            reservoir_argmax(exact.data(), n, mirror, &draws);
+        const ArmId a = policy->select(t);
+        expect_cache_matches_recompute(*idx, t, n, static_cast<int>(step));
+        ASSERT_EQ(idx->tie_break_draws(), draws) << "t=" << t;
+        if (!refines) {
+          ASSERT_EQ(static_cast<std::size_t>(a), want) << "t=" << t;
+        }
+        observe_neighborhood(*policy, g, a, t, rewards, batch);
+      }
+    }
   }
 }
 

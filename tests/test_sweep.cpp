@@ -198,6 +198,36 @@ TEST(SweepSpecExpand, RejectsPolicySpecsTheRegistryRejects) {
   EXPECT_EQ(message(Scenario::kSso, {"dfl-sso:eta=0.5", "ucb1"}), "");
 }
 
+TEST(SweepSpecExpand, RejectsPoliciesTheScenarioDoesNotSupport) {
+  // The right play type is not enough: DFL-SSR is a side-reward learner,
+  // DFL-SSO a side-observation one. The error names the policy, the
+  // scenario and the scenarios the policy supports.
+  const auto message = [](Scenario scenario,
+                          std::vector<std::string> policies) -> std::string {
+    SweepSpec spec;
+    spec.scenario = scenario;
+    spec.policies = std::move(policies);
+    try {
+      (void)spec.expand();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message(Scenario::kSso, {"dfl-sso", "dfl-ssr"}),
+            "SweepSpec: policy 'dfl-ssr' does not support scenario SSO "
+            "(supports SSR)");
+  EXPECT_EQ(message(Scenario::kSsr, {"dfl-sso:eta=0.5"}),
+            "SweepSpec: policy 'dfl-sso:eta=0.5' does not support scenario "
+            "SSR (supports SSO)");
+  EXPECT_EQ(message(Scenario::kCso, {"dfl-csr"}),
+            "SweepSpec: policy 'dfl-csr' does not support scenario CSO "
+            "(supports CSR)");
+  // A policy that supports both single-play scenarios passes either.
+  EXPECT_EQ(message(Scenario::kSsr, {"dfl-ssr", "moss", "ucb1"}), "");
+  EXPECT_EQ(message(Scenario::kSso, {"moss", "ucb1"}), "");
+}
+
 TEST(ScenarioAndFamilyTokens, RoundTrip) {
   for (const Scenario s : {Scenario::kSso, Scenario::kCso, Scenario::kSsr,
                            Scenario::kCsr}) {

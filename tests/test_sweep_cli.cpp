@@ -203,6 +203,42 @@ TEST(SweepCli, BadPolicySpecExitsTwoBeforeAnyJobRuns) {
   }
 }
 
+TEST(SweepCli, PolicyTheScenarioDoesNotSupportExitsTwo) {
+  // dfl-ssr is a single-play policy, but of the side-reward scenario: an
+  // SSO sweep naming it is rejected at expansion, before any job runs.
+  REQUIRE_BINARY();
+  TempDir dir;
+  const std::string spec = dir.file("ssr-in-sso.spec");
+  write_text(spec,
+             "name = mismatch\n"
+             "scenario = sso\n"
+             "policies = dfl-sso, dfl-ssr\n"
+             "arms = 10\n"
+             "horizons = 100\n"
+             "replications = 2\n");
+  for (const std::vector<std::string>& mode :
+       {std::vector<std::string>{"--dry-run"}, std::vector<std::string>{}}) {
+    std::vector<std::string> args = {"--spec", spec, "--out",
+                                     dir.file("out.json")};
+    args.insert(args.end(), mode.begin(), mode.end());
+    const std::string out = dir.file("stdout.txt");
+    const std::string err = dir.file("stderr.txt");
+    const std::string label = mode.empty() ? "in-process" : mode[0];
+    EXPECT_EQ(run_sweep(args, {}, out, err), 2) << label;
+    EXPECT_NE(read_text(err).find("policy 'dfl-ssr' does not support "
+                                  "scenario SSO (supports SSR)"),
+              std::string::npos)
+        << label << " stderr: " << read_text(err);
+    // Neither a --dry-run listing line ("  [0] key") nor a finished-job
+    // progress line ("[1/2] ...").
+    EXPECT_EQ(read_text(out).find("[0]"), std::string::npos)
+        << label << " listed a job: " << read_text(out);
+    EXPECT_EQ(read_text(out).find("[1/2]"), std::string::npos)
+        << label << " ran a job: " << read_text(out);
+    EXPECT_FALSE(fs::exists(dir.file("out.json"))) << label;
+  }
+}
+
 TEST(SweepCli, RejectsNegativeWorkerCount) {
   REQUIRE_BINARY();
   TempDir dir;
