@@ -7,7 +7,8 @@
 #                             reached by non-test code), -Werror Release
 #                             build, full ctest (including the paper-claims
 #                             suite, which writes build/tests/claims.tsv),
-#                             observe-path smoke, sweep-engine smoke (every
+#                             observe-path smoke, the A/B comparator's unit
+#                             test, sweep-engine smoke (every
 #                             specs/*.sweep under --dry-run, a wrong-scenario
 #                             policy rejected, resume round-trip,
 #                             thread determinism, distributed dispatch incl.
@@ -15,8 +16,10 @@
 #                             grid and benchmark-shaped SSO+SSR and CSO+CSR
 #                             runs md5-pinned, uneven replication shards
 #                             over 3 workers), serve smoke (real server
-#                             + driver + SIGTERM drain), replay smoke (offline
-#                             panel over the serve log + logging-identity pin
+#                             + driver + SIGTERM drain, also at K = 10^4
+#                             over 4 pipelined connections), replay smoke
+#                             (offline panel over the serve log +
+#                             logging-identity pin, also on the K = 10^4 log,
 #                             + sharded 2-worker panel, with and without a
 #                             SIGKILLed worker), metrics identity
 #                             (event logs and decision dumps byte-identical
@@ -26,15 +29,14 @@
 #                             and asan lanes are disjoint so CI runs them as
 #                             parallel jobs; the no-argument form is their
 #                             union for local use.
-#        ./ci.sh bench      — -Werror Release build, then the tracked
-#                             benchmark suites (micro_policies + scaling_k)
-#                             in Google Benchmark JSON mode, merged into
-#                             BENCH_graph.json at the repo root, plus the
-#                             serve throughput bench into BENCH_serve.json and
-#                             the offline replay panel bench into
-#                             BENCH_replay.json.
+#        ./ci.sh bench <base-rev>
+#                           — same-host A/B of the repository benchmark
+#                             (perfbench/): <base-rev> is checked out in a
+#                             git worktree at build/bench_base, both sides
+#                             run perfbench/run.py in interleaved pairs, and
+#                             tools/bench_ab.py passes or fails the change
+#                             (results and report in build/bench_ab/).
 #        NCB_CI_JOBS=N ./ci.sh          — override parallelism.
-#        NCB_BENCH_MIN_TIME=0.5 ./ci.sh bench — slower, steadier timings.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -258,18 +260,20 @@ EOF
 }
 
 # Combinatorial leg of the sweep smoke: a tiny CSO + CSR grid over every
-# combinatorial policy (dfl-cso, dfl-cso-observable, dfl-csr,
-# dfl-csr-greedy, cucb), on ≤M and exact-M families, three graph shapes.
-# The 2-worker output must equal the in-process output, and both must match
-# the md5 pinned when DFL-CSO still kept its own per-replication strategy
-# graph and the exact oracles scanned every strategy: the strategy-graph
-# sharing and the prefix-sum oracle kernel must not move a byte.
+# combinatorial policy (dfl-cso, dfl-csr, dfl-csr-greedy, cucb), on ≤M and
+# exact-M families, three graph shapes. The 2-worker output must equal the
+# in-process output, and both must match the md5 pinned when DFL-CSO still
+# kept its own per-replication strategy graph and the exact oracles scanned
+# every strategy: the strategy-graph sharing and the prefix-sum oracle
+# kernel must not move a byte. (The CSO md5s were re-taken, with the
+# sweep engine unchanged, when the grid dropped a deleted DFL-CSO variant;
+# every remaining job is byte-identical to the grid's earlier output.)
 comb_smoke() {
   local scenario exact policies name spec expected
   for scenario in cso csr; do
     for exact in false true; do
       if [ "$scenario" = cso ]; then
-        policies='dfl-cso, dfl-cso-observable, cucb'
+        policies='dfl-cso, cucb'
       else
         policies='dfl-csr, dfl-csr-greedy, cucb'
       fi
@@ -295,8 +299,8 @@ EOF
           --out "build/comb_$name.w2.json" --workers 2 > /dev/null
       cmp "build/comb_$name.json" "build/comb_$name.w2.json"
       case "$name" in
-        cso-false) expected=6cbd982aabc33560164fe6da7c1d4e14 ;;
-        cso-true)  expected=ef7f6743c2e974880c6b21370a49a8ea ;;
+        cso-false) expected=f537493b46a5332b182745730d6ca1c8 ;;
+        cso-true)  expected=b1313e5c788eff15cc0ffa526ae2edf6 ;;
         csr-false) expected=1c35b50a8411aacd30e6f00f97b09aca ;;
         csr-true)  expected=d080cd03604bb5e0ed021afab38884fa ;;
       esac
@@ -377,11 +381,17 @@ EOF
   echo "sweep smoke: benchmark-shaped CSO+CSR over 3 workers (uneven 3+3+2 shards) byte-identical"
 }
 
+# The K = 10^4 instance of the serve and replay smokes' large leg: sparse
+# ER(0.001), the serving regime perfbench's serve pass measures.
+LARGE_INSTANCE=(--arms 10000 --graph er --edge-prob 0.001 --seed 20170605)
+
 # Serve smoke: a real ncb_serve process (engine + event log + reactor)
 # answers 10k driver requests over 2 connections, then gets SIGTERM. The
 # server must drain and exit 0, and the log must hold every decision with
 # every feedback joined — the zero-torn/zero-lost-records guarantee, checked
-# through the actual binaries on every CI run.
+# through the actual binaries on every CI run. A second server on the
+# K = 10^4 instance then takes 20k decisions pipelined over 4 connections,
+# under the same full-join check.
 serve_smoke() {
   local sock=build/serve_smoke.sock log=build/serve_smoke.ncbl server_pid
   rm -f "$sock" "$log" build/serve_smoke_metrics.json
@@ -416,6 +426,29 @@ serve_smoke() {
       build/serve_smoke.inspect
   grep -q '"duplicate_feedbacks": 0' build/serve_smoke.inspect
   echo "serve smoke: 10k decisions / 2 connections, 10000/10000 joined, live stats polled, clean SIGTERM drain"
+
+  sock=build/serve_large.sock
+  log=build/serve_large.ncbl
+  rm -f "$sock" "$log"
+  ./build/examples/ncb_serve --socket "$sock" --policy 'eps-greedy:eps=0' \
+      --epsilon 0.05 "${LARGE_INSTANCE[@]}" --log "$log" \
+      > build/serve_large.out 2>&1 &
+  server_pid=$!
+  for _ in $(seq 1 200); do [ -S "$sock" ] && break; sleep 0.05; done
+  if ! ./build/examples/ncb_serve_driver --socket "$sock" --requests 20000 \
+      --connections 4 --keys 1024 "${LARGE_INSTANCE[@]}"; then
+    kill -TERM "$server_pid" 2>/dev/null || true
+    wait "$server_pid" || true
+    cat build/serve_large.out >&2
+    return 1
+  fi
+  kill -TERM "$server_pid"
+  wait "$server_pid"
+  ./build/examples/ncb_serve --inspect-log "$log" \
+      | tee build/serve_large.inspect
+  grep -q 'records=40000 decisions=20000 feedbacks=20000 joined=20000' \
+      build/serve_large.inspect
+  echo "serve smoke: 20k decisions @ K=10^4 / 4 pipelined connections, 20000/20000 joined"
 }
 
 # Metrics must observe, never steer: one lockstep workload against the
@@ -470,7 +503,8 @@ metrics_identity() {
 # ncb_replay exits 1 — on the real 2-connection log, the sharded run and
 # the SIGKILL run alike; (b) the panel JSON carries the schema header and
 # estimator fields; (c) a second run is byte-identical; (d) a truncated
-# copy of the log makes --inspect-log exit nonzero and say so.
+# copy of the log makes --inspect-log exit nonzero and say so; (e) the
+# identity also holds on the K = 10^4 log of the serve smoke's large leg.
 replay_smoke() {
   local log=build/serve_smoke.ncbl
   if [ ! -f "$log" ]; then
@@ -524,7 +558,12 @@ replay_smoke() {
     return 1
   fi
   grep -qi 'truncated' build/replay_truncated.out
-  echo "replay smoke: logging identity pinned, panel byte-identical, truncated log rejected"
+  ./build/examples/ncb_replay --log build/serve_large.ncbl \
+      --logging-policy 'eps-greedy:eps=0' --policies 'eps-greedy:eps=0.1;ucb1' \
+      "${LARGE_INSTANCE[@]}" --epsilon 0.05 --out build/replay_large.json \
+      | tee build/replay_large.out
+  grep -q 'logging identity OK' build/replay_large.out
+  echo "replay smoke: logging identity pinned (K=200 and K=10^4), panel byte-identical, truncated log rejected"
 }
 
 asan() {
@@ -534,244 +573,63 @@ asan() {
   (cd build-asan && ctest --output-on-failure -j "$JOBS")
 }
 
-# Tracked benchmarks: micro_policies (policy/substrate hot paths) and
-# scaling_k (relation-graph large-K hot paths), merged into one JSON file
-# that seeds the perf trajectory. Keep BENCH_graph.json committed so every
-# PR's numbers land in history.
-bench_tracked() {
-  if [ ! -x build/bench/micro_policies ] || [ ! -x build/bench/scaling_k ]; then
-    echo "error: Google Benchmark binaries missing — cannot run tracked benches" >&2
-    exit 1
-  fi
-  local min_time="${NCB_BENCH_MIN_TIME:-0.05}"
-  ./build/bench/micro_policies --benchmark_out=build/bench_micro.json \
-      --benchmark_out_format=json --benchmark_min_time="$min_time"
-  ./build/bench/scaling_k --benchmark_out=build/bench_scaling.json \
-      --benchmark_out_format=json --benchmark_min_time="$min_time"
-  python3 - <<'PY'
-import json
+# Same-host A/B of the repository benchmark against <base-rev>. The base is
+# checked out in a git worktree at build/bench_base (kept between runs, so
+# its perfbench build stays incremental; `git worktree remove
+# build/bench_base` drops it). AB_PAIRS interleaved pairs, alternating
+# which side runs first; each pair runs, per side, one untraced
+# `--workload all` pass (the end-to-end metrics) and one traced
+# `--workload sweep-single` pass (the per-layer metrics). tools/bench_ab.py
+# then fails the change on any incorrect run, a higher failed share, an
+# end-to-end median worse than its BENCHMARK.json bound, or a guarded
+# per-layer median above 1.5x; build/bench_ab/report.txt keeps its verdict.
+AB_PAIRS=5
+AB_SECONDS=5
 
-merged = {"schema": 1, "benches": {}}
-for name, path in (("micro_policies", "build/bench_micro.json"),
-                   ("scaling_k", "build/bench_scaling.json")):
-    with open(path) as f:
-        merged["benches"][name] = json.load(f)
-with open("BENCH_graph.json", "w") as f:
-    json.dump(merged, f, indent=1)
-    f.write("\n")
-print("wrote BENCH_graph.json")
-PY
-  bench_regression_guard
-}
-
-# Regression guard over the tracked hot-path benches: compare the fresh
-# timings against the committed BENCH_graph.json baseline (HEAD) and fail
-# if any guarded benchmark got more than 1.5x slower. The report always
-# lands in build/bench_regression.txt (uploaded as a CI artifact) so a
-# red run shows exactly which point moved. Benchmarks new in this run
-# (absent from the baseline) are reported but never fail the guard.
-bench_regression_guard() {
-  if ! git show HEAD:BENCH_graph.json > build/bench_baseline.json 2>/dev/null; then
-    echo "bench guard: no committed BENCH_graph.json baseline — skipped" \
-        | tee build/bench_regression.txt
-    return 0
-  fi
-  python3 - <<'PY'
-import json
-import sys
-
-GUARDED_PREFIXES = ("BM_DflSsoSlot", "BM_ClosedNeighborhoodSweep")
-THRESHOLD = 1.5
-
-def guarded_times(path):
-    with open(path) as f:
-        merged = json.load(f)
-    out = {}
-    for suite in merged.get("benches", {}).values():
-        for b in suite.get("benchmarks", []):
-            if b.get("run_type", "iteration") != "iteration":
-                continue
-            name = b["name"]
-            if name.startswith(GUARDED_PREFIXES):
-                # One entry per name in our suites; keep the median-like
-                # real_time google-benchmark reports for the run.
-                out[name] = (b["real_time"], b["time_unit"])
-    return out
-
-base = guarded_times("build/bench_baseline.json")
-fresh = guarded_times("BENCH_graph.json")
-lines, failures = [], []
-for name in sorted(fresh):
-    t, unit = fresh[name]
-    if name not in base:
-        lines.append(f"NEW      {name}: {t:.1f} {unit} (no baseline)")
-        continue
-    t0, unit0 = base[name]
-    if unit0 != unit:
-        lines.append(f"SKIP     {name}: unit changed {unit0} -> {unit}")
-        continue
-    ratio = t / t0 if t0 > 0 else float("inf")
-    tag = "REGRESS " if ratio > THRESHOLD else ("OK      " if ratio >= 1 else "FASTER  ")
-    lines.append(f"{tag} {name}: {t0:.1f} -> {t:.1f} {unit} ({ratio:.2f}x)")
-    if ratio > THRESHOLD:
-        failures.append(name)
-for name in sorted(set(base) - set(fresh)):
-    lines.append(f"GONE     {name}: present in baseline, missing from run")
-
-report = "\n".join(lines) + "\n"
-with open("build/bench_regression.txt", "w") as f:
-    f.write(report)
-sys.stdout.write(report)
-if failures:
-    print(f"bench guard: {len(failures)} benchmark(s) regressed beyond "
-          f"{THRESHOLD}x -- see build/bench_regression.txt")
-    sys.exit(1)
-print("bench guard: no tracked benchmark regressed beyond 1.5x")
-PY
-}
-
-# Serve throughput bench: the load driver against a real K=10^4 server
-# (event log on), merged into tracked BENCH_serve.json. Guard: fail when
-# sustained QPS drops below 1/1.5 of the committed baseline.
-bench_serve() {
-  local sock=build/bench_serve.sock log=build/bench_serve.ncbl server_pid
-  rm -f "$sock" "$log"
-  ./build/examples/ncb_serve --socket "$sock" --policy 'eps-greedy:eps=0' \
-      --epsilon 0.05 --arms 10000 --graph er --edge-prob 0.001 \
-      --seed 20170605 --log "$log" > build/bench_serve_server.out 2>&1 &
-  server_pid=$!
-  for _ in $(seq 1 200); do [ -S "$sock" ] && break; sleep 0.05; done
-  if ! ./build/examples/ncb_serve_driver --socket "$sock" --requests 200000 \
-      --connections 4 --pipeline 8 --keys 1024 --arms 10000 --graph er \
-      --edge-prob 0.001 --seed 20170605 --reward noisy \
-      --out build/bench_serve_run.json; then
-    kill -TERM "$server_pid" 2>/dev/null || true
-    wait "$server_pid" || true
-    cat build/bench_serve_server.out >&2
-    return 1
-  fi
-  kill -TERM "$server_pid"
-  wait "$server_pid"
-  # Every decision and every feedback must be in the log, fully joined.
-  ./build/examples/ncb_serve --inspect-log "$log" \
-      | tee build/bench_serve.inspect
-  grep -q 'records=400000 decisions=200000 feedbacks=200000 joined=200000' \
-      build/bench_serve.inspect
-  if git show HEAD:BENCH_serve.json > build/bench_serve_baseline.json \
-      2>/dev/null; then
-    :
+bench_ab() {
+  local rev="$1" base=build/bench_base out=build/bench_ab
+  local sha pair kind side root name status
+  local -a order args
+  sha=$(git rev-parse --verify --quiet "${rev}^{commit}") || {
+    echo "bench: '$rev' is not a commit" >&2
+    return 2
+  }
+  mkdir -p build
+  git worktree prune
+  if [ -e "$base/.git" ]; then
+    git -C "$base" checkout --quiet --force --detach "$sha"
   else
-    rm -f build/bench_serve_baseline.json
+    rm -rf "$base"
+    git worktree add --quiet --detach "$base" "$sha"
   fi
-  # Metrics-overhead microbench: per-event instrument costs ride along in
-  # BENCH_serve.json next to the end-to-end QPS, under the same 1.5x guard.
-  if [ -x build/bench/obs_overhead ]; then
-    ./build/bench/obs_overhead --benchmark_out=build/obs_overhead.json \
-        --benchmark_out_format=json \
-        --benchmark_min_time="${NCB_BENCH_MIN_TIME:-0.05}"
-  else
-    rm -f build/obs_overhead.json
-  fi
-  python3 - <<'PY'
-import json
-import os
-import sys
-
-THRESHOLD = 1.5
-
-with open("build/bench_serve_run.json") as f:
-    run = json.load(f)
-payload = {"schema": 1, "serve": run}
-if os.path.exists("build/obs_overhead.json"):
-    with open("build/obs_overhead.json") as f:
-        obs = json.load(f)
-    payload["obs"] = {b["name"]: round(b["real_time"], 2)
-                      for b in obs["benchmarks"]}
-with open("BENCH_serve.json", "w") as f:
-    json.dump(payload, f, indent=1)
-    f.write("\n")
-print(f"wrote BENCH_serve.json: {run['qps']:.0f} qps, "
-      f"p50={run['p50_us']} us p99={run['p99_us']} us "
-      f"p999={run['p999_us']} us"
-      + (f", {len(payload.get('obs', {}))} obs microbenches"
-         if "obs" in payload else ""))
-
-if not os.path.exists("build/bench_serve_baseline.json"):
-    print("serve bench guard: no committed BENCH_serve.json baseline — skipped")
-    sys.exit(0)
-with open("build/bench_serve_baseline.json") as f:
-    base_all = json.load(f)
-base = base_all["serve"]
-ratio = base["qps"] / run["qps"] if run["qps"] > 0 else float("inf")
-print(f"serve bench guard: qps {base['qps']:.0f} -> {run['qps']:.0f} "
-      f"({ratio:.2f}x slower)" if ratio > 1 else
-      f"serve bench guard: qps {base['qps']:.0f} -> {run['qps']:.0f} (faster)")
-if ratio > THRESHOLD:
-    print(f"serve bench guard: throughput regressed beyond {THRESHOLD}x")
-    sys.exit(1)
-
-worst_name, worst = "", 0.0
-for name, base_ns in base_all.get("obs", {}).items():
-    ns = payload.get("obs", {}).get(name)
-    if ns is None or base_ns <= 0:
-        continue
-    obs_ratio = ns / base_ns
-    print(f"obs bench guard: {name} {base_ns:.1f} -> {ns:.1f} ns "
-          f"({obs_ratio:.2f}x)")
-    if obs_ratio > worst:
-        worst_name, worst = name, obs_ratio
-if worst > THRESHOLD:
-    print(f"obs bench guard: {worst_name} regressed beyond {THRESHOLD}x")
-    sys.exit(1)
-PY
-}
-
-# Replay panel throughput bench: re-price a 3-policy panel on the 400k-record
-# log the serve bench just wrote (K=10^4), merged into tracked
-# BENCH_replay.json. Guard: fail when panel events/s drops below 1/1.5 of
-# the committed baseline. The logging-identity pin runs here too — ncb_replay
-# exits 1 itself if the IPS-of-logging-policy identity breaks at this scale.
-bench_replay() {
-  local log=build/bench_serve.ncbl
-  if [ ! -f "$log" ]; then
-    echo "error: $log missing — replay bench must run after the serve bench" >&2
-    return 1
-  fi
-  ./build/examples/ncb_replay --log "$log" \
-      --logging-policy 'eps-greedy:eps=0' --policies 'eps-greedy:eps=0.1;ucb1' \
-      --arms 10000 --graph er --edge-prob 0.001 --seed 20170605 \
-      --epsilon 0.05 --out build/bench_replay_panel.json \
-      --bench-out build/bench_replay_run.json | tee build/bench_replay.out
-  grep -q 'logging identity OK' build/bench_replay.out
-  python3 - <<'PY'
-import json
-import os
-import sys
-
-THRESHOLD = 1.5
-
-with open("build/bench_replay_run.json") as f:
-    run = json.load(f)
-with open("BENCH_replay.json", "w") as f:
-    json.dump({"schema": 1, "replay": run}, f, indent=1)
-    f.write("\n")
-print(f"wrote BENCH_replay.json: {run['events_per_s']:.0f} events/s "
-      f"({run['records']} records x {run['policies']} policies in "
-      f"{run['elapsed_s']:.2f} s)")
-
-if os.system("git show HEAD:BENCH_replay.json > build/bench_replay_baseline.json 2>/dev/null") != 0:
-    print("replay bench guard: no committed BENCH_replay.json baseline — skipped")
-    sys.exit(0)
-with open("build/bench_replay_baseline.json") as f:
-    base = json.load(f)["replay"]
-rate, base_rate = run["events_per_s"], base["events_per_s"]
-ratio = base_rate / rate if rate > 0 else float("inf")
-print(f"replay bench guard: {base_rate:.0f} -> {rate:.0f} events/s "
-      + (f"({ratio:.2f}x slower)" if ratio > 1 else "(faster)"))
-if ratio > THRESHOLD:
-    print(f"replay bench guard: panel throughput regressed beyond {THRESHOLD}x")
-    sys.exit(1)
-PY
+  rm -rf "$out"
+  mkdir -p "$out"
+  echo "bench: base $(git rev-parse --short "$sha") vs the working tree," \
+       "$AB_PAIRS pairs of ${AB_SECONDS}s runs"
+  for pair in $(seq 1 "$AB_PAIRS"); do
+    order=(base change)
+    [ $(( pair % 2 )) -eq 0 ] && order=(change base)
+    for kind in all traced; do
+      for side in "${order[@]}"; do
+        root=.
+        [ "$side" = base ] && root="$base"
+        name="$out/$side-$pair-$kind"
+        args=(--workload all --trace 0)
+        [ "$kind" = traced ] && args=(--workload sweep-single --trace 1)
+        status=0
+        python3 "$root/perfbench/run.py" "${args[@]}" \
+            --seconds "$AB_SECONDS" --out "$PWD/$name.json" \
+            > "$name.log" 2>&1 || status=$?
+        echo "  pair $pair $kind $side: exit $status"
+        if [ ! -f "$name.json" ]; then
+          tail -n 30 "$name.log" >&2
+          return 1
+        fi
+      done
+    done
+  done
+  python3 tools/bench_ab.py --base "$out"/base-*.json \
+      --change "$out"/change-*.json | tee "$out/report.txt"
 }
 
 release_lane() {
@@ -779,11 +637,13 @@ release_lane() {
         reach_guard
   stage "tier-1" "tier-1: -Werror Release build + full test suite" tier1
   stage "smoke" "observe-path smoke: batched vs per-edge delivery must run" smoke
+  stage "bench-ab" "A/B comparator unit test: synthetic perfbench results" \
+        python3 tools/test_bench_ab.py
   stage "sweep" "sweep smoke: resume + thread/worker determinism + kill-requeue" \
         sweep_smoke
-  stage "serve" "serve smoke: 10k decisions over 2 connections + SIGTERM drain" \
+  stage "serve" "serve smoke: 10k decisions / 2 connections, 20k @ K=10^4 / 4, SIGTERM drain" \
         serve_smoke
-  stage "replay" "replay smoke: offline panel + logging-identity pin" \
+  stage "replay" "replay smoke: offline panel + logging-identity pin (K=200, K=10^4)" \
         replay_smoke
   stage "metrics" "metrics identity: bytes unchanged plain/polled/1 ms snapshots" \
         metrics_identity
@@ -795,13 +655,11 @@ asan_lane() {
 
 case "${1:-}" in
   bench)
-    stage "build" "-Werror Release build" release_build
-    stage "bench" "tracked benches: micro_policies + scaling_k -> BENCH_graph.json" \
-          bench_tracked
-    stage "serve-bench" "serve bench: 200k decisions @ K=10^4 -> BENCH_serve.json" \
-          bench_serve
-    stage "replay-bench" "replay bench: 3-policy panel @ K=10^4 -> BENCH_replay.json" \
-          bench_replay
+    if [ $# -ne 2 ]; then
+      echo "usage: $0 bench <base-rev>" >&2
+      exit 2
+    fi
+    stage "bench" "bench: same-host A/B of perfbench against $2" bench_ab "$2"
     ;;
   release)
     release_lane
@@ -814,7 +672,7 @@ case "${1:-}" in
     asan_lane
     ;;
   *)
-    echo "usage: $0 [release|asan|bench]" >&2
+    echo "usage: $0 [release|asan|bench <base-rev>]" >&2
     exit 2
     ;;
 esac

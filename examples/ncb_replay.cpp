@@ -23,7 +23,7 @@
 //              [--arms 100] [--graph er] [--edge-prob 0.3]
 //              [--family-param 4] [--seed N] [--horizon N]
 //              [--workers N | --listen host:port [--port-file F]]
-//              [--out panel.json] [--bench-out bench.json]
+//              [--out panel.json]
 #include <signal.h>
 #include <unistd.h>
 
@@ -46,7 +46,6 @@
 #include "serve/event_log.hpp"
 #include "sim/experiment.hpp"
 #include "util/arg_parse.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -95,7 +94,6 @@ int usage(const char* program) {
          "  --metrics-out <f>   write a final metrics-registry snapshot\n"
          "                      (JSON: replay.* and, with --workers, the\n"
          "                      dist.workers.*/dist.bytes.* fleet counters)\n"
-         "  --bench-out <file>  write panel throughput JSON (events/s)\n"
          "(--worker-fd N and --worker-connect H:P are internal: they run the\n"
          " replay worker loop over an inherited fd / a TCP connection)\n";
   return 2;
@@ -200,7 +198,6 @@ int main(int argc, char** argv) {
               << '\n';
 
     const Graph graph = build_graph(config);
-    Timer timer;
     replay::PanelResult panel;
     if (workers > 0 || !listen_text.empty()) {
       // Distributed path: one candidate per worker assignment; the merged
@@ -254,7 +251,6 @@ int main(int argc, char** argv) {
     } else {
       panel = replay::replay_panel(graph, scan, specs, options);
     }
-    const double elapsed = timer.elapsed_seconds();
 
     std::cout << "ncb_replay: joined " << panel.joined << "/"
               << panel.decisions << ", empirical mean "
@@ -316,25 +312,6 @@ int main(int argc, char** argv) {
       exp::write_file(out_path, exp::render_replay_panel_json(meta, lines));
       std::cout << "ncb_replay: wrote " << out_path << " ("
                 << panel.candidates.size() << " policies)\n";
-    }
-
-    const std::string bench_path = args.get_string("bench-out", "");
-    if (!bench_path.empty()) {
-      const double candidate_events = static_cast<double>(scan.records.size()) *
-                                      static_cast<double>(specs.size());
-      const double events_per_s =
-          elapsed > 0.0 ? candidate_events / elapsed : 0.0;
-      std::ostringstream out;
-      out << "{\"records\": " << scan.records.size()
-          << ", \"policies\": " << specs.size() << ", \"elapsed_s\": "
-          << exp::json_number(elapsed) << ", \"events_per_s\": "
-          << exp::json_number(events_per_s) << "}\n";
-      exp::write_file(bench_path, out.str());
-      std::cout << "ncb_replay: panel throughput "
-                << static_cast<std::uint64_t>(events_per_s)
-                << " events/s (" << scan.records.size() << " records x "
-                << specs.size() << " policies in "
-                << exp::json_number(elapsed) << " s)\n";
     }
 
     const std::string metrics_path = args.get_string("metrics-out", "");

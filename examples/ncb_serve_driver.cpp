@@ -3,9 +3,11 @@
 // Opens M connections to a running server and pushes N decide requests
 // through them, each followed by a Bernoulli reward drawn from the same
 // §VII instance the server's graph flags describe — so the server's policy
-// actually learns while being load-tested. Per-request round-trip latency
-// lands in a log-scale histogram; the exit line and --out JSON report QPS
-// and p50/p99/p999.
+// actually learns while being driven. Each connection keeps kPipeline
+// requests in flight. Per-request round-trip latency lands in a log-scale
+// histogram; the exit line reports QPS and p50/p99/p999. The benchmark's
+// load generator is perfbench/pb_loadgen; this driver is the smokes' and
+// the determinism harness's.
 //
 // --lockstep serializes the whole run to one request in flight globally,
 // with each request's frame carrying the previous decision's feedback on
@@ -18,7 +20,7 @@
 // Usage:
 //   ncb_serve_driver --socket <path> --requests N [--connections M]
 //                    [--keys U] [--arms K] [--graph er] [--edge-prob P]
-//                    [--family-param N] [--seed N] [--out BENCH_serve.json]
+//                    [--family-param N] [--seed N]
 //                    [--lockstep] [--dump <file>]
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -53,18 +55,12 @@ int usage(const char* program) {
   std::cerr
       << "usage: " << program << " --socket <path> --requests N [options]\n"
          "  --connections M   parallel closed-loop connections (default: 2)\n"
-         "  --pipeline W      requests in flight per connection (default: 8;\n"
-         "                    reported latency includes queueing)\n"
          "  --keys U          distinct user keys cycled through (default: 64)\n"
          "  --arms K          arms of the server's instance (default: 100)\n"
          "  --graph <family>  server's graph family (default: er)\n"
          "  --edge-prob P     server's edge probability (default: 0.3)\n"
          "  --family-param N  server's family param (default: 4)\n"
          "  --seed N          instance + reward seed (default: 20170605)\n"
-         "  --reward <model>  bernoulli (default; 0/1 clicks) or noisy\n"
-         "                    (continuous mean±0.1 — avoids the large-K\n"
-         "                    empirical-mean tie pathology in bench runs)\n"
-         "  --out <file>      write a BENCH_serve.json-style summary\n"
          "  --lockstep        one request in flight globally (determinism\n"
          "                    harness; QPS is meaningless in this mode)\n"
          "  --dump <file>     write 'decision_id action propensity' lines\n"
@@ -124,23 +120,13 @@ void send_all(int fd, const std::string& bytes) {
   }
 }
 
-enum class RewardModel {
-  kBernoulli,  ///< click model: reward ∈ {0, 1} with P(1) = μ_action.
-  kNoisy,      ///< continuous: μ_action ± 0.1 uniform noise, clamped [0,1].
-};
+/// Requests in flight per connection outside --lockstep (reported latency
+/// includes queueing).
+constexpr std::uint64_t kPipeline = 8;
 
-RewardModel parse_reward_model(const std::string& token) {
-  if (token == "bernoulli") return RewardModel::kBernoulli;
-  if (token == "noisy") return RewardModel::kNoisy;
-  throw std::invalid_argument("--reward must be 'bernoulli' or 'noisy', got '" +
-                              token + "'");
-}
-
-double reward_for(double mean, Xoshiro256& rng, RewardModel model) {
-  if (model == RewardModel::kBernoulli) {
-    return rng.bernoulli(mean) ? 1.0 : 0.0;
-  }
-  return std::min(1.0, std::max(0.0, mean + (rng.uniform() - 0.5) * 0.2));
+/// Click model: reward ∈ {0, 1} with P(1) = μ_action.
+double click(double mean, Xoshiro256& rng) {
+  return rng.bernoulli(mean) ? 1.0 : 0.0;
 }
 
 /// One decide round trip on `fd`; returns the reply. `prefix_feedback`
@@ -193,11 +179,6 @@ int main(int argc, char** argv) {
         1, std::min<std::int64_t>(args.get_int("connections", 2), requests));
     const auto keys = std::max<std::int64_t>(1, args.get_int("keys", 64));
     const bool lockstep = args.get_bool("lockstep", false);
-    const std::uint64_t pipeline = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, args.get_int("pipeline", 8)));
-    const RewardModel reward_model =
-        parse_reward_model(args.get_string("reward", "bernoulli"));
-    const std::string out_path = args.get_string("out", "");
     const std::string dump_path = args.get_string("dump", "");
 
     // The same instance the server built from matching flags: arm means for
@@ -273,12 +254,12 @@ int main(int argc, char** argv) {
               // globally sequential.
               lockstep_pending_feedback = encode_feedback_frame(
                   reply.decision_id,
-                  reward_for(mean_of(reply), lockstep_rewards, reward_model));
+                  click(mean_of(reply), lockstep_rewards));
               lockstep_last_fd = fd;
             }
             return;
           }
-          // Windowed closed loop: keep up to `pipeline` requests in flight
+          // Windowed closed loop: keep up to kPipeline requests in flight
           // on this connection, each send carrying the deferred feedback of
           // already-answered decisions — so syscalls and reactor rounds
           // amortize over the window. The server answers a connection's
@@ -288,7 +269,7 @@ int main(int argc, char** argv) {
           std::uint64_t in_flight = 0;
           bool drained = false;
           while (!failed.load(std::memory_order_relaxed)) {
-            while (!drained && in_flight < pipeline) {
+            while (!drained && in_flight < kPipeline) {
               const std::uint64_t i =
                   next.fetch_add(1, std::memory_order_relaxed);
               if (i >= total) {
@@ -326,7 +307,7 @@ int main(int argc, char** argv) {
             dump_reply(reply);
             outbox += encode_feedback_frame(
                 reply.decision_id,
-                reward_for(mean_of(reply), rewards, reward_model));
+                click(mean_of(reply), rewards));
           }
           // Feedback for the window's final replies has no request to ride
           // on — flush it standalone.
@@ -377,30 +358,6 @@ int main(int argc, char** argv) {
       }
       exp::write_file(dump_path, text);
       std::cout << "wrote " << dump_path << '\n';
-    }
-    if (!out_path.empty()) {
-      std::string json = "{\n  \"schema\": 1,\n";
-      json += "  \"requests\": " + std::to_string(total) + ",\n";
-      json += "  \"connections\": " + std::to_string(fds.size()) + ",\n";
-      json += "  \"arms\": " + std::to_string(config.num_arms) + ",\n";
-      json += "  \"lockstep\": " + std::string(lockstep ? "true" : "false") +
-              ",\n";
-      json += "  \"seconds\": " + exp::json_number(seconds) + ",\n";
-      json += "  \"qps\": " + exp::json_number(qps) + ",\n";
-      json += "  \"p50_us\": " +
-              exp::json_number(static_cast<double>(merged.p50()) / 1e3) +
-              ",\n";
-      json += "  \"p99_us\": " +
-              exp::json_number(static_cast<double>(merged.p99()) / 1e3) +
-              ",\n";
-      json += "  \"p999_us\": " +
-              exp::json_number(static_cast<double>(merged.p999()) / 1e3) +
-              ",\n";
-      json += "  \"max_us\": " +
-              exp::json_number(static_cast<double>(merged.max()) / 1e3) +
-              "\n}\n";
-      exp::write_file(out_path, json);
-      std::cout << "wrote " << out_path << '\n';
     }
     return 0;
   } catch (const std::exception& e) {

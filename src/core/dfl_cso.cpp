@@ -8,7 +8,6 @@ namespace ncb {
 
 DflCso::DflCso(std::shared_ptr<const FeasibleSet> family, DflCsoOptions options)
     : family_(std::move(family)),
-      scope_(options.scope),
       sso_(DflSsoOptions{.neighbor_greedy = false,
                          .exploration_scale = 1.0,
                          .seed = options.seed}) {
@@ -28,9 +27,7 @@ Span<StrategyId> DflCso::update_list(StrategyId x) const {
   if (x < 0 || static_cast<std::size_t>(x) >= family_->size()) {
     throw std::out_of_range("DflCso: strategy id out of range");
   }
-  return scope_ == CsoUpdateScope::kStrategyGraph
-             ? family_->strategy_graph().closed_neighborhood(x)
-             : family_->observable(x);
+  return family_->strategy_graph().closed_neighborhood(x);
 }
 
 void DflCso::observe(StrategyId played, TimeSlot t,
@@ -70,11 +67,7 @@ void DflCso::observe(StrategyId played, TimeSlot t,
                                static_cast<std::size_t>(out - rewards_.data())));
 }
 
-std::string DflCso::name() const {
-  return scope_ == CsoUpdateScope::kStrategyGraph
-             ? "DFL-CSO"
-             : "DFL-CSO(all-observable)";
-}
+std::string DflCso::name() const { return "DFL-CSO"; }
 
 namespace {
 
@@ -86,24 +79,8 @@ const PolicyRegistration kRegDflCso{{
     {},
     nullptr,
     [](const PolicyParams&, const PolicyBuildContext& ctx) {
-      return std::make_unique<DflCso>(
-          ctx.family,
-          DflCsoOptions{.scope = CsoUpdateScope::kStrategyGraph,
-                        .seed = ctx.seed});
-    },
-}};
-
-const PolicyRegistration kRegDflCsoObservable{{
-    "dfl-cso-observable",
-    "DFL-CSO updating every com-arm contained in the observed set",
-    kCsoBit,
-    {},
-    nullptr,
-    [](const PolicyParams&, const PolicyBuildContext& ctx) {
-      return std::make_unique<DflCso>(
-          ctx.family,
-          DflCsoOptions{.scope = CsoUpdateScope::kAllObservable,
-                        .seed = ctx.seed});
+      return std::make_unique<DflCso>(ctx.family,
+                                      DflCsoOptions{.seed = ctx.seed});
     },
 }};
 

@@ -23,12 +23,8 @@
 // most 32-element sub-blocks of a block that can reach the running maximum
 // are skipped.
 //
-// Update scope:
-//  * kStrategyGraph (faithful to Algorithm 2's "for y ∈ N_x over SG"):
-//    updates the closed SG-neighborhood of the played com-arm.
-//  * kAllObservable: updates every com-arm with s_y ⊆ Y_x — a superset of
-//    the SG neighborhood (SG requires mutual containment); strictly more
-//    information at the same observation cost.
+// Update scope, faithful to Algorithm 2's "for y ∈ N_x over SG": the
+// closed SG-neighborhood of the played com-arm.
 //
 // Theorem 2: R_n ≤ 15.94·sqrt(n|F|) + 0.74·C·sqrt(n/|F|).
 #pragma once
@@ -42,13 +38,7 @@
 
 namespace ncb {
 
-enum class CsoUpdateScope {
-  kStrategyGraph,  ///< Closed SG-neighborhood (pseudocode-faithful).
-  kAllObservable,  ///< Every com-arm contained in the observed set Y_x.
-};
-
 struct DflCsoOptions {
-  CsoUpdateScope scope = CsoUpdateScope::kStrategyGraph;
   std::uint64_t seed = 0x5eedc501;
 };
 
@@ -78,13 +68,12 @@ class DflCso final : public CombinatorialPolicy {
   /// The wrapped DFL-SSO over SG, for its select counters
   /// (tie_break_draws(), width_evaluations()).
   [[nodiscard]] const DflSso& com_arm_learner() const noexcept { return sso_; }
-  /// Com-arms whose statistics get updated when `x` is played (a view into
-  /// the family's SG or observable lists).
+  /// Com-arms whose statistics get updated when `x` is played: x's closed
+  /// neighborhood in the family's SG.
   [[nodiscard]] Span<StrategyId> update_list(StrategyId x) const;
 
  private:
   std::shared_ptr<const FeasibleSet> family_;
-  CsoUpdateScope scope_;
   DflSso sso_;
   std::vector<double> arm_values_;       // this slot's revealed arm values
   std::vector<std::int64_t> arm_stamp_;  // which epoch staged the value

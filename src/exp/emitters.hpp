@@ -19,7 +19,7 @@
 
 namespace ncb::exp {
 
-/// Output schema version (bump on any field change, like BENCH_graph.json).
+/// Output schema version (bump on any field change).
 inline constexpr int kSweepSchemaVersion = 1;
 
 /// Shortest decimal that round-trips to exactly `value` (tries %.15g, then

@@ -8,9 +8,8 @@
 // What the combinatorial policies derive from the family is built here,
 // once, and shared by every replication and policy over it: the prefix-sum
 // trees of the exact oracles (in the constructor), and the strategy
-// relation graph SG plus the per-com-arm observable lists (on first use,
-// under std::call_once, so policies built concurrently in several threads
-// wait for one build). The lazy state sits behind a shared handle, so the
+// relation graph SG (on first use, under std::call_once, so policies built
+// concurrently in several threads wait for one build). The lazy state sits behind a shared handle, so the
 // family stays movable and its copies share it.
 #pragma once
 
@@ -95,10 +94,6 @@ class FeasibleSet {
   /// build_strategy_graph): built on first use, at most once per family.
   [[nodiscard]] const Graph& strategy_graph() const;
 
-  /// Com-arms observable when x is played — every y with s_y ⊆ Y_x,
-  /// ascending — built for the whole family on first use, at most once.
-  [[nodiscard]] Span<StrategyId> observable(StrategyId x) const;
-
   /// Looks up a strategy (must be sorted); nullopt if absent.
   [[nodiscard]] std::optional<StrategyId> find(const ArmSet& strategy) const;
 
@@ -115,7 +110,7 @@ class FeasibleSet {
   FamilyKind kind_;
   PrefixSumTree strategy_tree_;
   PrefixSumTree neighborhood_tree_;
-  struct Derived;  // SG and observable lists, built on first use
+  struct Derived;  // SG, built on first use
   std::shared_ptr<Derived> derived_;
 };
 

@@ -24,8 +24,7 @@ namespace ncb {
 
 /// Strategies observable when x is played: every y (including x) with
 /// s_y ⊆ Y_x. This is a superset of SG's closed neighborhood of x (SG
-/// requires mutual containment). DFL-CSO can optionally exploit the full
-/// observable set, through the family's cached FeasibleSet::observable().
+/// requires mutual containment).
 [[nodiscard]] std::vector<StrategyId> observable_strategies(
     const FeasibleSet& family, StrategyId x);
 

@@ -8,6 +8,7 @@
 // were captured from that implementation and must never change.
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,7 +29,7 @@ struct GoldenTrace {
   std::vector<StrategyId> head;  // first 24 selections
 };
 
-// 5 combinatorial policies x 3 graphs, K = 16, all subsets of size <= 3
+// 4 combinatorial policies x 3 graphs, K = 16, all subsets of size <= 3
 // (|F| = 696), 400 slots, Bernoulli(0.5) rewards over Y_x seeded per cell.
 const GoldenTrace kGoldens[] = {
     {"dfl-cso", "er", 6007096959898461741ULL,
@@ -40,15 +41,6 @@ const GoldenTrace kGoldens[] = {
     {"dfl-cso", "cliques", 5407097819800371501ULL,
      {454, 342, 105, 596, 354, 76, 26, 688, 49, 190, 7, 109,
       0, 12, 302, 252, 612, 151, 513, 264, 319, 321, 522, 667}},
-    {"dfl-cso-observable", "er", 473111731027289226ULL,
-     {454, 346, 179, 664, 544, 340, 216, 207, 44, 189, 306, 227,
-      414, 270, 335, 317, 315, 215, 521, 348, 226, 225, 168, 377}},
-    {"dfl-cso-observable", "star", 2683993538054221139ULL,
-     {454, 323, 54, 639, 228, 580, 666, 687, 501, 533, 541, 283,
-      285, 577, 277, 523, 324, 302, 514, 481, 289, 282, 289, 479}},
-    {"dfl-cso-observable", "cliques", 4978406605887744465ULL,
-     {454, 550, 22, 79, 198, 554, 201, 469, 590, 414, 232, 369,
-      618, 366, 369, 232, 367, 618, 366, 366, 366, 369, 369, 369}},
     {"dfl-csr", "er", 14819231142731526078ULL,
      {445, 595, 302, 445, 637, 445, 445, 445, 445, 445, 445, 445,
       445, 445, 445, 445, 445, 445, 445, 445, 445, 445, 445, 445}},
@@ -91,9 +83,11 @@ std::uint64_t fnv1a(const std::vector<StrategyId>& xs) {
 }
 
 // Policy/graph order must match the capture harness: the reward stream for
-// cell (pi, gi) is seeded 2000*(pi+1)+gi.
-const std::vector<std::string> kPolicies = {
-    "dfl-cso", "dfl-cso-observable", "dfl-csr", "dfl-csr-greedy", "cucb"};
+// cell (pi, gi) is seeded 2000*(pi+1)+gi, pi the policy's position in the
+// capture. Position 1 belonged to a since-deleted DFL-CSO variant; the
+// others keep their positions, so every stream is the captured one.
+const std::vector<std::pair<std::string, std::size_t>> kPolicies = {
+    {"dfl-cso", 0}, {"dfl-csr", 2}, {"dfl-csr-greedy", 3}, {"cucb", 4}};
 const std::vector<std::string> kGraphNames = {"er", "star", "cliques"};
 
 std::shared_ptr<const FeasibleSet> make_family(const std::string& name) {
@@ -136,11 +130,11 @@ std::vector<StrategyId> run_trace(const std::string& policy_name,
 TEST(CombinatorialGoldens, TraceMatchesFullRescanCapture) {
   for (const GoldenTrace& golden : kGoldens) {
     std::size_t pi = 0, gi = 0;
-    while (kPolicies[pi] != golden.policy) ++pi;
+    while (kPolicies[pi].first != golden.policy) ++pi;
     while (kGraphNames[gi] != golden.graph) ++gi;
     SCOPED_TRACE(std::string(golden.policy) + " on " + golden.graph);
-    const std::vector<StrategyId> selections =
-        run_trace(golden.policy, golden.graph, 2000 * (pi + 1) + gi);
+    const std::vector<StrategyId> selections = run_trace(
+        golden.policy, golden.graph, 2000 * (kPolicies[pi].second + 1) + gi);
     for (std::size_t i = 0; i < golden.head.size(); ++i) {
       EXPECT_EQ(selections[i], golden.head[i]) << "slot " << (i + 1);
     }
@@ -159,21 +153,19 @@ TEST(CombinatorialGoldens, TraceMatchesFullRescanCapture) {
 // com-arms, and must never change.
 struct LongRunGolden {
   const char* policy;
+  std::uint64_t reward_seed;     // the Bernoulli stream of the capture
   std::uint64_t selection_hash;  // FNV-1a over all 3,000 selections
   std::vector<StrategyId> tail;  // last 16 selections
 };
 
 const LongRunGolden kLongRunGoldens[] = {
-    {"dfl-cso", 4479461017448061992ULL,
+    {"dfl-cso", 3000, 4479461017448061992ULL,
      {1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211,
       1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211}},
-    {"dfl-cso-observable", 3795101159144749150ULL,
-     {1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211,
-      1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211}},
-    {"dfl-csr", 4556602464853175047ULL,
+    {"dfl-csr", 3002, 4556602464853175047ULL,
      {310, 310, 310, 310, 310, 310, 310, 310,
       310, 310, 310, 310, 310, 310, 310, 310}},
-    {"cucb", 6038368086120063862ULL,
+    {"cucb", 3003, 6038368086120063862ULL,
      {1211, 1211, 1111, 1111, 1111, 1211, 1211, 1211,
       1211, 1211, 1211, 1211, 1211, 1211, 1211, 1211}},
 };
@@ -189,13 +181,12 @@ TEST(CombinatorialGoldens, LongRunOnBenchmarkInstanceMatchesCapture) {
   const auto family = build_family(config, instance.graph());
   ASSERT_EQ(family->size(), 1350u);
   const std::vector<double>& means = instance.means();
-  for (std::size_t pi = 0; pi < std::size(kLongRunGoldens); ++pi) {
-    const LongRunGolden& golden = kLongRunGoldens[pi];
+  for (const LongRunGolden& golden : kLongRunGoldens) {
     SCOPED_TRACE(golden.policy);
     const auto policy = PolicyRegistry::instance().make_combinatorial(
         golden.policy, family, 123);
     policy->reset();
-    Xoshiro256 rewards(3000 + pi);
+    Xoshiro256 rewards(golden.reward_seed);
     std::vector<Observation> batch;
     std::vector<StrategyId> selections;
     selections.reserve(static_cast<std::size_t>(kSlots));
@@ -221,7 +212,8 @@ TEST(CombinatorialGoldens, LongRunOnBenchmarkInstanceMatchesCapture) {
 // Every (policy, graph) cell of the capture grid must be present above.
 TEST(CombinatorialGoldens, GridIsComplete) {
   EXPECT_EQ(std::size(kGoldens), kPolicies.size() * kGraphNames.size());
-  for (const auto& p : kPolicies) {
+  for (const auto& policy : kPolicies) {
+    const std::string& p = policy.first;
     for (const auto& gname : kGraphNames) {
       bool found = false;
       for (const GoldenTrace& golden : kGoldens) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <thread>
@@ -43,22 +42,6 @@ TEST(DflCso, UpdateListsMatchSgClosedNeighborhoods) {
       EXPECT_EQ(list[i], static_cast<StrategyId>(expected[i]));
     }
   }
-}
-
-TEST(DflCso, ObservableScopeIsSuperset) {
-  const auto family = fig2_family();
-  DflCso faithful(family);
-  DflCso observable(family,
-                    DflCsoOptions{.scope = CsoUpdateScope::kAllObservable});
-  for (StrategyId x = 0; x < static_cast<StrategyId>(family->size()); ++x) {
-    const auto& small = faithful.update_list(x);
-    const auto& big = observable.update_list(x);
-    EXPECT_GE(big.size(), small.size());
-    for (const StrategyId y : small) {
-      EXPECT_NE(std::find(big.begin(), big.end(), y), big.end());
-    }
-  }
-  EXPECT_EQ(observable.name(), "DFL-CSO(all-observable)");
 }
 
 TEST(DflCso, ObserveComputesStrategyRewards) {
@@ -158,14 +141,6 @@ TEST(DflCso, ConcurrentConstructionSharesOneStrategyGraph) {
   for (StrategyId x = 0; x < static_cast<StrategyId>(family->size()); ++x) {
     ASSERT_EQ(a->update_list(x).data(), sg.closed_neighborhood(x).data());
     ASSERT_EQ(b->update_list(x).data(), sg.closed_neighborhood(x).data());
-  }
-  // The observable lists are cached the same way.
-  DflCso observable(family,
-                    DflCsoOptions{.scope = CsoUpdateScope::kAllObservable});
-  for (StrategyId x = 0; x < static_cast<StrategyId>(family->size()); ++x) {
-    EXPECT_EQ(observable.update_list(x).to_vector(),
-              observable_strategies(*family, x));
-    EXPECT_EQ(observable.update_list(x).data(), family->observable(x).data());
   }
 }
 

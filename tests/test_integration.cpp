@@ -205,21 +205,6 @@ TEST(Integration, SsrOptimumDiffersFromSsoOptimum) {
   EXPECT_LT(tail_mean(pseudo, 100), 0.2);
 }
 
-TEST(Integration, CsoAllObservableAtLeastAsGoodAsFaithful) {
-  // More updates at equal observation cost should not hurt (allow noise).
-  ExperimentConfig c;
-  c.num_arms = 10;
-  c.edge_probability = 0.5;
-  c.horizon = 2500;
-  c.replications = 6;
-  c.strategy_size = 2;
-  const auto faithful = run_combinatorial(c, "dfl-cso", Scenario::kCso);
-  const auto observable =
-      run_combinatorial(c, "dfl-cso-observable", Scenario::kCso);
-  EXPECT_LT(observable.final_cumulative.mean(),
-            1.3 * faithful.final_cumulative.mean() + 20.0);
-}
-
 // ------------------------------------------------------- paper claims ---
 
 /// Merges `name`'s jobs into claims.tsv, one row per job keyed by (spec,

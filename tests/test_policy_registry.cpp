@@ -24,7 +24,7 @@ const std::vector<std::string> kLegacySingleNames{
     "exp3-set", "random"};
 
 const std::vector<std::string> kLegacyCombinatorialNames{
-    "dfl-cso", "dfl-cso-observable", "dfl-csr", "dfl-csr-greedy", "cucb"};
+    "dfl-cso", "dfl-csr", "dfl-csr-greedy", "cucb"};
 
 [[nodiscard]] std::string thrown_message(const std::function<void()>& fn) {
   try {
