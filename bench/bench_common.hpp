@@ -1,13 +1,15 @@
 // Shared flag parsing and headers for the bench mains that the sweep grammar
 // cannot express (the paper's figures and ablations are specs/*.sweep files).
 // Common flags: --horizon, --reps, --arms, --p, --m, --seed, --quick, and
-// --list-policies (print the policy registry and exit 0).
+// --list-policies (print the policy registry and exit 0); any other flag
+// exits 2 unless the main declares it.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/policy_registry.hpp"
 #include "sim/experiment.hpp"
@@ -25,9 +27,15 @@ struct CommonFlags {
   bool quick = false;
 };
 
-inline CommonFlags parse_common(int argc, char** argv) {
+/// Parses the common flags plus the main's own `extra` flags.
+inline CommonFlags parse_common(int argc, char** argv,
+                                const std::vector<std::string>& extra = {}) {
   try {
     const ArgParse args(argc, argv);
+    std::vector<std::string> known{"arms", "horizon", "list-policies", "m",
+                                   "p", "quick", "reps", "seed"};
+    known.insert(known.end(), extra.begin(), extra.end());
+    args.require_known(known);
     if (args.has("list-policies")) {
       std::cout << PolicyRegistry::instance().render_listing();
       std::exit(0);

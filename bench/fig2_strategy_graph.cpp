@@ -7,9 +7,11 @@
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "strategy/strategy_graph.hpp"
+#include "util/arg_parse.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ncb;
+  parse_flags(argc, argv, {});  // takes no flags
 
   std::cout
       << "==========================================================\n"

@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace ncb;
   using namespace ncb::bench;
-  CommonFlags flags = parse_common(argc, argv);
+  CommonFlags flags = parse_common(argc, argv, {"large"});
   bool large = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--large") == 0) large = true;

@@ -6,9 +6,9 @@
 #        ./ci.sh release    — header reachability guard (every src/ header
 #                             reached by non-test code), -Werror Release
 #                             build, full ctest (including the paper-claims
-#                             suite, which writes build/tests/claims.tsv),
-#                             observe-path smoke, the A/B comparator's unit
-#                             test, sweep-engine smoke (every
+#                             suite, which writes build/tests/claims.tsv,
+#                             and every example run once), the A/B
+#                             comparator's unit test, sweep-engine smoke (every
 #                             specs/*.sweep under --dry-run, a wrong-scenario
 #                             policy rejected, resume round-trip,
 #                             thread determinism, distributed dispatch incl.
@@ -86,15 +86,6 @@ release_build() {
 tier1() {
   release_build
   (cd build && ctest --output-on-failure -j "$JOBS")
-}
-
-smoke() {
-  if [ -x build/bench/micro_policies ]; then
-    ./build/bench/micro_policies --benchmark_filter='ObservePerSlot' \
-        --benchmark_min_time=0.01
-  else
-    echo "micro_policies not built (Google Benchmark absent) — smoke skipped"
-  fi
 }
 
 # Sweep engine smoke: a tiny 2-policy grid (K <= 50) must (a) produce
@@ -636,7 +627,6 @@ release_lane() {
   stage "reach" "reach guard: every src/ header has a non-test reacher" \
         reach_guard
   stage "tier-1" "tier-1: -Werror Release build + full test suite" tier1
-  stage "smoke" "observe-path smoke: batched vs per-edge delivery must run" smoke
   stage "bench-ab" "A/B comparator unit test: synthetic perfbench results" \
         python3 tools/test_bench_ab.py
   stage "sweep" "sweep smoke: resume + thread/worker determinism + kill-requeue" \

@@ -9,14 +9,13 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/dfl_sso.hpp"
-#include "core/moss.hpp"
-#include "core/ucb_n.hpp"
+#include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
-#include "sim/replication.hpp"
+#include "util/arg_parse.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ncb;
+  parse_flags(argc, argv, {});  // takes no flags
 
   // 32 channels; sensing a channel also senses its 2 neighbors per side,
   // with 10% of adjacencies rewired to model cross-band interference.
@@ -29,46 +28,43 @@ int main() {
     availability[c] = (c >= 20 && c <= 25) ? 0.85 - 0.02 * (c - 20)
                                            : 0.25 + 0.3 * ((c * 7) % 10) / 10.0;
   }
-  BanditInstance instance = bernoulli_instance(graph, availability);
-  std::cout << "best channel: " << instance.best_arm() << " (available "
-            << instance.best_mean() * 100 << "% of slots)\n";
+  const exp::InstanceCache::Entry built{
+      std::make_shared<const BanditInstance>(
+          bernoulli_instance(graph, availability)),
+      nullptr};
+  std::cout << "best channel: " << built.instance->best_arm() << " (available "
+            << built.instance->best_mean() * 100 << "% of slots)\n";
 
-  ReplicationOptions options;
-  options.replications = 12;
-  options.runner.horizon = 8000;
+  // 12 replications of 8000 slots per policy, sampled at the horizon alone:
+  // only the final regret R_n is reported. MOSS is told the horizon.
+  constexpr std::size_t kReplications = 12;
+  constexpr TimeSlot kHorizon = 8000;
+  constexpr std::uint64_t kSeed = 20170605;
   ThreadPool pool;
-  options.pool = &pool;
+  exp::SweepRunOptions run_options;
+  run_options.pool = &pool;
+  const std::vector<TimeSlot> grid = exp::checkpoint_grid(kHorizon, 1);
 
   struct Entry {
     std::string name;
-    SinglePolicyFactory factory;
+    std::string policy;  ///< Registry spec.
   };
   const std::vector<Entry> policies{
-      {"DFL-SSO",
-       [](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-         return std::make_unique<DflSso>(DflSsoOptions{.seed = seed});
-       }},
-      {"UCB-N",
-       [](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-         return std::make_unique<UcbN>(UcbNOptions{.seed = seed});
-       }},
-      {"MOSS",
-       [&](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-         return std::make_unique<Moss>(
-             MossOptions{.horizon = options.runner.horizon, .seed = seed});
-       }},
-  };
+      {"DFL-SSO", "dfl-sso"}, {"UCB-N", "ucb-n"}, {"MOSS", "moss"}};
 
-  std::cout << "\nmissed transmission opportunities over "
-            << options.runner.horizon << " slots:\n";
+  std::cout << "\nmissed transmission opportunities over " << kHorizon
+            << " slots:\n";
   for (const auto& entry : policies) {
-    const auto result = run_replicated_single(entry.factory, instance,
-                                              Scenario::kSso, options);
+    exp::JobAggregate result(grid);
+    exp::run_job_replications(
+        entry.policy, Scenario::kSso, kHorizon, kSeed, built, grid,
+        exp::plan_shards(kReplications, kHorizon), run_options,
+        [&result](exp::RepSample&& s) { result.add_rep(s); });
     std::cout << "  " << std::setw(8) << std::left << entry.name << std::right
               << " cumulative regret = " << std::setw(8)
-              << result.final_cumulative.mean() << "  (R_n/n = "
-              << result.final_cumulative.mean() /
-                     static_cast<double>(options.runner.horizon)
+              << result.final_cumulative().mean() << "  (R_n/n = "
+              << result.final_cumulative().mean() /
+                     static_cast<double>(kHorizon)
               << ")\n";
   }
   std::cout << "\nfree adjacent-channel sensing (DFL-SSO, UCB-N) beats "

@@ -11,73 +11,71 @@
 // against CUCB (which ignores the influence structure entirely).
 #include <iostream>
 
-#include "core/cucb.hpp"
-#include "core/dfl_csr.hpp"
+#include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
-#include "sim/replication.hpp"
+#include "util/arg_parse.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ncb;
+  parse_flags(argc, argv, {});  // takes no flags
 
   // 24 users, preferential attachment (hubs exist), seed M = 2 per week.
   Xoshiro256 rng(1503);
   auto graph = std::make_shared<const Graph>(barabasi_albert(24, 2, rng));
   std::cout << "social graph: " << compute_metrics(*graph).to_string() << '\n';
 
-  BanditInstance instance = random_bernoulli_instance(*graph, rng, 0.05, 0.6);
-  const auto family =
-      std::make_shared<const FeasibleSet>(make_subset_family(graph, 2));
-  std::cout << "|F| = " << family->size() << " seed sets, N = max|Y_x| = "
-            << family->max_neighborhood_size() << '\n';
+  const exp::InstanceCache::Entry built{
+      std::make_shared<const BanditInstance>(
+          random_bernoulli_instance(*graph, rng, 0.05, 0.6)),
+      std::make_shared<const FeasibleSet>(make_subset_family(graph, 2))};
+  const BanditInstance& instance = *built.instance;
+  const FeasibleSet& family = *built.family;
+  std::cout << "|F| = " << family.size() << " seed sets, N = max|Y_x| = "
+            << family.max_neighborhood_size() << '\n';
 
   // Ground truth for orientation: the best seed set under CSR.
-  const StrategyId best = optimal_strategy(instance, Scenario::kCsr, *family);
+  const StrategyId best = optimal_strategy(instance, Scenario::kCsr, family);
   std::cout << "optimal seeds: {";
-  for (std::size_t i = 0; i < family->strategy(best).size(); ++i) {
+  for (std::size_t i = 0; i < family.strategy(best).size(); ++i) {
     if (i) std::cout << ',';
-    std::cout << family->strategy(best)[i];
+    std::cout << family.strategy(best)[i];
   }
   std::cout << "} with sigma* = "
-            << instance.strategy_mean(family->neighborhood(best))
+            << instance.strategy_mean(family.neighborhood(best))
             << " expected purchases/week\n\n";
 
-  ReplicationOptions options;
-  options.replications = 10;
-  options.runner.horizon = 8000;
+  // 10 replications of 8000 weeks per policy, sampled at the horizon
+  // alone: only the final regret R_n is reported.
+  constexpr std::size_t kReplications = 10;
+  constexpr TimeSlot kHorizon = 8000;
+  constexpr std::uint64_t kSeed = 20170605;
   ThreadPool pool;
-  options.pool = &pool;
+  exp::SweepRunOptions run_options;
+  run_options.pool = &pool;
+  const std::vector<TimeSlot> grid = exp::checkpoint_grid(kHorizon, 1);
 
   struct Entry {
     std::string label;
-    CombinatorialPolicyFactory factory;
+    std::string policy;  ///< Registry spec.
   };
   const std::vector<Entry> entries{
-      {"DFL-CSR (exact oracle)",
-       [&](std::uint64_t s) -> std::unique_ptr<CombinatorialPolicy> {
-         return std::make_unique<DflCsr>(family, nullptr,
-                                         DflCsrOptions{.seed = s});
-       }},
-      {"DFL-CSR (lazy greedy) ",
-       [&](std::uint64_t s) -> std::unique_ptr<CombinatorialPolicy> {
-         return std::make_unique<DflCsr>(
-             family, std::make_shared<const GreedyCoverageOracle>(),
-             DflCsrOptions{.seed = s});
-       }},
-      {"CUCB (no influence)   ",
-       [&](std::uint64_t s) -> std::unique_ptr<CombinatorialPolicy> {
-         return std::make_unique<Cucb>(family, CucbOptions{.seed = s});
-       }},
+      {"DFL-CSR (exact oracle)", "dfl-csr"},
+      {"DFL-CSR (lazy greedy) ", "dfl-csr-greedy"},
+      {"CUCB (no influence)   ", "cucb"},
   };
 
-  std::cout << "cumulative missed purchases over " << options.runner.horizon
+  std::cout << "cumulative missed purchases over " << kHorizon
             << " weeks (regret vs sigma*):\n";
   for (const auto& entry : entries) {
-    const auto result = run_replicated_combinatorial(
-        entry.factory, instance, *family, Scenario::kCsr, options);
+    exp::JobAggregate result(grid);
+    exp::run_job_replications(
+        entry.policy, Scenario::kCsr, kHorizon, kSeed, built, grid,
+        exp::plan_shards(kReplications, kHorizon), run_options,
+        [&result](exp::RepSample&& s) { result.add_rep(s); });
     std::cout << "  " << entry.label << " : "
-              << result.final_cumulative.mean() << " (+/-"
-              << result.final_cumulative.ci95_halfwidth() << ")\n";
+              << result.final_cumulative().mean() << " (+/-"
+              << result.final_cumulative().ci95_halfwidth() << ")\n";
   }
   std::cout << "\nCUCB maximizes the seeds' own conversions and ignores the "
                "network;\nDFL-CSR covers the high-value neighborhoods.\n";

@@ -115,7 +115,12 @@ std::vector<std::string> split_panel(const std::string& text) {
 
 int main(int argc, char** argv) {
   try {
-    const ArgParse args(argc, argv);
+    const ArgParse args = parse_flags(
+        argc, argv,
+        {"arms", "edge-prob", "epsilon", "family-param", "graph", "help",
+         "horizon", "listen", "log", "logging-policy", "metrics-out", "out",
+         "policies", "port-file", "seed", "worker-connect", "worker-fd",
+         "workers"});
     if (args.has("help")) return usage(args.program().c_str());
 
     // Internal worker modes: everything (graph config, event stream,

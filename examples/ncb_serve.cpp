@@ -167,7 +167,11 @@ int inspect_log(const std::string& path) {
 
 int main(int argc, char** argv) {
   try {
-    const ArgParse args(argc, argv);
+    const ArgParse args = parse_flags(
+        argc, argv,
+        {"arms", "backlog", "drain-ms", "edge-prob", "epsilon", "family-param",
+         "flush-bytes", "flush-ms", "graph", "help", "horizon", "inspect-log",
+         "log", "metrics-interval-ms", "metrics-out", "policy", "seed", "socket"});
     if (args.has("help")) return usage(args.program().c_str());
     if (args.has("inspect-log")) {
       return inspect_log(args.get_string("inspect-log", ""));

@@ -168,7 +168,10 @@ std::string encode_feedback_frame(std::uint64_t decision_id, double reward) {
 
 int main(int argc, char** argv) {
   try {
-    const ArgParse args(argc, argv);
+    const ArgParse args = parse_flags(
+        argc, argv,
+        {"arms", "connections", "dump", "edge-prob", "family-param", "graph",
+         "help", "keys", "lockstep", "requests", "seed", "socket"});
     if (args.has("help")) return usage(args.program().c_str());
     const std::string socket_path = args.get_string("socket", "");
     const auto requests = args.get_int("requests", 0);

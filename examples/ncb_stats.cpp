@@ -133,7 +133,9 @@ void print_pretty(const dist::StatsReplyMsg& reply,
 
 int main(int argc, char** argv) {
   try {
-    const ArgParse args(argc, argv);
+    const ArgParse args = parse_flags(
+        argc, argv,
+        {"help", "interval-ms", "raw", "socket", "watch"});
     if (args.has("help")) return usage(args.program().c_str());
     const std::string socket_path = args.get_string("socket", "");
     if (socket_path.empty()) return usage(args.program().c_str());

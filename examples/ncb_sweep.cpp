@@ -142,7 +142,11 @@ int print_dry_run(const SweepSpec& spec, const std::vector<SweepJob>& jobs,
 
 int main(int argc, char** argv) {
   try {
-    const ArgParse args(argc, argv);
+    const ArgParse args = parse_flags(
+        argc, argv,
+        {"csv", "dry-run", "help", "list", "list-policies", "listen",
+         "max-jobs", "metrics-out", "out", "port-file", "resume", "shard-size",
+         "spec", "threads", "worker-connect", "worker-fd", "workers"});
     if (args.has("help")) return usage(args.program().c_str());
 
     // Internal worker mode: exec'd by a coordinator with an inherited

@@ -13,9 +13,11 @@
 #include "env/environment.hpp"
 #include "graph/generators.hpp"
 #include "sim/runner.hpp"
+#include "util/arg_parse.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ncb;
+  parse_flags(argc, argv, {});  // takes no flags
 
   // 1. A random relation graph over 20 arms: an edge means "pulling one arm
   //    also reveals the other's reward this slot".

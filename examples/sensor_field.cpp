@@ -11,13 +11,13 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/dfl_sso.hpp"
-#include "core/ucb1.hpp"
+#include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
-#include "sim/replication.hpp"
+#include "util/arg_parse.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ncb;
+  parse_flags(argc, argv, {});  // takes no flags
 
   constexpr std::size_t kRows = 8;
   constexpr std::size_t kCols = 6;
@@ -33,41 +33,41 @@ int main() {
       detect[r * kCols + c] = std::max(0.05, 0.9 - 0.12 * dist);
     }
   }
-  BanditInstance instance = bernoulli_instance(graph, detect);
-  std::cout << "hot-spot sensor: " << instance.best_arm()
-            << " (detects " << instance.best_mean() * 100 << "% of events)\n";
+  const exp::InstanceCache::Entry built{
+      std::make_shared<const BanditInstance>(bernoulli_instance(graph, detect)),
+      nullptr};
+  std::cout << "hot-spot sensor: " << built.instance->best_arm()
+            << " (detects " << built.instance->best_mean() * 100
+            << "% of events)\n";
 
-  ReplicationOptions options;
-  options.replications = 12;
-  options.runner.horizon = 6000;
+  // 12 replications of 6000 rounds per policy, sampled at the horizon
+  // alone: only the final regret R_n is reported.
+  constexpr std::size_t kReplications = 12;
+  constexpr TimeSlot kHorizon = 6000;
+  constexpr std::uint64_t kSeed = 20170605;
   ThreadPool pool;
-  options.pool = &pool;
+  exp::SweepRunOptions run_options;
+  run_options.pool = &pool;
+  const std::vector<TimeSlot> grid = exp::checkpoint_grid(kHorizon, 1);
 
   struct Entry {
     std::string name;
-    SinglePolicyFactory factory;
+    std::string policy;  ///< Registry spec.
   };
-  const std::vector<Entry> policies{
-      {"DFL-SSO",
-       [](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-         return std::make_unique<DflSso>(DflSsoOptions{.seed = seed});
-       }},
-      {"UCB1",
-       [](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-         return std::make_unique<Ucb1>(Ucb1Options{.seed = seed});
-       }},
-  };
+  const std::vector<Entry> policies{{"DFL-SSO", "dfl-sso"}, {"UCB1", "ucb1"}};
 
-  std::cout << "\nmissed detections over " << options.runner.horizon
-            << " query rounds:\n";
+  std::cout << "\nmissed detections over " << kHorizon << " query rounds:\n";
   for (const auto& entry : policies) {
-    const auto result = run_replicated_single(entry.factory, instance,
-                                              Scenario::kSso, options);
+    exp::JobAggregate result(grid);
+    exp::run_job_replications(
+        entry.policy, Scenario::kSso, kHorizon, kSeed, built, grid,
+        exp::plan_shards(kReplications, kHorizon), run_options,
+        [&result](exp::RepSample&& s) { result.add_rep(s); });
     std::cout << "  " << std::setw(8) << std::left << entry.name << std::right
               << " cumulative regret = " << std::setw(8)
-              << result.final_cumulative.mean() << "  (R_n/n = "
-              << result.final_cumulative.mean() /
-                     static_cast<double>(options.runner.horizon)
+              << result.final_cumulative().mean() << "  (R_n/n = "
+              << result.final_cumulative().mean() /
+                     static_cast<double>(kHorizon)
               << ")\n";
   }
   std::cout << "\noverheard neighbor broadcasts localize the hot spot with "

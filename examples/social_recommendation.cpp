@@ -10,14 +10,14 @@
 // social networks); DFL-SSR (Algorithm 3) learns where to seed promotions.
 #include <iostream>
 
-#include "core/dfl_ssr.hpp"
-#include "core/moss.hpp"
+#include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
-#include "sim/replication.hpp"
+#include "util/arg_parse.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ncb;
+  parse_flags(argc, argv, {});  // takes no flags
 
   // 60 users, preferential attachment: a few hubs, many leaves.
   Xoshiro256 rng(2017);
@@ -26,8 +26,11 @@ int main() {
             << '\n';
 
   // Conversion probabilities uniform in [0, 0.5].
-  BanditInstance instance =
-      random_bernoulli_instance(std::move(graph), rng, 0.0, 0.5);
+  const exp::InstanceCache::Entry built{
+      std::make_shared<const BanditInstance>(
+          random_bernoulli_instance(std::move(graph), rng, 0.0, 0.5)),
+      nullptr};
+  const BanditInstance& instance = *built.instance;
   std::cout << "best individual converter: user " << instance.best_arm()
             << " (mu = " << instance.best_mean() << ")\n"
             << "best neighborhood seed:    user "
@@ -35,36 +38,38 @@ int main() {
             << " (u = " << instance.best_side_reward_mean()
             << " expected purchases/slot)\n";
 
-  ReplicationOptions options;
-  options.replications = 10;
-  options.runner.horizon = 10000;
+  // 10 replications of 10000 campaigns per policy, sampled at the horizon
+  // alone: only the final regret R_n is reported.
+  constexpr std::size_t kReplications = 10;
+  constexpr TimeSlot kHorizon = 10000;
+  constexpr std::uint64_t kSeed = 20170605;
   ThreadPool pool;
-  options.pool = &pool;
+  exp::SweepRunOptions run_options;
+  run_options.pool = &pool;
+  const std::vector<TimeSlot> grid = exp::checkpoint_grid(kHorizon, 1);
+  const auto final_regret = [&](const std::string& policy) {
+    exp::JobAggregate aggregate(grid);
+    exp::run_job_replications(
+        policy, Scenario::kSsr, kHorizon, kSeed, built, grid,
+        exp::plan_shards(kReplications, kHorizon), run_options,
+        [&aggregate](exp::RepSample&& s) { aggregate.add_rep(s); });
+    return aggregate.final_cumulative();
+  };
 
-  // DFL-SSR targets neighborhood value; MOSS chases individual conversions
-  // and is structurally blind to the hub effect (run under the same SSR
-  // payout to make the comparison fair).
-  const auto ssr = run_replicated_single(
-      [](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-        return std::make_unique<DflSsr>(DflSsrOptions{.seed = seed});
-      },
-      instance, Scenario::kSsr, options);
-  const auto moss = run_replicated_single(
-      [&](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-        return std::make_unique<Moss>(
-            MossOptions{.horizon = options.runner.horizon, .seed = seed});
-      },
-      instance, Scenario::kSsr, options);
+  // DFL-SSR targets neighborhood value; MOSS (told the horizon) chases
+  // individual conversions and is structurally blind to the hub effect
+  // (run under the same SSR payout to make the comparison fair).
+  const RunningStat ssr = final_regret("dfl-ssr");
+  const RunningStat moss = final_regret("moss");
 
-  std::cout << "cumulative missed purchases after "
-            << options.runner.horizon << " campaigns:\n"
-            << "  DFL-SSR (targets u_i):  " << ssr.final_cumulative.mean()
-            << " (+/-" << ssr.final_cumulative.ci95_halfwidth() << ")\n"
-            << "  MOSS    (targets mu_i): " << moss.final_cumulative.mean()
-            << " (+/-" << moss.final_cumulative.ci95_halfwidth() << ")\n"
+  std::cout << "cumulative missed purchases after " << kHorizon
+            << " campaigns:\n"
+            << "  DFL-SSR (targets u_i):  " << ssr.mean() << " (+/-"
+            << ssr.ci95_halfwidth() << ")\n"
+            << "  MOSS    (targets mu_i): " << moss.mean() << " (+/-"
+            << moss.ci95_halfwidth() << ")\n"
             << "average regret per campaign (DFL-SSR): "
-            << ssr.final_cumulative.mean() /
-                   static_cast<double>(options.runner.horizon)
+            << ssr.mean() / static_cast<double>(kHorizon)
             << " -> approaches 0 (zero-regret)\n";
   return 0;
 }

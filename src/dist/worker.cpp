@@ -151,15 +151,16 @@ int run_worker(const WorkerOptions& options) {
         (plan.replications + pool.num_threads() - 1) / pool.num_threads();
     exp::SweepRunOptions run_options;
     run_options.pool = &pool;
-    run_options.instance_cache = &cache;
+    const exp::SweepJob& job = assign.job;
     JobResultMsg result;
-    result.key = assign.job.key;
+    result.key = job.key;
     result.rep_begin = assign.rep_begin;
     result.rep_end = assign.rep_end;
     result.samples.reserve(plan.replications);
     exp::run_job_replications(
-        assign.job,
-        exp::checkpoint_grid(assign.job.config.horizon,
+        job.policy, job.scenario, job.config.horizon, job.config.seed,
+        cache.get(job.config, is_combinatorial(job.scenario)),
+        exp::checkpoint_grid(job.config.horizon,
                              static_cast<std::size_t>(assign.checkpoints)),
         plan, run_options, [&result](exp::RepSample&& sample) {
           result.samples.push_back(std::move(sample));

@@ -1,5 +1,5 @@
-// The replication driver: the one loop behind every replicated result —
-// sweep jobs (exp/sweep_runner.hpp) and run_replicated_* (sim/replication.hpp).
+// The replication driver: the one loop behind every replicated result,
+// reached through exp::run_job_replications (exp/sweep_runner.hpp).
 //
 // Replication r seeds its environment with derive_seed_at(seed, 2r) and its
 // policy with derive_seed_at(seed, 2r + 1) (util/rng.hpp), so its run does

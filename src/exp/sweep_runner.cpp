@@ -3,6 +3,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/policy_registry.hpp"
@@ -47,33 +48,34 @@ const InstanceCache::Entry& InstanceCache::get(const ExperimentConfig& config,
   return entry_;
 }
 
-void run_job_replications(const SweepJob& job,
+void run_job_replications(const std::string& policy, Scenario scenario,
+                          TimeSlot horizon, std::uint64_t seed,
+                          const InstanceCache::Entry& built,
                           const std::vector<TimeSlot>& grid,
                           const ShardPlan& plan, const SweepRunOptions& options,
                           const std::function<void(RepSample&&)>& fold) {
-  const ExperimentConfig& config = job.config;
-  const bool combinatorial = is_combinatorial(job.scenario);
-  InstanceCache local_cache;
-  InstanceCache& cache =
-      options.instance_cache ? *options.instance_cache : local_cache;
-  const InstanceCache::Entry& built = cache.get(config, combinatorial);
+  const bool combinatorial = is_combinatorial(scenario);
   const std::shared_ptr<const FeasibleSet>& family = built.family;
+  if (combinatorial && family == nullptr) {
+    throw std::invalid_argument(
+        "run_job_replications: a combinatorial scenario needs a family");
+  }
 
   RunnerOptions runner;
-  runner.horizon = config.horizon;
+  runner.horizon = horizon;
   // Each run is sampled on its worker, so only RepSamples ever park.
   run_replications(
-      plan, built.instance, config.seed, options.pool, options.should_stop,
+      plan, built.instance, seed, options.pool, options.should_stop,
       [&](Environment& env, std::uint64_t policy_seed) {
         RunResult run;
         if (combinatorial) {
-          const auto policy = PolicyRegistry::instance().make_combinatorial(
-              job.policy, family, policy_seed);
-          run = run_combinatorial(*policy, *family, env, job.scenario, runner);
+          const auto learner = PolicyRegistry::instance().make_combinatorial(
+              policy, family, policy_seed);
+          run = run_combinatorial(*learner, *family, env, scenario, runner);
         } else {
-          const auto policy = PolicyRegistry::instance().make_single_play(
-              job.policy, config.horizon, policy_seed);
-          run = run_single_play(*policy, env, job.scenario, runner);
+          const auto learner = PolicyRegistry::instance().make_single_play(
+              policy, horizon, policy_seed);
+          run = run_single_play(*learner, env, scenario, runner);
         }
         return sample_run(run, grid);
       },
@@ -93,9 +95,13 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
   outcome.aggregate = JobAggregate(grid);
   // A cancelled shard leaves the job short; it is then reported incomplete
   // and dropped, so partial aggregates never reach an emitter.
-  run_job_replications(job, grid, plan, options, [&outcome](RepSample&& s) {
-    outcome.aggregate.add_rep(s);
-  });
+  InstanceCache local_cache;
+  InstanceCache& cache =
+      options.instance_cache ? *options.instance_cache : local_cache;
+  run_job_replications(
+      job.policy, job.scenario, config.horizon, config.seed,
+      cache.get(config, is_combinatorial(job.scenario)), grid, plan, options,
+      [&outcome](RepSample&& s) { outcome.aggregate.add_rep(s); });
 
   outcome.shards = plan.num_shards();
   outcome.shard_size = plan.shard_size;

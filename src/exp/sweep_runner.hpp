@@ -6,9 +6,8 @@
 // Determinism contract: a job's aggregate (and therefore the emitted JSON)
 // is bit-identical for any thread count and any shard size, because every
 // replication draws counter-based seeds and the loop folds the samples in
-// global replication order — the same contract, from the same loop, as
-// run_replicated_*. Timing is collected separately and never enters the
-// deterministic records.
+// global replication order. Timing is collected separately and never
+// enters the deterministic records.
 #pragma once
 
 #include <functional>
@@ -99,19 +98,25 @@ struct SweepResult {
   std::map<std::string, RunningStat> policy_seconds;
 };
 
-/// Runs the replications `plan` covers of `job` over its instance (and
-/// family when combinatorial) from `options.instance_cache`, samples each
-/// run on `grid` on its worker thread, and hands every sample to `fold` in
-/// replication order. Uses options.pool and options.should_stop only. The
-/// in-process job below and a distributed worker's shard both run here.
-void run_job_replications(const SweepJob& job,
+/// The one entry point for a replicated run: runs the replications `plan`
+/// covers of `policy` (a registry spec) under `scenario` for `horizon`
+/// slots on `built` — its instance, and its family when `scenario` is
+/// combinatorial — with replication r seeded from `seed` as in
+/// exp::run_replications. Samples each run on `grid` on its worker thread
+/// and hands every sample to `fold` in replication order. Uses
+/// options.pool and options.should_stop only. The in-process job below, a
+/// distributed worker's shard and the domain examples all run here.
+void run_job_replications(const std::string& policy, Scenario scenario,
+                          TimeSlot horizon, std::uint64_t seed,
+                          const InstanceCache::Entry& built,
                           const std::vector<TimeSlot>& grid,
                           const ShardPlan& plan, const SweepRunOptions& options,
                           const std::function<void(RepSample&&)>& fold);
 
-/// Runs one expanded job: builds the instance (and family when
-/// combinatorial), shards its replications, and aggregates at the job's
-/// checkpoint grid (`checkpoints` as in SweepSpec, 0 = dense).
+/// Runs one expanded job: looks its instance (and family when
+/// combinatorial) up in options.instance_cache, shards its replications,
+/// and aggregates at the job's checkpoint grid (`checkpoints` as in
+/// SweepSpec, 0 = dense).
 [[nodiscard]] JobOutcome run_sweep_job(const SweepJob& job,
                                        std::size_t checkpoints,
                                        const SweepRunOptions& options);

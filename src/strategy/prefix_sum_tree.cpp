@@ -39,8 +39,11 @@ PrefixSumTree::PrefixSumTree(const std::vector<ArmSet>& rows)
   }
 }
 
-std::size_t PrefixSumTree::argmax(const double* scores,
-                                  std::vector<double>& scratch) const {
+// The CSO/CSR oracles' hot loop. Its speed moved 20-30% with where the
+// function fell within a 64-byte line, which any unrelated change to the
+// binary's code size shifts, so the function is pinned to a line start.
+__attribute__((aligned(64))) std::size_t PrefixSumTree::argmax(
+    const double* scores, std::vector<double>& scratch) const {
   if (scratch.size() < nodes_.size()) scratch.resize(nodes_.size());
   double* value = scratch.data();
   value[0] = 0.0;

@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cmath>
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace ncb {
@@ -78,11 +80,31 @@ double ArgParse::get_double(const std::string& name, double fallback) const {
   return parsed;
 }
 
+void ArgParse::require_known(const std::vector<std::string>& known) const {
+  for (const auto& flag : flags_) {
+    if (std::find(known.begin(), known.end(), flag.first) == known.end()) {
+      throw std::invalid_argument("unknown flag --" + flag.first);
+    }
+  }
+}
+
 bool ArgParse::get_bool(const std::string& name, bool fallback) const {
   const auto v = raw(name);
   if (!v) return fallback;
   if (v->empty() || *v == "true" || *v == "1" || *v == "yes") return true;
   return false;
+}
+
+ArgParse parse_flags(int argc, const char* const* argv,
+                     const std::vector<std::string>& known) {
+  ArgParse args(argc, argv);
+  try {
+    args.require_known(known);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << args.program() << ": error: " << e.what() << '\n';
+    std::exit(2);
+  }
+  return args;
 }
 
 }  // namespace ncb

@@ -1,8 +1,8 @@
 // Tiny command-line flag parser for the bench and example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--flag` forms.
-// Unknown flags are collected so binaries can forward them (e.g. to
-// google-benchmark).
+// Each main declares the flags it reads (parse_flags), so a misspelled or
+// retired flag is an error rather than silently ignored.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +40,10 @@ class ArgParse {
   /// Program name (argv[0]).
   [[nodiscard]] const std::string& program() const noexcept { return program_; }
 
+  /// Throws std::invalid_argument ("unknown flag --name") for the first
+  /// flag, in name order, that `known` does not list.
+  void require_known(const std::vector<std::string>& known) const;
+
  private:
   [[nodiscard]] std::optional<std::string> raw(const std::string& name) const;
 
@@ -47,5 +51,11 @@ class ArgParse {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// A main's flag parse: the ArgParse of argv, accepting only the `known`
+/// flags. On any other flag it prints "<program>: error: unknown flag
+/// --<name>" to stderr and exits with status 2.
+ArgParse parse_flags(int argc, const char* const* argv,
+                     const std::vector<std::string>& known);
 
 }  // namespace ncb

@@ -99,5 +99,22 @@ TEST(ArgParse, SubnormalDoubleAccepted) {
   EXPECT_LT(p, 1e-300);
 }
 
+TEST(ArgParse, UnknownFlagThrowsNamingIt) {
+  // Declared flags in every form pass; the first undeclared one, in name
+  // order, is named. Positional arguments are not flags.
+  const auto args = parse(
+      {"prog", "--spec", "a.sweep", "--dry-run", "--seed=3", "input.txt"});
+  EXPECT_NO_THROW(args.require_known({"dry-run", "seed", "spec"}));
+  try {
+    args.require_known({"spec"});
+    FAIL() << "an undeclared flag passed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --dry-run");
+  }
+  EXPECT_THROW(parse({"prog", "--bogus-flag", "3"}).require_known({}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse({"prog", "input.txt"}).require_known({}));
+}
+
 }  // namespace
 }  // namespace ncb

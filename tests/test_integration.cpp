@@ -30,8 +30,8 @@
 #include "graph/clique_cover.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "sequential_reference.hpp"
 #include "sim/experiment.hpp"
-#include "sim/replication.hpp"
 #include "strategy/strategy_graph.hpp"
 #include "theory/bounds.hpp"
 
@@ -43,36 +43,52 @@ BanditInstance er_instance(std::size_t k, double p, std::uint64_t seed) {
   return random_bernoulli_instance(erdos_renyi(k, p, rng), rng);
 }
 
-ReplicationOptions opts(std::size_t reps, TimeSlot horizon) {
-  ReplicationOptions o;
-  o.replications = reps;
-  o.master_seed = 777;
-  o.runner.horizon = horizon;
-  return o;
+constexpr std::uint64_t kSeed = 777;
+
+/// `policy` replicated `reps` times on `instance` through
+/// exp::run_job_replications, aggregated on the dense grid 1..n.
+exp::JobAggregate replicate(const std::string& policy,
+                            const BanditInstance& instance, Scenario scenario,
+                            std::size_t reps, TimeSlot n) {
+  const std::vector<TimeSlot> grid = exp::checkpoint_grid(n, 0);
+  exp::JobAggregate aggregate(grid);
+  exp::run_job_replications(
+      policy, scenario, n, kSeed,
+      {std::make_shared<const BanditInstance>(instance), nullptr}, grid,
+      exp::plan_shards(reps, n), {},
+      [&aggregate](exp::RepSample&& s) { aggregate.add_rep(s); });
+  return aggregate;
 }
 
-SinglePolicyFactory named_factory(const std::string& name, TimeSlot horizon) {
-  return [name, horizon](std::uint64_t seed) {
-    return PolicyRegistry::instance().make_single_play(name, horizon, seed);
-  };
+/// Final cumulative regret R_n of `policy` replicated on `instance`.
+RunningStat final_regret(const std::string& policy,
+                         const BanditInstance& instance, Scenario scenario,
+                         std::size_t reps, TimeSlot n) {
+  return replicate(policy, instance, scenario, reps, n).final_cumulative();
 }
 
-/// A combinatorial policy replicated on `config`'s instance and family.
-ReplicatedResult run_combinatorial(const ExperimentConfig& config,
-                                   const std::string& policy,
-                                   Scenario scenario) {
-  const BanditInstance instance = build_instance(config);
-  const auto family = build_family(config, instance.graph());
-  ReplicationOptions options;
-  options.replications = config.replications;
-  options.master_seed = config.seed;
-  options.runner.horizon = config.horizon;
-  return run_replicated_combinatorial(
-      [&](std::uint64_t seed) {
-        return PolicyRegistry::instance().make_combinatorial(policy, family,
-                                                             seed);
-      },
-      instance, *family, scenario, options);
+/// Mean per-slot pseudo-regret of `policy` replicated on `instance`.
+std::vector<double> pseudo_regret(const std::string& policy,
+                                  const BanditInstance& instance,
+                                  Scenario scenario, std::size_t reps,
+                                  TimeSlot n) {
+  return replicate_sequentially(
+             policy, scenario, n, kSeed, reps,
+             std::make_shared<const BanditInstance>(instance))
+      .pseudo.means();
+}
+
+/// Mean per-slot pseudo-regret of a combinatorial policy replicated on
+/// `config`'s instance and family.
+std::vector<double> combinatorial_pseudo_regret(const ExperimentConfig& config,
+                                                const std::string& policy,
+                                                Scenario scenario) {
+  const auto instance =
+      std::make_shared<const BanditInstance>(build_instance(config));
+  return replicate_sequentially(policy, scenario, config.horizon, config.seed,
+                                config.replications, instance,
+                                build_family(config, instance->graph()))
+      .pseudo.means();
 }
 
 double tail_mean(const std::vector<double>& series, std::size_t window) {
@@ -87,11 +103,9 @@ TEST(Integration, DflSsoBeatsMossOnConnectedGraph) {
   // Fig. 3's claim on a reduced instance: K = 30, n = 3000.
   const auto inst = er_instance(30, 0.3, 11);
   const TimeSlot n = 3000;
-  const auto sso = run_replicated_single(named_factory("dfl-sso", n), inst,
-                                         Scenario::kSso, opts(10, n));
-  const auto moss = run_replicated_single(named_factory("moss", n), inst,
-                                          Scenario::kSso, opts(10, n));
-  EXPECT_LT(sso.final_cumulative.mean(), moss.final_cumulative.mean());
+  const auto sso = final_regret("dfl-sso", inst, Scenario::kSso, 10, n);
+  const auto moss = final_regret("moss", inst, Scenario::kSso, 10, n);
+  EXPECT_LT(sso.mean(), moss.mean());
 }
 
 TEST(Integration, DflSsoEqualsMossShapeOnEmptyGraph) {
@@ -99,12 +113,9 @@ TEST(Integration, DflSsoEqualsMossShapeOnEmptyGraph) {
   // policies should end with comparable cumulative regret (within 2x).
   const auto inst = er_instance(10, 0.0, 13);
   const TimeSlot n = 2000;
-  const auto sso = run_replicated_single(named_factory("dfl-sso", n), inst,
-                                         Scenario::kSso, opts(10, n));
-  const auto moss = run_replicated_single(named_factory("moss-anytime", n),
-                                          inst, Scenario::kSso, opts(10, n));
-  const double a = sso.final_cumulative.mean();
-  const double b = moss.final_cumulative.mean();
+  const double a = final_regret("dfl-sso", inst, Scenario::kSso, 10, n).mean();
+  const double b =
+      final_regret("moss-anytime", inst, Scenario::kSso, 10, n).mean();
   EXPECT_LT(a, 2.0 * b + 50.0);
   EXPECT_LT(b, 2.0 * a + 50.0);
 }
@@ -113,19 +124,17 @@ TEST(Integration, DflSsoZeroRegretTrend) {
   // R_t/t must shrink substantially from t = 100 to t = n.
   const auto inst = er_instance(20, 0.3, 17);
   const TimeSlot n = 4000;
-  const auto result = run_replicated_single(named_factory("dfl-sso", n), inst,
-                                            Scenario::kSso, opts(10, n));
-  const auto avg = result.average_regret();
-  EXPECT_LT(avg.back(), 0.5 * avg[99]);
+  const auto cumulative =
+      replicate("dfl-sso", inst, Scenario::kSso, 10, n).cumulative().means();
+  EXPECT_LT(cumulative.back() / static_cast<double>(n),
+            0.5 * (cumulative[99] / 100.0));
 }
 
 TEST(Integration, DflSsrConvergesToZeroPerSlotRegret) {
   // Fig. 5's claim: expected regret → 0.
   const auto inst = er_instance(15, 0.3, 19);
   const TimeSlot n = 4000;
-  const auto result = run_replicated_single(named_factory("dfl-ssr", n), inst,
-                                            Scenario::kSsr, opts(10, n));
-  const auto pseudo = result.per_slot_pseudo_regret.means();
+  const auto pseudo = pseudo_regret("dfl-ssr", inst, Scenario::kSsr, 10, n);
   EXPECT_LT(tail_mean(pseudo, 200), 0.15);
 }
 
@@ -137,8 +146,8 @@ TEST(Integration, DflCsoConvergesOnDenseGraph) {
   c.horizon = 3000;
   c.replications = 6;
   c.strategy_size = 2;
-  const auto result = run_combinatorial(c, "dfl-cso", Scenario::kCso);
-  const auto pseudo = result.per_slot_pseudo_regret.means();
+  const auto pseudo =
+      combinatorial_pseudo_regret(c, "dfl-cso", Scenario::kCso);
   EXPECT_LT(tail_mean(pseudo, 150), 0.2);
 }
 
@@ -150,21 +159,18 @@ TEST(Integration, DflCsrConvergesToZeroPerSlotRegret) {
   c.horizon = 3000;
   c.replications = 6;
   c.strategy_size = 2;
-  const auto result = run_combinatorial(c, "dfl-csr", Scenario::kCsr);
-  const auto pseudo = result.per_slot_pseudo_regret.means();
+  const auto pseudo =
+      combinatorial_pseudo_regret(c, "dfl-csr", Scenario::kCsr);
   EXPECT_LT(tail_mean(pseudo, 150), 0.25);
 }
 
 TEST(Integration, SidePoliciesBeatRandom) {
   const auto inst = er_instance(15, 0.4, 23);
   const TimeSlot n = 2000;
-  const auto random = run_replicated_single(named_factory("random", n), inst,
-                                            Scenario::kSso, opts(6, n));
+  const auto random = final_regret("random", inst, Scenario::kSso, 6, n);
   for (const char* name : {"dfl-sso", "ucb-n", "ucb1", "thompson"}) {
-    const auto result = run_replicated_single(named_factory(name, n), inst,
-                                              Scenario::kSso, opts(6, n));
-    EXPECT_LT(result.final_cumulative.mean(),
-              0.8 * random.final_cumulative.mean())
+    EXPECT_LT(final_regret(name, inst, Scenario::kSso, 6, n).mean(),
+              0.8 * random.mean())
         << name;
   }
 }
@@ -172,23 +178,19 @@ TEST(Integration, SidePoliciesBeatRandom) {
 TEST(Integration, UcbNBenefitsFromSideObservations) {
   const auto inst = er_instance(25, 0.4, 29);
   const TimeSlot n = 2500;
-  const auto ucb_n = run_replicated_single(named_factory("ucb-n", n), inst,
-                                           Scenario::kSso, opts(8, n));
-  const auto ucb1 = run_replicated_single(named_factory("ucb1", n), inst,
-                                          Scenario::kSso, opts(8, n));
-  EXPECT_LT(ucb_n.final_cumulative.mean(), ucb1.final_cumulative.mean());
+  const auto ucb_n = final_regret("ucb-n", inst, Scenario::kSso, 8, n);
+  const auto ucb1 = final_regret("ucb1", inst, Scenario::kSso, 8, n);
+  EXPECT_LT(ucb_n.mean(), ucb1.mean());
 }
 
 TEST(Integration, DenserGraphsHelpDflSso) {
   // Side observation grows with density; cumulative regret should drop.
   const TimeSlot n = 2500;
-  const auto sparse = run_replicated_single(
-      named_factory("dfl-sso", n), er_instance(30, 0.1, 31), Scenario::kSso,
-      opts(8, n));
-  const auto dense = run_replicated_single(
-      named_factory("dfl-sso", n), er_instance(30, 0.8, 31), Scenario::kSso,
-      opts(8, n));
-  EXPECT_LT(dense.final_cumulative.mean(), sparse.final_cumulative.mean());
+  const auto sparse = final_regret("dfl-sso", er_instance(30, 0.1, 31),
+                                   Scenario::kSso, 8, n);
+  const auto dense = final_regret("dfl-sso", er_instance(30, 0.8, 31),
+                                  Scenario::kSso, 8, n);
+  EXPECT_LT(dense.mean(), sparse.mean());
 }
 
 TEST(Integration, SsrOptimumDiffersFromSsoOptimum) {
@@ -199,9 +201,7 @@ TEST(Integration, SsrOptimumDiffersFromSsoOptimum) {
   ASSERT_EQ(inst.best_arm(), 1);
   ASSERT_EQ(inst.best_side_reward_arm(), 0);
   const TimeSlot n = 3000;
-  const auto result = run_replicated_single(named_factory("dfl-ssr", n), inst,
-                                            Scenario::kSsr, opts(6, n));
-  const auto pseudo = result.per_slot_pseudo_regret.means();
+  const auto pseudo = pseudo_regret("dfl-ssr", inst, Scenario::kSsr, 6, n);
   EXPECT_LT(tail_mean(pseudo, 100), 0.2);
 }
 

@@ -1,55 +1,57 @@
-#include "sim/replication.hpp"
-
+// The replicated-run entry point, exp::run_job_replications: its counts and
+// series lengths, its determinism over thread counts (and no pool at all),
+// its seed sensitivity, and its combinatorial path.
 #include <gtest/gtest.h>
 
-#include "core/dfl_cso.hpp"
-#include "core/dfl_sso.hpp"
-#include "core/moss.hpp"
-#include "core/policy_registry.hpp"
 #include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
+#include "sequential_reference.hpp"
 #include "sim/experiment.hpp"
 
 namespace ncb {
 namespace {
 
-BanditInstance small_instance() {
+constexpr std::uint64_t kSeed = 1234;
+
+exp::InstanceCache::Entry small_instance() {
   Xoshiro256 rng(42);
-  return random_bernoulli_instance(erdos_renyi(8, 0.4, rng), rng);
+  return {std::make_shared<const BanditInstance>(
+              random_bernoulli_instance(erdos_renyi(8, 0.4, rng), rng)),
+          nullptr};
 }
 
-ReplicationOptions quick_options(std::size_t reps, TimeSlot horizon,
-                                 ThreadPool* pool = nullptr) {
-  ReplicationOptions o;
-  o.replications = reps;
-  o.master_seed = 1234;
-  o.runner.horizon = horizon;
-  o.pool = pool;
-  return o;
-}
-
-SinglePolicyFactory sso_factory() {
-  return [](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
-    return std::make_unique<DflSso>(DflSsoOptions{.seed = seed});
-  };
+/// `policy` replicated on `built` through run_job_replications, aggregated
+/// on the dense grid 1..horizon.
+exp::JobAggregate replicate(const std::string& policy, Scenario scenario,
+                            const exp::InstanceCache::Entry& built,
+                            std::size_t reps, TimeSlot horizon,
+                            ThreadPool* pool = nullptr,
+                            std::uint64_t seed = kSeed) {
+  const std::vector<TimeSlot> grid = exp::checkpoint_grid(horizon, 0);
+  exp::JobAggregate aggregate(grid);
+  exp::SweepRunOptions options;
+  options.pool = pool;
+  exp::run_job_replications(
+      policy, scenario, horizon, seed, built, grid,
+      exp::plan_shards(reps, horizon), options,
+      [&aggregate](exp::RepSample&& s) { aggregate.add_rep(s); });
+  return aggregate;
 }
 
 TEST(Replication, CountsAndSeriesLengths) {
-  const auto inst = small_instance();
-  const auto result = run_replicated_single(sso_factory(), inst,
-                                            Scenario::kSso,
-                                            quick_options(5, 200));
-  EXPECT_EQ(result.replications, 5u);
-  EXPECT_EQ(result.per_slot_regret.length(), 200u);
-  EXPECT_EQ(result.cumulative_regret.length(), 200u);
-  EXPECT_EQ(result.final_cumulative.count(), 5u);
-  EXPECT_DOUBLE_EQ(result.optimal_per_slot, inst.best_mean());
+  const auto built = small_instance();
+  const auto result = replicate("dfl-sso", Scenario::kSso, built, 5, 200);
+  EXPECT_EQ(result.replications(), 5u);
+  EXPECT_EQ(result.expected().length(), 200u);
+  EXPECT_EQ(result.cumulative().length(), 200u);
+  EXPECT_EQ(result.final_cumulative().count(), 5u);
+  EXPECT_DOUBLE_EQ(result.optimal_per_slot(), built.instance->best_mean());
 }
 
-/// Every slot's mean and variance of all three series, plus the final
+/// Every slot's mean and variance of both series, plus the final
 /// cumulative regret, must match bit for bit (EXPECT_EQ, not NEAR).
-void expect_same_bits(const ReplicatedResult& a, const ReplicatedResult& b) {
-  ASSERT_EQ(a.replications, b.replications);
+void expect_same_bits(const exp::JobAggregate& a, const exp::JobAggregate& b) {
+  ASSERT_EQ(a.replications(), b.replications());
   const auto same_series = [](const SeriesStat& x, const SeriesStat& y,
                               const char* name) {
     ASSERT_EQ(x.length(), y.length()) << name;
@@ -59,26 +61,22 @@ void expect_same_bits(const ReplicatedResult& a, const ReplicatedResult& b) {
           << name << " slot " << i;
     }
   };
-  same_series(a.per_slot_regret, b.per_slot_regret, "per_slot_regret");
-  same_series(a.cumulative_regret, b.cumulative_regret, "cumulative_regret");
-  same_series(a.per_slot_pseudo_regret, b.per_slot_pseudo_regret,
-              "per_slot_pseudo_regret");
-  EXPECT_EQ(a.final_cumulative.count(), b.final_cumulative.count());
-  EXPECT_EQ(a.final_cumulative.mean(), b.final_cumulative.mean());
-  EXPECT_EQ(a.final_cumulative.variance(), b.final_cumulative.variance());
-  EXPECT_EQ(a.optimal_per_slot, b.optimal_per_slot);
+  same_series(a.expected(), b.expected(), "expected");
+  same_series(a.cumulative(), b.cumulative(), "cumulative");
+  EXPECT_EQ(a.final_cumulative().mean(), b.final_cumulative().mean());
+  EXPECT_EQ(a.final_cumulative().variance(), b.final_cumulative().variance());
+  EXPECT_EQ(a.optimal_per_slot(), b.optimal_per_slot());
 }
 
 TEST(Replication, DeterministicRegardlessOfThreads) {
-  const auto inst = small_instance();
-  const auto sequential = run_replicated_single(
-      sso_factory(), inst, Scenario::kSso, quick_options(12, 300));
+  // No pool runs the shards inline; a pool of any size must not move a bit.
+  const auto built = small_instance();
+  const auto sequential = replicate("dfl-sso", Scenario::kSso, built, 12, 300);
   for (const std::size_t threads : {1u, 3u, 4u}) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
-    const auto parallel = run_replicated_single(
-        sso_factory(), inst, Scenario::kSso, quick_options(12, 300, &pool));
-    expect_same_bits(sequential, parallel);
+    expect_same_bits(sequential, replicate("dfl-sso", Scenario::kSso, built,
+                                           12, 300, &pool));
   }
 }
 
@@ -94,17 +92,10 @@ TEST(Replication, RunSingleExperimentMatchesSequentialReplication) {
   spec.checkpoints = 0;
   const exp::SweepJob job = spec.expand().at(0);
   const ExperimentConfig& config = job.config;
-  const BanditInstance instance = build_instance(config);
-  ReplicationOptions options;
-  options.replications = config.replications;
-  options.master_seed = config.seed;
-  options.runner.horizon = config.horizon;
-  const auto sequential = run_replicated_single(
-      [&](std::uint64_t seed) {
-        return PolicyRegistry::instance().make_single_play(
-            "dfl-sso", config.horizon, seed);
-      },
-      instance, Scenario::kSso, options);
+  const SequentialReplications sequential = replicate_sequentially(
+      "dfl-sso", Scenario::kSso, config.horizon, config.seed,
+      config.replications,
+      std::make_shared<const BanditInstance>(build_instance(config)));
   ThreadPool pool(3);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     exp::SweepRunOptions run;
@@ -114,9 +105,9 @@ TEST(Replication, RunSingleExperimentMatchesSequentialReplication) {
     ASSERT_EQ(aggregate.expected().length(), 2000u);
     for (std::size_t i = 0; i < 2000; ++i) {
       EXPECT_EQ(aggregate.expected().at(i).mean(),
-                sequential.per_slot_regret.at(i).mean());
+                sequential.per_slot.at(i).mean());
       EXPECT_EQ(aggregate.cumulative().at(i).variance(),
-                sequential.cumulative_regret.at(i).variance());
+                sequential.cumulative.at(i).variance());
     }
     EXPECT_EQ(aggregate.final_cumulative().mean(),
               sequential.final_cumulative.mean());
@@ -126,59 +117,35 @@ TEST(Replication, RunSingleExperimentMatchesSequentialReplication) {
 }
 
 TEST(Replication, DifferentSeedsGiveDifferentResults) {
-  const auto inst = small_instance();
-  auto opts1 = quick_options(4, 200);
-  auto opts2 = quick_options(4, 200);
-  opts2.master_seed = 9999;
-  const auto r1 = run_replicated_single(sso_factory(), inst, Scenario::kSso, opts1);
-  const auto r2 = run_replicated_single(sso_factory(), inst, Scenario::kSso, opts2);
-  EXPECT_NE(r1.final_cumulative.mean(), r2.final_cumulative.mean());
-}
-
-TEST(Replication, AverageRegretIsCumulativeOverT) {
-  const auto inst = small_instance();
-  const auto result = run_replicated_single(sso_factory(), inst,
-                                            Scenario::kSso,
-                                            quick_options(3, 100));
-  const auto cum = result.cumulative_regret.means();
-  const auto avg = result.average_regret();
-  ASSERT_EQ(avg.size(), 100u);
-  for (std::size_t i = 0; i < avg.size(); ++i) {
-    EXPECT_NEAR(avg[i], cum[i] / static_cast<double>(i + 1), 1e-12);
-  }
-}
-
-TEST(Replication, NullFactoryThrows) {
-  const auto inst = small_instance();
-  EXPECT_THROW((void)run_replicated_single(nullptr, inst, Scenario::kSso,
-                                           quick_options(2, 10)),
-               std::invalid_argument);
+  const auto built = small_instance();
+  const auto r1 = replicate("dfl-sso", Scenario::kSso, built, 4, 200);
+  const auto r2 =
+      replicate("dfl-sso", Scenario::kSso, built, 4, 200, nullptr, 9999);
+  EXPECT_NE(r1.final_cumulative().mean(), r2.final_cumulative().mean());
 }
 
 TEST(Replication, CombinatorialDriverWorks) {
-  const auto inst = small_instance();
-  const auto family = std::make_shared<const FeasibleSet>(make_subset_family(
-      std::make_shared<const Graph>(inst.graph()), 2));
+  exp::InstanceCache::Entry built = small_instance();
+  built.family = std::make_shared<const FeasibleSet>(make_subset_family(
+      std::make_shared<const Graph>(built.instance->graph()), 2));
   ThreadPool pool(2);
-  auto opts = quick_options(4, 150, &pool);
-  const auto result = run_replicated_combinatorial(
-      [family](std::uint64_t seed) -> std::unique_ptr<CombinatorialPolicy> {
-        return std::make_unique<DflCso>(family, DflCsoOptions{.seed = seed});
-      },
-      inst, *family, Scenario::kCso, opts);
-  EXPECT_EQ(result.replications, 4u);
-  EXPECT_EQ(result.per_slot_regret.length(), 150u);
-  EXPECT_GT(result.optimal_per_slot, 0.0);
+  const auto result =
+      replicate("dfl-cso", Scenario::kCso, built, 4, 150, &pool);
+  EXPECT_EQ(result.replications(), 4u);
+  EXPECT_EQ(result.expected().length(), 150u);
+  EXPECT_GT(result.optimal_per_slot(), 0.0);
+  // A combinatorial scenario without a family is refused up front.
+  EXPECT_THROW(replicate("dfl-cso", Scenario::kCso, small_instance(), 4, 150),
+               std::invalid_argument);
 }
 
 TEST(Replication, PseudoRegretDecreasesForLearningPolicy) {
   // On an easy instance the average pseudo-regret over the last tenth must
   // be far below the first tenth.
-  const auto inst = small_instance();
-  const auto result = run_replicated_single(sso_factory(), inst,
-                                            Scenario::kSso,
-                                            quick_options(10, 2000));
-  const auto pseudo = result.per_slot_pseudo_regret.means();
+  const auto pseudo = replicate_sequentially("dfl-sso", Scenario::kSso, 2000,
+                                             kSeed, 10,
+                                             small_instance().instance)
+                          .pseudo.means();
   double head = 0.0, tail = 0.0;
   for (std::size_t i = 0; i < 200; ++i) {
     head += pseudo[i];

@@ -16,8 +16,8 @@
 #include "exp/emitters.hpp"
 #include "exp/shard_scheduler.hpp"
 #include "exp/sweep_runner.hpp"
+#include "sequential_reference.hpp"
 #include "sim/experiment.hpp"
-#include "sim/replication.hpp"
 #include "util/rng.hpp"
 
 namespace ncb::exp {
@@ -330,14 +330,16 @@ TEST(InOrderFoldTest, ShuffledShardsRenderTheInOrderRecord) {
   cut.replications = job.config.replications;
   cut.shard_size = 2;
   std::vector<std::vector<RepSample>> shards(cut.num_shards());
+  InstanceCache cache;
   for (std::size_t s = 0; s < cut.num_shards(); ++s) {
     ShardPlan range;
     range.first = cut.shard_begin(s);
     range.replications = cut.shard_end(s) - cut.shard_begin(s);
     range.shard_size = 1;
-    run_job_replications(job, grid, range, {}, [&](RepSample&& sample) {
-      shards[s].push_back(std::move(sample));
-    });
+    run_job_replications(
+        job.policy, job.scenario, job.config.horizon, job.config.seed,
+        cache.get(job.config, is_combinatorial(job.scenario)), grid, range, {},
+        [&](RepSample&& sample) { shards[s].push_back(std::move(sample)); });
   }
 
   std::vector<std::size_t> order(shards.size());
@@ -533,61 +535,37 @@ void expect_same_bits(const RunningStat& a, const RunningStat& b) {
 
 TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   SweepJob job = tiny_spec().expand()[1];  // dfl-sso
-  const BanditInstance instance = build_instance(job.config);
-  ReplicationOptions options;
-  options.replications = job.config.replications;
-  options.master_seed = job.config.seed;
-  options.runner.horizon = job.config.horizon;
-  const auto make = [&](std::uint64_t seed) {
-    return PolicyRegistry::instance().make_single_play(
-        job.policy, job.config.horizon, seed);
+  const InstanceCache::Entry built{
+      std::make_shared<const BanditInstance>(build_instance(job.config)),
+      nullptr};
+  const std::vector<TimeSlot> grid = checkpoint_grid(job.config.horizon, 0);
+  const ShardPlan plan =
+      plan_shards(job.config.replications, job.config.horizon);
+  const auto replicate = [&](ThreadPool* pool) {
+    JobAggregate aggregate(grid);
+    SweepRunOptions options;
+    options.pool = pool;
+    run_job_replications(job.policy, job.scenario, job.config.horizon,
+                         job.config.seed, built, grid, plan, options,
+                         [&](RepSample&& s) { aggregate.add_rep(s); });
+    return aggregate;
   };
-  const ReplicatedResult sequential =
-      run_replicated_single(make, instance, Scenario::kSso, options);
+  const JobAggregate sequential = replicate(nullptr);
   for (const std::size_t threads : {2u, 3u, 4u}) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
-    options.pool = &pool;
-    const ReplicatedResult pooled =
-        run_replicated_single(make, instance, Scenario::kSso, options);
-    ASSERT_EQ(sequential.replications, pooled.replications);
-    expect_same_bits(sequential.per_slot_regret, pooled.per_slot_regret);
-    expect_same_bits(sequential.cumulative_regret, pooled.cumulative_regret);
-    expect_same_bits(sequential.per_slot_pseudo_regret,
-                     pooled.per_slot_pseudo_regret);
-    expect_same_bits(sequential.final_cumulative, pooled.final_cumulative);
+    const JobAggregate pooled = replicate(&pool);
+    ASSERT_EQ(sequential.replications(), pooled.replications());
+    expect_same_bits(sequential.expected(), pooled.expected());
+    expect_same_bits(sequential.cumulative(), pooled.cumulative());
+    expect_same_bits(sequential.final_cumulative(), pooled.final_cumulative());
   }
 }
 
-/// `job` through run_replicated_*, the factory API, on its own instance.
-ReplicatedResult replicated_result(const SweepJob& job, ThreadPool* pool) {
-  const BanditInstance instance = build_instance(job.config);
-  ReplicationOptions options;
-  options.replications = job.config.replications;
-  options.master_seed = job.config.seed;
-  options.runner.horizon = job.config.horizon;
-  options.pool = pool;
-  const PolicyRegistry& registry = PolicyRegistry::instance();
-  if (!is_combinatorial(job.scenario)) {
-    return run_replicated_single(
-        [&](std::uint64_t seed) {
-          return registry.make_single_play(job.policy, job.config.horizon,
-                                           seed);
-        },
-        instance, job.scenario, options);
-  }
-  const auto family = build_family(job.config, instance.graph());
-  return run_replicated_combinatorial(
-      [&](std::uint64_t seed) {
-        return registry.make_combinatorial(job.policy, family, seed);
-      },
-      instance, *family, job.scenario, options);
-}
-
-TEST(ShardedReplication, DenseSweepJobMatchesReplicatedResult) {
+TEST(ShardedReplication, DenseSweepJobMatchesSequentialReference) {
   // A dense-grid (checkpoints = 0) sweep job samples every slot, so its
-  // aggregate must be the ReplicatedResult of the same config, bit for bit
-  // — whatever the pool or the shard plan on either side.
+  // aggregate must be the test-local sequential loop over the same
+  // replication seeds, bit for bit — whatever the pool or the shard plan.
   ThreadPool pool(4);
   for (const Scenario scenario : {Scenario::kSso, Scenario::kCso}) {
     SweepSpec spec;
@@ -606,16 +584,21 @@ TEST(ShardedReplication, DenseSweepJobMatchesReplicatedResult) {
     options.shard_size = 5;
     const JobOutcome outcome = run_sweep_job(job, spec.checkpoints, options);
     ASSERT_TRUE(outcome.complete);
-    const ReplicatedResult replicated = replicated_result(job, &pool);
-    ASSERT_EQ(outcome.aggregate.grid().size(),
-              replicated.per_slot_regret.length());
-    expect_same_bits(outcome.aggregate.expected(), replicated.per_slot_regret);
-    expect_same_bits(outcome.aggregate.cumulative(),
-                     replicated.cumulative_regret);
+    const auto instance =
+        std::make_shared<const BanditInstance>(build_instance(job.config));
+    const SequentialReplications reference = replicate_sequentially(
+        job.policy, job.scenario, job.config.horizon, job.config.seed,
+        job.config.replications, instance,
+        is_combinatorial(scenario)
+            ? build_family(job.config, instance->graph())
+            : nullptr);
+    ASSERT_EQ(outcome.aggregate.grid().size(), reference.per_slot.length());
+    expect_same_bits(outcome.aggregate.expected(), reference.per_slot);
+    expect_same_bits(outcome.aggregate.cumulative(), reference.cumulative);
     expect_same_bits(outcome.aggregate.final_cumulative(),
-                     replicated.final_cumulative);
+                     reference.final_cumulative);
     EXPECT_EQ(outcome.aggregate.optimal_per_slot(),
-              replicated.optimal_per_slot);
+              reference.optimal_per_slot);
   }
 }
 

@@ -239,6 +239,25 @@ TEST(SweepCli, PolicyTheScenarioDoesNotSupportExitsTwo) {
   }
 }
 
+TEST(SweepCli, UnknownFlagExitsTwoNamingIt) {
+  // A misspelled or retired flag fails before anything runs, even under
+  // --dry-run, instead of being ignored.
+  REQUIRE_BINARY();
+  TempDir dir;
+  const std::string spec = dir.file("tiny.spec");
+  write_text(spec, tiny_spec());
+  const std::string out = dir.file("stdout.txt");
+  const std::string err = dir.file("stderr.txt");
+  EXPECT_EQ(run_sweep({"--spec", spec, "--bogus-flag", "3", "--dry-run"}, {},
+                      out, err),
+            2);
+  EXPECT_NE(read_text(err).find("error: unknown flag --bogus-flag"),
+            std::string::npos)
+      << "stderr: " << read_text(err);
+  EXPECT_EQ(read_text(out).find("[0]"), std::string::npos)
+      << "listed a job: " << read_text(out);
+}
+
 TEST(SweepCli, RejectsNegativeWorkerCount) {
   REQUIRE_BINARY();
   TempDir dir;
