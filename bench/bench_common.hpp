@@ -1,12 +1,14 @@
 // Shared flag parsing and headers for the bench mains that the sweep grammar
 // cannot express (the paper's figures and ablations are specs/*.sweep files).
-// Common flags: --horizon, --reps, --arms, --p, --m, --seed, --quick, and
-// --list-policies (print the policy registry and exit 0); any other flag
-// exits 2 unless the main declares it.
+// Common flags: --horizon, --reps, --arms, --p, --m, --seed, --quick. Each
+// main names the ones it reads; any other flag, common or not, exits 2
+// naming it. --list-policies (print the policy registry and exit 0) is
+// always accepted.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,20 +23,20 @@ struct CommonFlags {
   TimeSlot horizon = 10000;
   std::size_t reps = 20;
   std::size_t arms = 100;
-  double p = 0.3;
-  std::size_t m = 3;
+  std::optional<double> p;       ///< absent: the figure's own value
+  std::optional<std::size_t> m;  ///< absent: the figure's own value
   std::uint64_t seed = 20170605;
   bool quick = false;
 };
 
-/// Parses the common flags plus the main's own `extra` flags.
+/// Parses the flags a main reads: `reads` names the common flags it
+/// honours plus its own.
 inline CommonFlags parse_common(int argc, char** argv,
-                                const std::vector<std::string>& extra = {}) {
+                                const std::vector<std::string>& reads) {
   try {
     const ArgParse args(argc, argv);
-    std::vector<std::string> known{"arms", "horizon", "list-policies", "m",
-                                   "p", "quick", "reps", "seed"};
-    known.insert(known.end(), extra.begin(), extra.end());
+    std::vector<std::string> known{"list-policies"};
+    known.insert(known.end(), reads.begin(), reads.end());
     args.require_known(known);
     if (args.has("list-policies")) {
       std::cout << PolicyRegistry::instance().render_listing();
@@ -62,8 +64,8 @@ inline CommonFlags parse_common(int argc, char** argv,
     }
     f.reps = positive("reps", args.get_int("reps", f.quick ? 5 : 20));
     f.arms = non_negative("arms", args.get_int("arms", 0));  // 0 = default
-    f.p = args.get_double("p", 0.3);
-    f.m = positive("m", args.get_int("m", 3));
+    if (args.has("p")) f.p = args.get_double("p", 0.3);
+    if (args.has("m")) f.m = positive("m", args.get_int("m", 3));
     f.seed = static_cast<std::uint64_t>(
         non_negative("seed", args.get_int("seed", 20170605)));
     return f;
@@ -79,6 +81,8 @@ inline void apply_flags(ExperimentConfig& config, const CommonFlags& f) {
   config.horizon = f.horizon;
   config.replications = f.reps;
   if (f.arms > 0) config.num_arms = f.arms;
+  if (f.p) config.edge_probability = *f.p;
+  if (f.m) config.strategy_size = *f.m;
   config.seed = f.seed;
 }
 

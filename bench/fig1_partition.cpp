@@ -52,7 +52,8 @@ void show_partition(const ncb::Graph& g, const std::vector<double>& means,
 int main(int argc, char** argv) {
   using namespace ncb;
   using namespace ncb::bench;
-  const CommonFlags flags = parse_common(argc, argv);
+  const CommonFlags flags =
+      parse_common(argc, argv, {"arms", "horizon", "p", "quick", "seed"});
 
   std::cout << "==========================================================\n"
                "Figure 1: graph partition + clique cover (Theorem 1 proof)\n"

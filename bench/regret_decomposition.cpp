@@ -12,11 +12,14 @@
 int main(int argc, char** argv) {
   using namespace ncb;
   using namespace ncb::bench;
-  CommonFlags flags = parse_common(argc, argv);
+  // One single-play run per policy: --reps and --m have nothing to set.
+  CommonFlags flags =
+      parse_common(argc, argv, {"arms", "horizon", "p", "quick", "seed"});
   if (!flags.quick && flags.horizon > 5000) flags.horizon = 5000;
 
   ExperimentConfig config = fig3_config();
   apply_flags(config, flags);
+  config.replications = 1;
   if (flags.arms == 0) config.num_arms = 50;
 
   print_header("Regret decomposition: T_i(n)*gap_i per arm (single run)",

@@ -18,7 +18,8 @@
 int main(int argc, char** argv) {
   using namespace ncb;
   using namespace ncb::bench;
-  CommonFlags flags = parse_common(argc, argv, {"large"});
+  CommonFlags flags = parse_common(
+      argc, argv, {"horizon", "large", "p", "quick", "reps", "seed"});
   bool large = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--large") == 0) large = true;
@@ -33,20 +34,21 @@ int main(int argc, char** argv) {
   }
 
   const ExperimentConfig base = fig3_config();
+  const double p = flags.p.value_or(base.edge_probability);
   exp::SweepSpec spec;
   spec.name = "scaling-k";
   spec.scenario = Scenario::kSso;
   spec.policies = {"dfl-sso"};
   spec.graphs = {base.graph_family};
   spec.arms = {10, 25, 50, 100, 200, 400};
-  spec.edge_probabilities = {flags.p};
+  spec.edge_probabilities = {p};
   spec.horizons = {flags.horizon};
   spec.replications = flags.reps;
   spec.seed = flags.seed;
   spec.checkpoints = 20;  // only the final scalar feeds the table
 
   std::cout << "==========================================================\n"
-               "Scaling: DFL-SSO vs K (ER p=" << flags.p << ", n="
+               "Scaling: DFL-SSO vs K (ER p=" << p << ", n="
             << flags.horizon << ")\n"
                "==========================================================\n"
                "K,final_cumulative_regret,ci95,regret_over_sqrt_nK,seconds\n";

@@ -17,9 +17,12 @@
 #                             runs md5-pinned, uneven replication shards
 #                             over 3 workers), serve smoke (real server
 #                             + driver + SIGTERM drain, also at K = 10^4
-#                             over 4 pipelined connections), replay smoke
+#                             over 4 pipelined connections and in lockstep
+#                             past K + K/5 decisions), replay smoke
 #                             (offline panel over the serve log +
 #                             logging-identity pin, also on the K = 10^4 log,
+#                             and on a K = 10^4 lockstep log that reaches
+#                             eps-greedy's greedy branch,
 #                             + sharded 2-worker panel, with and without a
 #                             SIGKILLed worker), metrics identity
 #                             (event logs and decision dumps byte-identical
@@ -440,6 +443,33 @@ serve_smoke() {
   grep -q 'records=40000 decisions=20000 feedbacks=20000 joined=20000' \
       build/serve_large.inspect
   echo "serve smoke: 20k decisions @ K=10^4 / 4 pipelined connections, 20000/20000 joined"
+
+  # Lockstep leg on the same instance: one request in flight, so each
+  # forced visit's feedback lands before the next decision and 12k = K + K/5
+  # decisions run past the unvisited-arm phase into the greedy branch (the
+  # pipelined leg above never leaves it). replay_smoke prices this log.
+  sock=build/serve_lockstep.sock
+  log=build/serve_lockstep.ncbl
+  rm -f "$sock" "$log"
+  ./build/examples/ncb_serve --socket "$sock" --policy 'eps-greedy:eps=0' \
+      --epsilon 0.05 "${LARGE_INSTANCE[@]}" --log "$log" \
+      > build/serve_lockstep.out 2>&1 &
+  server_pid=$!
+  for _ in $(seq 1 200); do [ -S "$sock" ] && break; sleep 0.05; done
+  if ! ./build/examples/ncb_serve_driver --socket "$sock" --requests 12000 \
+      --connections 2 --keys 1024 "${LARGE_INSTANCE[@]}" --lockstep; then
+    kill -TERM "$server_pid" 2>/dev/null || true
+    wait "$server_pid" || true
+    cat build/serve_lockstep.out >&2
+    return 1
+  fi
+  kill -TERM "$server_pid"
+  wait "$server_pid"
+  ./build/examples/ncb_serve --inspect-log "$log" \
+      | tee build/serve_lockstep.inspect
+  grep -q 'records=24000 decisions=12000 feedbacks=12000 joined=12000' \
+      build/serve_lockstep.inspect
+  echo "serve smoke: 12k lockstep decisions @ K=10^4, 12000/12000 joined"
 }
 
 # Metrics must observe, never steer: one lockstep workload against the
@@ -554,7 +584,26 @@ replay_smoke() {
       "${LARGE_INSTANCE[@]}" --epsilon 0.05 --out build/replay_large.json \
       | tee build/replay_large.out
   grep -q 'logging identity OK' build/replay_large.out
-  echo "replay smoke: logging identity pinned (K=200 and K=10^4), panel byte-identical, truncated log rejected"
+  # The lockstep K = 10^4 log reaches the greedy branch: the identity still
+  # holds, and eps-greedy:eps=0.1 must now price differently from the
+  # logging policy (on the pipelined log above it scores bitwise alike).
+  ./build/examples/ncb_replay --log build/serve_lockstep.ncbl \
+      --logging-policy 'eps-greedy:eps=0' --policies 'eps-greedy:eps=0.1;ucb1' \
+      "${LARGE_INSTANCE[@]}" --epsilon 0.05 --out build/replay_lockstep.json \
+      | tee build/replay_lockstep.out
+  grep -q 'logging identity OK' build/replay_lockstep.out
+  local logging_ips candidate_ips
+  logging_ips=$(sed -n 's/^  eps-greedy:eps=0: ips=\([^ ]*\) .*/\1/p' \
+      build/replay_lockstep.out)
+  candidate_ips=$(sed -n 's/^  eps-greedy:eps=0\.1: ips=\([^ ]*\) .*/\1/p' \
+      build/replay_lockstep.out)
+  if [ -z "$logging_ips" ] || [ -z "$candidate_ips" ] \
+      || [ "$logging_ips" = "$candidate_ips" ]; then
+    echo "error: lockstep K=10^4 replay: eps-greedy:eps=0.1 ips" \
+         "'$candidate_ips' vs logging '$logging_ips'" >&2
+    return 1
+  fi
+  echo "replay smoke: logging identity pinned (K=200, K=10^4 pipelined and lockstep; eps=0.1 ips $candidate_ips vs logging $logging_ips), panel byte-identical, truncated log rejected"
 }
 
 asan() {
@@ -631,9 +680,9 @@ release_lane() {
         python3 tools/test_bench_ab.py
   stage "sweep" "sweep smoke: resume + thread/worker determinism + kill-requeue" \
         sweep_smoke
-  stage "serve" "serve smoke: 10k decisions / 2 connections, 20k @ K=10^4 / 4, SIGTERM drain" \
+  stage "serve" "serve smoke: 10k decisions / 2 connections, 20k @ K=10^4 / 4, 12k lockstep @ K=10^4, SIGTERM drain" \
         serve_smoke
-  stage "replay" "replay smoke: offline panel + logging-identity pin (K=200, K=10^4)" \
+  stage "replay" "replay smoke: offline panel + logging-identity pin (K=200, K=10^4 pipelined + lockstep)" \
         replay_smoke
   stage "metrics" "metrics identity: bytes unchanged plain/polled/1 ms snapshots" \
         metrics_identity

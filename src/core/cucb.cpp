@@ -19,6 +19,7 @@ Cucb::Cucb(std::shared_ptr<const FeasibleSet> family, CucbOptions options)
 void Cucb::reset() {
   stats_.reset(family_->graph().num_vertices());
   scores_.assign(stats_.size(), 0.0);
+  oracle_scratch_.reset();
   rng_ = Xoshiro256(options_.seed);
 }
 

@@ -36,12 +36,17 @@ class Cucb final : public CombinatorialPolicy {
   }
   [[nodiscard]] double arm_index(ArmId i, TimeSlot t) const;
 
+  /// argmax_modular's tree nodes summed since construction or reset().
+  [[nodiscard]] std::uint64_t oracle_nodes_summed() const noexcept {
+    return oracle_scratch_.nodes_summed;
+  }
+
  private:
   std::shared_ptr<const FeasibleSet> family_;
   CucbOptions options_;
   ArmStatsTable stats_;
   std::vector<double> scores_;
-  std::vector<double> oracle_scratch_;  // argmax_modular's node values
+  PrefixSumTree::Scratch oracle_scratch_;  // argmax_modular's, reset-scoped
   Xoshiro256 rng_;
 };
 

@@ -23,6 +23,7 @@ DflCsr::DflCsr(std::shared_ptr<const FeasibleSet> family,
 void DflCsr::reset() {
   stats_.reset(family_->graph().num_vertices());
   scores_.assign(stats_.size(), 0.0);
+  oracle_->reset();
   rng_ = Xoshiro256(options_.seed);
 }
 

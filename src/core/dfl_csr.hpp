@@ -44,6 +44,9 @@ class DflCsr final : public CombinatorialPolicy {
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const FeasibleSet& family() const noexcept { return *family_; }
+  [[nodiscard]] const CoverageOracle& oracle() const noexcept {
+    return *oracle_;
+  }
   [[nodiscard]] std::int64_t observation_count(ArmId i) const {
     return stats_.count(i);
   }

@@ -86,7 +86,7 @@ StrategyId GreedyCoverageOracle::select(const FeasibleSet& family,
 
 StrategyId argmax_modular(const FeasibleSet& family,
                           const std::vector<double>& scores,
-                          std::vector<double>& scratch) {
+                          PrefixSumTree::Scratch& scratch) {
   if (scores.size() != family.graph().num_vertices()) {
     throw std::invalid_argument("argmax_modular: score size mismatch");
   }
@@ -96,7 +96,7 @@ StrategyId argmax_modular(const FeasibleSet& family,
 
 StrategyId argmax_modular(const FeasibleSet& family,
                           const std::vector<double>& scores) {
-  std::vector<double> scratch;
+  PrefixSumTree::Scratch scratch;
   return argmax_modular(family, scores, scratch);
 }
 

@@ -1,41 +1,74 @@
 #include "strategy/prefix_sum_tree.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <utility>
+#include <cmath>
+#include <numeric>
+#include <stdexcept>
 
 namespace ncb {
 
 PrefixSumTree::PrefixSumTree(const std::vector<ArmSet>& rows)
-    : nodes_{{0, kNoArm}}, leaf_(rows.size(), 0) {
-  // Level by level: at depth d every row still longer than d extends its
-  // depth-d prefix node (leaf_[r] so far) by rows[r][d]. Rows sharing that
-  // (node, arm) pair share the child, so sorting the pairs groups them and
-  // assigns child ids in (parent, arm) order — breadth-first.
-  std::vector<std::size_t> active;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (!rows[r].empty()) active.push_back(r);
-  }
-  for (std::size_t d = 0; !active.empty(); ++d) {
-    const auto key = [&](std::size_t r) {
-      return std::pair<std::uint32_t, ArmId>(leaf_[r], rows[r][d]);
-    };
-    std::sort(active.begin(), active.end(),
-              [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
-    std::pair<std::uint32_t, ArmId> last{0, kNoArm};  // matches no arm
-    for (const std::size_t r : active) {
-      const auto k = key(r);
-      if (k != last) {
-        nodes_.push_back({k.first, k.second});
-        last = k;
+    : nodes_{{kNoArm, 0, 0, 0, kNoRow}}, leaf_(rows.size(), 0) {
+  for (const ArmSet& row : rows) {
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (row[j] < 0 || (j > 0 && row[j] <= row[j - 1])) {
+        throw std::invalid_argument(
+            "PrefixSumTree: rows must be strictly ascending arm ids");
       }
-      leaf_[r] = static_cast<std::uint32_t>(nodes_.size() - 1);
     }
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](std::size_t r) {
-                                  return rows[r].size() == d + 1;
-                                }),
-                 active.end());
+    if (!row.empty()) {
+      arms_ = std::max(arms_, static_cast<std::size_t>(row.back()) + 1);
+    }
+    height_ = std::max(height_, row.size());
+  }
+  // Rows in lexicographic order (ties by id) are the tree's preorder: each
+  // row shares its longest common prefix with the path of the row before
+  // it and appends one node per remaining arm, and the first row to end at
+  // a node is the smallest id among the equal rows.
+  std::vector<std::uint32_t> order(rows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return rows[a] < rows[b];
+                   });
+  std::vector<std::uint32_t> path{0};  // node ids from the root
+  for (const std::uint32_t r : order) {
+    const ArmSet& row = rows[r];
+    std::size_t d = 0;
+    while (d < row.size() && d + 1 < path.size() &&
+           nodes_[path[d + 1]].arm == row[d]) {
+      ++d;
+    }
+    path.resize(d + 1);
+    for (; d < row.size(); ++d) {
+      nodes_.push_back({row[d], path.back(), 0, 0, kNoRow});
+      path.push_back(static_cast<std::uint32_t>(nodes_.size() - 1));
+    }
+    Node& end = nodes_[path.back()];
+    if (end.row == kNoRow) end.row = r;
+    leaf_[r] = path.back();
+  }
+  // Children follow their parent, so one backward pass folds subtree sizes
+  // (→ skip) and heights (→ reach) into each parent.
+  std::vector<std::uint32_t> size(nodes_.size(), 1), reach(nodes_.size(), 0);
+  for (std::size_t n = nodes_.size() - 1; n > 0; --n) {
+    const std::uint32_t p = nodes_[n].parent;
+    size[p] += size[n];
+    reach[p] = std::max(reach[p], reach[n] + 1);
+  }
+  // The bound table is rebuilt every call, so it pays only when it is no
+  // larger than what a pass over every node and row reads. A longer, more
+  // shared tree (say all rows equal and long) sums every node instead;
+  // each bound then reads cell 0.
+  const std::size_t cells = (arms_ + 1) * (height_ + 1);
+  if (cells <= nodes_.size() + rows.size()) table_cells_ = cells;
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    Node& node = nodes_[n];
+    node.skip = static_cast<std::uint32_t>(n + size[n]);
+    if (table_cells_ > 0) {
+      node.bound = static_cast<std::uint32_t>(
+          static_cast<std::size_t>(node.arm + 1) * (height_ + 1) + reach[n]);
+    }
   }
 }
 
@@ -43,39 +76,87 @@ PrefixSumTree::PrefixSumTree(const std::vector<ArmSet>& rows)
 // function fell within a 64-byte line, which any unrelated change to the
 // binary's code size shifts, so the function is pinned to a line start.
 __attribute__((aligned(64))) std::size_t PrefixSumTree::argmax(
-    const double* scores, std::vector<double>& scratch) const {
-  if (scratch.size() < nodes_.size()) scratch.resize(nodes_.size());
-  double* value = scratch.data();
+    const double* scores, Scratch& scratch) const {
+  const std::size_t cols = height_ + 1;
+  if (scratch.value.size() < nodes_.size()) scratch.value.resize(nodes_.size());
+  if (scratch.top.size() < std::max<std::size_t>(table_cells_, 1)) {
+    scratch.top.resize(std::max<std::size_t>(table_cells_, 1));
+  }
+  double* value = scratch.value.data();
+  double* top = scratch.top.data();
+
+  // The margin and the bound table (see the header). Without them the
+  // threshold best − m is -inf (or NaN), which no bound falls below.
+  double abs_sum = std::numeric_limits<double>::infinity();
+  if (table_cells_ > 0) {
+    abs_sum = 0.0;
+    for (std::size_t a = 0; a < arms_; ++a) abs_sum += std::fabs(scores[a]);
+  }
+  const bool prune = abs_sum <= std::numeric_limits<double>::max() / 2;
+  const double margin =
+      prune ? static_cast<double>(2 * height_ + 4) *
+                  std::numeric_limits<double>::epsilon() * abs_sum
+            : std::numeric_limits<double>::infinity();
+  if (prune) {
+    // top[a][r] = max(top[a+1][r], top[a+1][r-1] + max(s_a, 0)).
+    std::fill(top + arms_ * cols, top + (arms_ + 1) * cols, 0.0);
+    for (std::size_t a = arms_; a-- > 0;) {
+      const double s = scores[a] > 0.0 ? scores[a] : 0.0;
+      double* cur = top + a * cols;
+      const double* next = cur + cols;
+      cur[0] = 0.0;
+      for (std::size_t r = 1; r < cols; ++r) {
+        const double with = next[r - 1] + s;
+        cur[r] = with > next[r] ? with : next[r];
+      }
+    }
+  }
+
+  double best_value = -std::numeric_limits<double>::infinity();
+  std::uint32_t best_row = 0;
+  double threshold = best_value - margin;
+  // Largest value wins, then the smaller row: the first strict maximum of
+  // a scan in row order, whatever order the rows are met in.
+  const auto consider = [&](double v, std::uint32_t row) {
+    if (v > best_value || (v == best_value && row < best_row)) {
+      best_value = v;
+      best_row = row;
+      threshold = best_value - margin;
+    }
+  };
+  std::uint64_t summed = 0;
+  if (scratch.hint < leaf_.size()) {
+    // The hint row's value, summed root to leaf as the tree sums it.
+    std::vector<std::uint32_t>& path = scratch.path;
+    path.clear();
+    for (std::uint32_t n = leaf_[scratch.hint]; n != 0; n = nodes_[n].parent) {
+      path.push_back(n);
+    }
+    double hint_value = 0.0;
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      hint_value += scores[static_cast<std::size_t>(nodes_[*it].arm)];
+    }
+    summed += path.size();
+    consider(hint_value, scratch.hint);
+  }
+
+  const Node* nodes = nodes_.data();
+  const std::size_t count = nodes_.size();
   value[0] = 0.0;
-  for (std::size_t n = 1; n < nodes_.size(); ++n) {
-    value[n] = value[nodes_[n].parent] +
-               scores[static_cast<std::size_t>(nodes_[n].arm)];
+  if (nodes[0].row != kNoRow) consider(0.0, nodes[0].row);  // an empty row
+  std::size_t n = top[nodes[0].bound] < threshold ? count : 1;
+  while (n < count) {
+    const Node& node = nodes[n];
+    const double v =
+        value[node.parent] + scores[static_cast<std::size_t>(node.arm)];
+    value[n] = v;
+    ++summed;
+    if (node.row != kNoRow) consider(v, node.row);
+    n = v + top[node.bound] < threshold ? node.skip : n + 1;
   }
-  // Leaf pass (see the header): branch-free max, then its first row.
-  const double kNegInf = -std::numeric_limits<double>::infinity();
-  const std::uint32_t* leaf = leaf_.data();
-  const std::size_t rows = leaf_.size();
-  double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const double v0 = value[leaf[r]], v1 = value[leaf[r + 1]];
-    const double v2 = value[leaf[r + 2]], v3 = value[leaf[r + 3]];
-    m0 = v0 > m0 ? v0 : m0;
-    m1 = v1 > m1 ? v1 : m1;
-    m2 = v2 > m2 ? v2 : m2;
-    m3 = v3 > m3 ? v3 : m3;
-  }
-  for (; r < rows; ++r) {
-    const double v = value[leaf[r]];
-    m0 = v > m0 ? v : m0;
-  }
-  m0 = m1 > m0 ? m1 : m0;
-  m2 = m3 > m2 ? m3 : m2;
-  const double best_value = m2 > m0 ? m2 : m0;
-  if (best_value == kNegInf) return 0;
-  std::size_t best = 0;
-  while (!(value[leaf[best]] == best_value)) ++best;
-  return best;
+  scratch.nodes_summed += summed;
+  scratch.hint = best_row;
+  return best_row;
 }
 
 }  // namespace ncb

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 
 #include "graph/generators.hpp"
@@ -185,6 +186,9 @@ std::vector<FeasibleSet> property_families(Xoshiro256& rng) {
     if (!s.empty() && seen.insert(s).second) explicit_rows.push_back(s);
   }
   out.push_back(make_explicit_family(graph, explicit_rows));
+  // Every Y_x is all nine arms: a tree smaller than its bound table, which
+  // therefore sums every node without skipping.
+  out.push_back(make_subset_family(shared_graph(complete_graph(9)), 1));
   return out;
 }
 
@@ -207,20 +211,56 @@ std::vector<double> property_scores(Xoshiro256& rng, std::size_t n) {
   return scores;
 }
 
+// The branch-and-bound's warm start must not move the result: both trees,
+// seeded with every hint in `hints` (row ids in range or not), return the
+// reference ids, and no call sums more than the tree's nodes plus the hint
+// row.
+void expect_hints_ignored(const FeasibleSet& family,
+                          const std::vector<double>& scores,
+                          const std::vector<std::uint32_t>& hints) {
+  const StrategyId coverage = reference_argmax(family, scores, true);
+  const StrategyId modular = reference_argmax(family, scores, false);
+  PrefixSumTree::Scratch scratch;
+  for (const std::uint32_t hint : hints) {
+    SCOPED_TRACE("hint " + std::to_string(hint));
+    const PrefixSumTree& y_tree = family.neighborhood_tree();
+    const PrefixSumTree& s_tree = family.strategy_tree();
+    scratch.reset();
+    scratch.hint = hint;
+    EXPECT_EQ(y_tree.argmax(scores.data(), scratch),
+              static_cast<std::size_t>(coverage));
+    EXPECT_LE(scratch.nodes_summed,
+              y_tree.num_nodes() - 1 + family.max_neighborhood_size());
+    scratch.reset();
+    scratch.hint = hint;
+    EXPECT_EQ(s_tree.argmax(scores.data(), scratch),
+              static_cast<std::size_t>(modular));
+    EXPECT_LE(scratch.nodes_summed,
+              s_tree.num_nodes() - 1 + family.max_strategy_size());
+  }
+}
+
 TEST(ExactOracles, TreeSumMatchesReferenceScanExactly) {
   Xoshiro256 rng(43);
+  Xoshiro256 hint_rng(53);          // hints draw apart from rng's stream
   const ExactCoverageOracle oracle;  // one oracle: scratch reused
-  std::vector<double> scratch;       // across families of every size
+  PrefixSumTree::Scratch scratch;    // across families of every size
   for (int trial = 0; trial < 8; ++trial) {
     for (const FeasibleSet& family : property_families(rng)) {
       SCOPED_TRACE("family kind " + std::to_string(static_cast<int>(
                                         family.kind())));
+      const auto rows = static_cast<std::uint32_t>(family.size());
       for (int draw = 0; draw < 25; ++draw) {
         const std::vector<double> scores = property_scores(rng, 9);
         EXPECT_EQ(oracle.select(family, scores),
                   reference_argmax(family, scores, /*coverage=*/true));
         EXPECT_EQ(argmax_modular(family, scores, scratch),
                   reference_argmax(family, scores, /*coverage=*/false));
+        // A random row, the first id past the end, and the largest id.
+        expect_hints_ignored(
+            family, scores,
+            {static_cast<std::uint32_t>(hint_rng.uniform_int(rows)), rows,
+             PrefixSumTree::Scratch::kNoHint - 1});
       }
     }
   }
@@ -259,6 +299,11 @@ TEST(ExactOracles, TreeSumMatchesReferenceScanExactly) {
               reference_argmax(path, c.scores, /*coverage=*/true));
     EXPECT_EQ(argmax_modular(path, c.scores, scratch),
               reference_argmax(path, c.scores, /*coverage=*/false));
+    for (const FeasibleSet* family : {&edgeless, &path}) {
+      std::vector<std::uint32_t> every_row(family->size() + 1);
+      std::iota(every_row.begin(), every_row.end(), 0u);
+      expect_hints_ignored(*family, c.scores, every_row);
+    }
   }
   // A single row: row 0 whatever it sums to.
   const FeasibleSet single =
@@ -268,6 +313,40 @@ TEST(ExactOracles, TreeSumMatchesReferenceScanExactly) {
     EXPECT_EQ(oracle.select(single, scores), 0);
     EXPECT_EQ(argmax_modular(single, scores, scratch), 0);
   }
+}
+
+// All scores equal: every row of one length ties, so the winner is the
+// smallest id among the longest (positive scores) or shortest (negative)
+// rows, or row 0 (zero) — and bounds equal row values, so little or
+// nothing can be skipped. With +0.0 and -0.0 the margin is 0 and every
+// bound ties the best: a skip on a tie (bound <= best) would drop the
+// smaller-id rows the explicit family lists out of preorder.
+TEST(ExactOracles, AllEqualScoresMatchReference) {
+  Xoshiro256 rng(59);
+  for (const FeasibleSet& family : property_families(rng)) {
+    SCOPED_TRACE("family kind " + std::to_string(static_cast<int>(
+                                      family.kind())));
+    for (const double v : {0.0, -0.0, 0.5, 0.1, -0.25, 1e6}) {
+      SCOPED_TRACE(v);
+      const std::vector<double> scores(9, v);
+      PrefixSumTree::Scratch scratch;
+      EXPECT_EQ(family.neighborhood_tree().argmax(scores.data(), scratch),
+                static_cast<std::size_t>(
+                    reference_argmax(family, scores, /*coverage=*/true)));
+      EXPECT_EQ(family.strategy_tree().argmax(scores.data(), scratch),
+                static_cast<std::size_t>(
+                    reference_argmax(family, scores, /*coverage=*/false)));
+      const auto rows = static_cast<std::uint32_t>(family.size());
+      expect_hints_ignored(family, scores, {0, rows / 2, rows - 1, rows});
+    }
+  }
+}
+
+TEST(ExactOracles, UnsortedRowsRejected) {
+  EXPECT_THROW(PrefixSumTree({{0, 2}, {3, 1}}), std::invalid_argument);
+  EXPECT_THROW(PrefixSumTree({{1, 1}}), std::invalid_argument);
+  EXPECT_THROW(PrefixSumTree({{-1, 2}}), std::invalid_argument);
+  EXPECT_NO_THROW(PrefixSumTree({{0, 2}, {1, 3}, {0, 2}, {}}));
 }
 
 TEST(ExactOracles, TreeSharesPrefixes) {
